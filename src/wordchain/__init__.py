@@ -9,11 +9,9 @@ exchangeable-order statistics that parameterize the boundary, and ships the
 closed-form exponential-rates special case.
 """
 
-from .boundary import ConvergenceReport, ReportConfig, convergence_report, kernel_ratio, limit_pair_estimate
+from .boundary import ConvergenceReport, ReportConfig, convergence_report, kernel_ratio
 from .bridges import (
     InfiniteBridge,
-    extend_infinite_bridge,
-    extended_kernel,
     harmonic_h,
     htransform_step_prob,
     sample_finite_bridge,
@@ -22,7 +20,6 @@ from .bridges import (
 from .errors import CapExceededError, SizeMismatchError, WordchainError, ZeroMassStateError
 from .kernels import (
     backward_prob,
-    bridge_conditional_check,
     dm_kernel,
     kernel_table,
     multi_step_prob,
@@ -36,7 +33,6 @@ from .measures import (
     MCEstimate,
     StepMeasure,
     canonicalize,
-    empirical_identity_check,
     empirical_pair,
     fixture_pairs,
     pattern_prob_exact,
@@ -52,10 +48,10 @@ from .orders import (
     estimate_f,
     label_uniformly,
     moment_estimate,
-    order_from_parametric,
 )
 from .plackett_luce import RatePair, pl_harmonic, pl_sample, pl_transition, pl_word_prob
 from .rng import derive_rng
+from .verify import bridge_conditional_check, empirical_identity_check
 from .words import (
     CountMatrix,
     build_count_matrices,

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import SizeMismatchError
 from .measures import (
-    AtomicPair,
     CanonicalPair,
     empirical_pair,
     format_fraction,
@@ -49,15 +48,6 @@ def check_word_sequence(seq: list[str]) -> list[str]:
     if any(s2 < s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError("word sizes must be nondecreasing along the sequence")
     return seq
-
-
-def limit_pair_estimate(y: str) -> AtomicPair:
-    """Boundary-point estimator read off a single word.
-
-    The empirical pair of y: its weak limit along a convergent sequence
-    identifies the boundary point the sequence approaches.
-    """
-    return empirical_pair(y)
 
 
 @dataclass(frozen=True)

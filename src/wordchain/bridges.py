@@ -124,11 +124,6 @@ class InfiniteBridge:
         return self.word(n)
 
 
-def extend_infinite_bridge(bridge: InfiniteBridge) -> str:
-    """Advance the bridge one step; returns the new word."""
-    return bridge.extend()
-
-
 def harmonic_h(pair: CanonicalPair, w: str) -> Fraction:
     """The harmonic function attached to the boundary point (mu, nu).
 
@@ -140,11 +135,6 @@ def harmonic_h(pair: CanonicalPair, w: str) -> Fraction:
         raise TypeError("harmonic functions are indexed by diffuse canonical pairs")
     m = word_size(w)
     return math.comb(2 * m, m) * pattern_prob_exact(pair, w)
-
-
-def extended_kernel(pair: CanonicalPair, w: str) -> Fraction:
-    """Kernel value at a boundary point; same normalization as harmonic_h."""
-    return harmonic_h(pair, w)
 
 
 def htransform_step_prob(pair: CanonicalPair, u: str, v: str) -> Fraction:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 from . import boundary as boundary_mod
 from . import bridges, kernels, orders, plackett_luce, verify, words
@@ -26,37 +26,12 @@ from .measures import (
     empirical_pair,
     format_fraction,
     parse_fraction,
+    pattern_matches,
     pattern_prob_exact,
-    pattern_prob_mc,
 )
 from .rng import derive_rng
 
 MC_REPLICAS = 8  # fixed fan-out for Monte Carlo commands, independent of --jobs
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a command's output bytes.
-
-    Two invocations with equal configs emit identical bytes; ``jobs`` is
-    excluded from that contract's inputs because it only sizes the pool.
-    """
-
-    seed: int = 0
-    trials: int = 0
-    depth: int = 0
-    jobs: int = 1
-    fmt: str = "text"
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            seed=getattr(args, "seed", 0) & 0xFFFFFFFFFFFFFFFF,
-            trials=getattr(args, "trials", 0),
-            depth=getattr(args, "depth", 0),
-            jobs=getattr(args, "jobs", 1),
-            fmt=getattr(args, "format", None) or getattr(args, "emit", None) or "text",
-        )
 
 
 def _sig6(x: float) -> float:
@@ -100,6 +75,8 @@ def _parse_measure_spec(spec: str):
 
 def _order_sources(args):
     if args.pair:
+        if args.zeta or args.eta:
+            raise WordchainError("--pair excludes --zeta and --eta")
         pair = _load_pair(args.pair)
         return pair.mu, pair.nu
     if not (args.zeta and args.eta):
@@ -107,66 +84,45 @@ def _order_sources(args):
     return _parse_measure_spec(args.zeta), _parse_measure_spec(args.eta)
 
 
-def _replica_counts(total: int) -> list[int]:
-    per = total // MC_REPLICAS
-    counts = [per] * MC_REPLICAS
-    for i in range(total - per * MC_REPLICAS):
-        counts[i] += 1
-    return [c for c in counts if c]
+def _order_task(sample, sources, stat_args, count, rng):
+    """Replica task for an order statistic: `sample` on a fresh order sampler."""
+    return sample(orders.OrderSampler(*sources, rng), *stat_args, count)
 
 
-def _pattern_replica(task: tuple) -> int:
-    """Worker for pattern-prob replicas; returns the replica's hit count."""
-    pair, word, seed, label, count = task
-    est = pattern_prob_mc(pair, word, count, derive_rng(seed, label))
-    return round(est.value * count)
+def _replica(job: tuple) -> list:
+    """One Monte Carlo replica; top-level so process pools can pickle it."""
+    task, seed, label, count = job
+    return task(count, derive_rng(seed, label))
 
 
-def _order_replica(task: tuple) -> list:
-    """Worker for orders/moments replicas; top-level so pools can pickle it."""
-    a_source, b_source, seed, label, mode, x, y, depth, order_n, count = task
-    sampler = orders.OrderSampler(a_source, b_source, derive_rng(seed, label))
-    out = []
-    for _ in range(count):
-        if mode == "moment":
-            run = sampler.run(order_n + 1)
-            va, vb = run.values_a, run.values_b
-            mu_prod = nu_prod = 1
-            for k in range(order_n):
-                mu_prod *= (va[k] < va[order_n]) + (vb[k] < va[order_n])
-                nu_prod *= (va[k] < vb[order_n]) + (vb[k] < vb[order_n])
-            out.append((0.5**order_n * mu_prod, 0.5**order_n * nu_prod))
-        else:
-            run = sampler.run(depth)
-            out.append(run.d_hat(x, y) if mode == "d" else run.f_hat(x))
-    return out
+def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
+    """Samples of `task(count, rng)` over MC_REPLICAS replicas, in replica order.
 
-
-def _map_replicas(worker, tasks: list[tuple], jobs: int) -> list:
-    """Run replica tasks, optionally on a process pool; order is preserved."""
+    Replica i runs trials // MC_REPLICAS trials, one more for i below the
+    remainder, on the generator derive_rng(seed, f"{label}/{i}").  The split
+    is fixed, so ``jobs`` only sizes the process pool (never above the
+    replica count) and never changes the samples.
+    """
+    per, extra = divmod(trials, MC_REPLICAS)
+    work = [
+        (task, seed, f"{label}/{i}", per + (i < extra))
+        for i in range(MC_REPLICAS)
+        if per + (i < extra)
+    ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            chunks = list(pool.map(_replica, work))
+    else:
+        chunks = map(_replica, work)
+    return [sample for chunk in chunks for sample in chunk]
 
 
-def _run_replicas(tasks: list[tuple], jobs: int) -> list:
-    return [item for chunk in _map_replicas(_order_replica, tasks, jobs) for item in chunk]
-
-
-def _mean_stderr(samples: list[float]) -> MCEstimate:
-    n = len(samples)
-    mean = sum(samples) / n
-    var = sum((s - mean) ** 2 for s in samples) / n
-    return MCEstimate(mean, (var / n) ** 0.5, n)
-
-
-def _cmd_subword(args, config: RunConfig) -> int:
+def _cmd_subword(args) -> int:
     _emit(args, str(words.subword_count(args.word, args.subword)))
     return 0
 
 
-def _cmd_kernel(args, config: RunConfig) -> int:
+def _cmd_kernel(args) -> int:
     fns = {
         "one-step": kernels.one_step_prob,
         "multi-step": kernels.multi_step_prob,
@@ -177,74 +133,70 @@ def _cmd_kernel(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(args, config: RunConfig) -> int:
-    path = bridges.simulate_forward(args.steps, derive_rng(config.seed, "simulate"))
-    _emit(args, _format_path(path, config.fmt, config.seed))
+def _cmd_simulate(args) -> int:
+    path = bridges.simulate_forward(args.steps, derive_rng(args.seed, "simulate"))
+    _emit(args, _format_path(path, args.format, args.seed))
     return 0
 
 
-def _cmd_bridge(args, config: RunConfig) -> int:
-    path = bridges.sample_finite_bridge(args.target, derive_rng(config.seed, "bridge"))
-    _emit(args, _format_path(path, config.fmt, config.seed))
+def _cmd_bridge(args) -> int:
+    path = bridges.sample_finite_bridge(args.target, derive_rng(args.seed, "bridge"))
+    _emit(args, _format_path(path, args.format, args.seed))
     return 0
 
 
-def _cmd_infinite_bridge(args, config: RunConfig) -> int:
+def _cmd_infinite_bridge(args) -> int:
     pair = _load_pair(args.pair)
-    bridge = bridges.InfiniteBridge(pair, derive_rng(config.seed, "infinite-bridge"))
+    bridge = bridges.InfiniteBridge(pair, derive_rng(args.seed, "infinite-bridge"))
     bridge.extend_to(args.steps)
-    _emit(args, _format_path(bridge.words, config.fmt, config.seed))
+    _emit(args, _format_path(bridge.words, args.format, args.seed))
     return 0
 
 
-def _cmd_pattern_prob(args, config: RunConfig) -> int:
-    pair = empirical_pair(args.word_pair) if args.word_pair else _load_pair(args.pair)
-    if config.trials:
-        tasks = [
-            (pair, args.word, config.seed, f"pattern-prob/{i}", count)
-            for i, count in enumerate(_replica_counts(config.trials))
-        ]
-        hits = sum(_map_replicas(_pattern_replica, tasks, config.jobs))
-        p = hits / config.trials
-        stderr = (p * (1 - p) / config.trials) ** 0.5
-        _emit_json(
-            args,
-            {
-                "word": args.word,
-                "estimate": _sig6(p),
-                "stderr": _sig6(stderr),
-                "trials": config.trials,
-            },
-        )
+def _cmd_pattern_prob(args) -> int:
+    if args.word_pair is not None:
+        pair = empirical_pair(args.word_pair)
     else:
+        pair = _load_pair(args.pair)
+    if not args.trials:
         _emit(args, format_fraction(pattern_prob_exact(pair, args.word)))
+        return 0
+    task = partial(pattern_matches, pair, args.word)
+    estimate = MCEstimate.binomial(
+        _replicate(task, args.trials, args.seed, "pattern-prob", args.jobs)
+    )
+    _emit_json(
+        args,
+        {
+            "word": args.word,
+            "estimate": _sig6(estimate.value),
+            "stderr": _sig6(estimate.stderr),
+            "trials": args.trials,
+        },
+    )
     return 0
 
 
-def _cmd_orders(args, config: RunConfig) -> int:
-    a_source, b_source = _order_sources(args)
+def _cmd_orders(args) -> int:
+    sources = _order_sources(args)
     x = orders.LabeledLetter.parse(args.x)
     y = orders.LabeledLetter.parse(args.y) if args.y else None
-    if args.stat == "d" and y is None:
-        raise WordchainError("--stat d needs both --x and --y")
-    if args.stat == "d" and x == y:
-        estimate = MCEstimate(0.0, 0.0, 0)
+    if args.stat == "d":
+        if y is None:
+            raise WordchainError("--stat d needs both --x and --y")
+        task = partial(_order_task, orders.d_samples, sources, (x, y, args.depth))
     else:
-        need = max(x.index, y.index if y else 0)
-        if config.depth < need:
-            raise WordchainError(f"--depth must be at least the largest letter index {need}")
-        tasks = [
-            (a_source, b_source, config.seed, f"orders/{i}", args.stat, x, y, config.depth, 0, c)
-            for i, c in enumerate(_replica_counts(config.trials))
-        ]
-        estimate = _mean_stderr(_run_replicas(tasks, config.jobs))
+        task = partial(_order_task, orders.f_samples, sources, (x, args.depth))
+    estimate = MCEstimate.from_samples(
+        _replicate(task, args.trials, args.seed, "orders", args.jobs)
+    )
     payload = {
         "stat": args.stat,
         "x": str(x),
         "estimate": _sig6(estimate.value),
         "stderr": _sig6(estimate.stderr),
-        "depth": config.depth,
-        "trials": config.trials,
+        "depth": args.depth,
+        "trials": args.trials,
     }
     if y is not None:
         payload["y"] = str(y)
@@ -252,15 +204,11 @@ def _cmd_orders(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_moments(args, config: RunConfig) -> int:
-    a_source, b_source = _order_sources(args)
-    tasks = [
-        (a_source, b_source, config.seed, f"moments/{i}", "moment", None, None, 0, args.order, c)
-        for i, c in enumerate(_replica_counts(config.trials))
-    ]
-    pairs = _run_replicas(tasks, config.jobs)
-    mu_est = _mean_stderr([p[0] for p in pairs])
-    nu_est = _mean_stderr([p[1] for p in pairs])
+def _cmd_moments(args) -> int:
+    task = partial(_order_task, orders.moment_samples, _order_sources(args), (args.order,))
+    samples = _replicate(task, args.trials, args.seed, "moments", args.jobs)
+    mu_est = MCEstimate.from_samples([mu for mu, _ in samples])
+    nu_est = MCEstimate.from_samples([nu for _, nu in samples])
     _emit_json(
         args,
         {
@@ -269,13 +217,13 @@ def _cmd_moments(args, config: RunConfig) -> int:
             "mu_stderr": _sig6(mu_est.stderr),
             "nu_moment": _sig6(nu_est.value),
             "nu_stderr": _sig6(nu_est.stderr),
-            "trials": config.trials,
+            "trials": args.trials,
         },
     )
     return 0
 
 
-def _cmd_plackett_luce(args, config: RunConfig) -> int:
+def _cmd_plackett_luce(args) -> int:
     rates = plackett_luce.RatePair(parse_fraction(args.alpha), parse_fraction(args.beta))
     needed = {"prob": 1, "harmonic": 1, "transition": 2, "sample": 0}[args.action]
     if len(args.words) != needed:
@@ -287,12 +235,12 @@ def _cmd_plackett_luce(args, config: RunConfig) -> int:
     elif args.action == "transition":
         _emit(args, format_fraction(plackett_luce.pl_transition(rates, *args.words)))
     else:
-        rng = derive_rng(config.seed, "plackett-luce")
+        rng = derive_rng(args.seed, "plackett-luce")
         _emit(args, plackett_luce.pl_sample(rates, args.size, rng, method=args.method))
     return 0
 
 
-def _cmd_boundary(args, config: RunConfig) -> int:
+def _cmd_boundary(args) -> int:
     with open(args.seq, encoding="utf-8") as fh:
         seq = [line.strip() for line in fh if line.strip()]
     pair = _load_pair(args.pair)
@@ -301,7 +249,7 @@ def _cmd_boundary(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     results = verify.run_verification()
     lines = []
     failed = 0
@@ -321,6 +269,31 @@ def _cmd_verify(args, config: RunConfig) -> int:
     return 1 if failed else 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type for integers no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
+def _add_order_sources(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pair", "--source", dest="pair", help="canonical pair JSON file")
+    p.add_argument("--zeta", help='measure spec: "exp:RATE" or step-measure JSON path')
+    p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordchain",
@@ -332,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for MC replicas")
+    common.add_argument(
+        "--jobs", type=_positive, default=1, help="worker processes for MC replicas"
+    )
 
     p = sub.add_parser("subword", parents=[common], help="count subword embeddings")
     p.add_argument("word")
@@ -346,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("simulate", parents=[common], help="run the base chain forward")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_nonnegative, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -359,36 +334,35 @@ def build_parser() -> argparse.ArgumentParser:
         "infinite-bridge", parents=[common], help="simulate the h-transform of a measure pair"
     )
     p.add_argument("--pair", required=True, help="canonical pair JSON file")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--emit", choices=["csv", "json", "text"], default="csv")
+    p.add_argument("--steps", type=_nonnegative, required=True)
+    p.add_argument("--emit", dest="format", choices=["csv", "json", "text"], default="csv")
     p.set_defaults(fn=_cmd_infinite_bridge)
 
     p = sub.add_parser(
         "pattern-prob", parents=[common], help="interleaving-pattern probability of a word"
     )
-    p.add_argument("--pair", help="canonical pair JSON file")
-    p.add_argument("--word-pair", help="balanced word whose empirical pair to use")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pair", help="canonical pair JSON file")
+    source.add_argument("--word-pair", help="balanced word whose empirical pair to use")
     p.add_argument("--word", required=True)
-    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact)")
+    p.add_argument(
+        "--trials", type=_nonnegative, default=0, help="Monte Carlo trials (0 = exact)"
+    )
     p.set_defaults(fn=_cmd_pattern_prob)
 
     p = sub.add_parser("orders", parents=[common], help="estimate the order metric d or map f")
     p.add_argument("--stat", choices=["d", "f"], required=True)
     p.add_argument("--x", required=True, help="labeled letter, e.g. a1")
     p.add_argument("--y", help="labeled letter (for --stat d)")
-    p.add_argument("--depth", type=int, default=500)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--pair", "--source", dest="pair", help="canonical pair JSON file")
-    p.add_argument("--zeta", help='measure spec: "exp:RATE" or step-measure JSON path')
-    p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
+    p.add_argument("--depth", type=_positive, default=500)
+    p.add_argument("--trials", type=_positive, default=1000)
+    _add_order_sources(p)
     p.set_defaults(fn=_cmd_orders)
 
     p = sub.add_parser("moments", parents=[common], help="estimate canonical-pair moments")
     p.add_argument("--order", type=int, required=True, help="moment order n")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--pair", "--source", dest="pair", help="canonical pair JSON file")
-    p.add_argument("--zeta", help='measure spec: "exp:RATE" or step-measure JSON path')
-    p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
+    p.add_argument("--trials", type=_positive, default=100_000)
+    _add_order_sources(p)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser(
@@ -398,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="rate for b-letters")
     p.add_argument("action", choices=["prob", "sample", "harmonic", "transition"])
     p.add_argument("words", nargs="*", help="word arguments for prob/harmonic/transition")
-    p.add_argument("--size", type=int, default=1, help="word size for sample")
+    p.add_argument("--size", type=_nonnegative, default=1, help="word size for sample")
     p.add_argument("--method", choices=["sequential", "sort"], default="sequential")
     p.set_defaults(fn=_cmd_plackett_luce)
 
@@ -415,11 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig.from_args(args)
+    args = build_parser().parse_args(argv)
+    args.seed &= 0xFFFFFFFFFFFFFFFF  # seeds are 64-bit
     try:
-        return args.fn(args, config)
+        return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

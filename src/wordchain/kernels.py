@@ -10,14 +10,13 @@ slots) uniformly at random, so every one-step probability has denominator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .errors import CapExceededError, SizeMismatchError
+from .errors import SizeMismatchError
 from .words import enumerate_balanced, subword_count, successors, word_size
-
-BRIDGE_CHECK_CAP = 5
 
 
 def _sizes(v: str, w: str) -> tuple[int, int]:
@@ -82,60 +81,20 @@ def backward_prob(u: str, v: str) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def kernel_table(m: int, n: int) -> dict[str, dict[str, Fraction]]:
+def kernel_table(m: int, n: int) -> Mapping[str, Mapping[str, Fraction]]:
     """Multi-step transition table from size m to size m+n, memoized.
 
     Rows are source words, columns target words; every row sums to exactly
-    1.  Built lazily because full tables grow quickly with m+n.  The cache
-    is safe for concurrent readers; treat the returned mapping as frozen.
+    1.  Built lazily because full tables grow quickly with m+n.  Every
+    caller shares the cached table, so it and its rows are read-only views.
     """
-    table: dict[str, dict[str, Fraction]] = {}
     targets = enumerate_balanced(m + n)
-    for v in enumerate_balanced(m):
-        table[v] = {w: multi_step_prob(v, w) for w in targets}
-    return table
-
-
-@dataclass
-class BridgeConditionalReport:
-    """Outcome of checking bridge conditionals against deletion dynamics."""
-
-    target: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def bridge_conditional_check(w: str, cap: int = BRIDGE_CHECK_CAP) -> BridgeConditionalReport:
-    """Verify P{U_m = u | U_{m+1} = v, endpoint w} = subword_count(v,u)/(m+1)^2.
-
-    The left side is assembled from first principles: conditioned on hitting
-    w, the probability of passing through u then v factorizes over
-    multi-step kernels, and the v -> w leg cancels.  Equality is asserted in
-    exact rationals for every m < size(w) and every (u, v) pair with the
-    conditioning event possible.
-    """
-    size = word_size(w)
-    if size > cap:
-        raise CapExceededError(f"word size {size} exceeds bridge check cap {cap}")
-    report = BridgeConditionalReport(target=w)
-    for m in range(size):
-        for v in enumerate_balanced(m + 1):
-            if multi_step_prob(v, w) == 0:
-                continue  # conditioning event has zero probability
-            for u in enumerate_balanced(m):
-                lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
-                lhs = lhs_num / multi_step_prob("", v)
-                rhs = backward_prob(u, v)
-                report.checked += 1
-                if lhs != rhs:
-                    report.violations.append(
-                        f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}"
-                    )
-    return report
+    return MappingProxyType(
+        {
+            v: MappingProxyType({w: multi_step_prob(v, w) for w in targets})
+            for v in enumerate_balanced(m)
+        }
+    )
 
 
 def forward_matrix(m: int) -> dict[str, dict[str, Fraction]]:

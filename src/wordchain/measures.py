@@ -23,10 +23,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
-from .errors import CapExceededError
-from .words import check_balanced, enumerate_balanced, subword_count, word_size
+from .errors import CapExceededError, SizeMismatchError
+from .words import check_balanced, enumerate_balanced, word_size
 
 STEP_PATTERN_CAP = 6
 ATOMIC_PATTERN_CAP = 4
@@ -35,7 +35,10 @@ _ATOMIC_BUDGET = 5_000_000  # max number of atom-subset pairs enumerated
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(x: Fraction) -> str:
@@ -429,7 +432,7 @@ def _check_atomic_budget(pair: AtomicPair, m: int, cap: int) -> None:
     n_mu = len(pair.mu.atoms)
     n_nu = len(pair.nu.atoms)
     if m > min(n_mu, n_nu):
-        raise CapExceededError(f"cannot select {m} atoms from measures of size {n_mu}, {n_nu}")
+        raise SizeMismatchError(f"cannot select {m} atoms from measures of size {n_mu}, {n_nu}")
     if m > cap:
         raise CapExceededError(f"pattern size {m} exceeds atomic cap {cap}")
     if math.comb(n_mu, m) * math.comb(n_nu, m) > _ATOMIC_BUDGET:
@@ -478,83 +481,55 @@ def pattern_distribution(pair: MeasurePair, m: int, **caps) -> dict[str, Fractio
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate with its binomial standard error."""
+    """A Monte Carlo estimate with its standard error."""
 
     value: float
     stderr: float
     trials: int
 
+    @classmethod
+    def from_samples(cls, samples: Sequence[float]) -> "MCEstimate":
+        """Sample mean with the plug-in standard error sqrt(var / n)."""
+        n = len(samples)
+        if n < 1:
+            raise ValueError("need at least one sample")
+        mean = sum(samples) / n
+        var = sum((s - mean) ** 2 for s in samples) / n
+        return cls(mean, math.sqrt(var / n), n)
 
-def _component_sampler(measure, rng: random.Random):
-    if isinstance(measure, (StepMeasure, Exponential, AtomicMeasure)):
-        return lambda: measure.sample(rng)
-    raise TypeError(f"cannot sample from {type(measure).__name__}")
+    @classmethod
+    def binomial(cls, outcomes: Sequence[bool]) -> "MCEstimate":
+        """Hit frequency of Bernoulli outcomes with stderr sqrt(p(1-p)/n)."""
+        n = len(outcomes)
+        if n < 1:
+            raise ValueError("need at least one trial")
+        p = sum(outcomes) / n
+        return cls(p, math.sqrt(p * (1 - p) / n), n)
+
+
+def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> list[bool]:
+    """Per-trial outcomes of the Monte Carlo pattern experiment.
+
+    Each trial draws m points from mu and m from nu and records whether the
+    sorted interleaving reads w; tied draws match no pattern.
+    """
+    m = word_size(w)
+    draw_mu = pair.mu.sample
+    draw_nu = pair.nu.sample
+    out = []
+    for _ in range(trials):
+        xs = [draw_mu(rng) for _ in range(m)]
+        ys = [draw_nu(rng) for _ in range(m)]
+        try:
+            out.append(interleave_pattern(xs, ys) == w)
+        except ValueError:
+            out.append(False)
+    return out
 
 
 def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> MCEstimate:
-    """Monte Carlo oracle for pattern_prob_exact.
-
-    Each trial draws m points from mu and m from nu and checks whether the
-    sorted interleaving reads w; tied draws match no pattern.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    m = word_size(w)
-    draw_mu = _component_sampler(pair.mu, rng)
-    draw_nu = _component_sampler(pair.nu, rng)
-    hits = 0
-    for _ in range(trials):
-        xs = [draw_mu() for _ in range(m)]
-        ys = [draw_nu() for _ in range(m)]
-        try:
-            pattern = interleave_pattern(xs, ys)
-        except ValueError:
-            continue
-        if pattern == w:
-            hits += 1
-    p = hits / trials
-    return MCEstimate(p, math.sqrt(p * (1 - p) / trials), trials)
-
-
-@dataclass
-class IdentityReport:
-    """Result of sweeping an exact identity over a family of inputs."""
-
-    label: str
-    checked: int = 0
-    violations: list[str] | None = None
-
-    def __post_init__(self):
-        if self.violations is None:
-            self.violations = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def empirical_identity_check(y: str, m: int) -> IdentityReport:
-    """Check (N^m)^2 * pattern_prob(empirical_pair(y), w) = (m!)^2 * binom(y, w).
-
-    Both sides are computed independently — the left by enumerating atom
-    selections, the right by the subword-count recurrence — and compared
-    exactly for every w of size m.
-    """
-    n = word_size(y)
-    if m > n:
-        raise CapExceededError(f"pattern size {m} exceeds word size {n}")
-    report = IdentityReport(label=f"empirical identity y={y!r} m={m}")
-    pair = empirical_pair(y)
-    dist = pattern_distribution(pair, m)
-    scale = Fraction(n**m) ** 2
-    msq = math.factorial(m) ** 2
-    for w in enumerate_balanced(m):
-        lhs = scale * dist.get(w, Fraction(0))
-        rhs = Fraction(msq * subword_count(y, w))
-        report.checked += 1
-        if lhs != rhs:
-            report.violations.append(f"w={w!r}: {lhs} != {rhs}")
-    return report
+    """Monte Carlo oracle for pattern_prob_exact: the hit frequency of w."""
+    return MCEstimate.binomial(pattern_matches(pair, w, trials, rng))
 
 
 def _mixture_cdf_float(zeta, eta, z: float) -> float:

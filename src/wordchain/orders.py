@@ -11,12 +11,11 @@ estimated here at finite depth.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure, sample_measure
-from .words import check_word, delete_pair, letter_positions
+from .words import delete_pair, letter_positions
 
 MOMENT_ORDER_CAP = 4
 
@@ -39,6 +38,9 @@ class LabeledLetter:
 
     @classmethod
     def parse(cls, token: str) -> "LabeledLetter":
+        """Parse a token such as "a3" or "b12"."""
+        if len(token) < 2 or not token[1:].isdigit():
+            raise ValueError(f"expected a labeled letter such as a1, got {token!r}")
         return cls(token[0], int(token[1:]))
 
 
@@ -170,10 +172,6 @@ class OrderSampler:
         self.rng = rng
 
     @classmethod
-    def from_parametric(cls, zeta, eta, rng: random.Random) -> "OrderSampler":
-        return cls(zeta, eta, rng)
-
-    @classmethod
     def from_pair(cls, pair: MeasurePair, rng: random.Random) -> "OrderSampler":
         return cls(pair.mu, pair.nu, rng)
 
@@ -197,65 +195,57 @@ class OrderSampler:
         return OrderRun(values_a, values_b)
 
 
-def order_from_parametric(
-    zeta: Exponential | StepMeasure, eta: Exponential | StepMeasure, n: int, rng: random.Random
-) -> OrderPrefix:
-    """Sample the depth-n prefix of the order generated by (zeta, eta)."""
-    return OrderSampler.from_parametric(zeta, eta, rng).run(n).prefix()
-
-
 def _require_depth(depth: int, *letters: LabeledLetter) -> None:
     need = max(letter.index for letter in letters)
     if depth < need:
         raise ValueError(f"depth {depth} is below the largest letter index {need}")
 
 
-def _mc_from_samples(samples: list[float]) -> MCEstimate:
-    trials = len(samples)
-    mean = sum(samples) / trials
-    var = sum((s - mean) ** 2 for s in samples) / trials
-    return MCEstimate(mean, math.sqrt(var / trials), trials)
-
-
-def estimate_d(
+def d_samples(
     sampler: OrderSampler, x: LabeledLetter, y: LabeledLetter, depth: int, trials: int
-) -> MCEstimate:
-    """Monte Carlo estimate of the order metric d(x, y).
+) -> list[float]:
+    """Per-run values of the order metric d(x, y) at finite depth.
 
-    Per run, d is the fraction of the first `depth` letters of each kind
-    lying strictly between x and y; runs are averaged.  d(x, x) is 0 by
-    definition and returns without sampling.
+    In each run, d is the fraction of the first `depth` letters of each
+    kind lying strictly between x and y.  d(x, x) is 0 in every run and
+    needs no sampling.
     """
     if x == y:
-        return MCEstimate(0.0, 0.0, 0)
+        return [0.0] * trials
     _require_depth(depth, x, y)
-    return _mc_from_samples([sampler.run(depth).d_hat(x, y) for _ in range(trials)])
+    return [sampler.run(depth).d_hat(x, y) for _ in range(trials)]
 
 
-def estimate_f(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> MCEstimate:
-    """Monte Carlo estimate of the embedding value f(x) in [0, 1]."""
+def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> list[float]:
+    """Per-run values of the embedding f(x): the fraction of the first
+    `depth` letters of each kind lying strictly below x.
+    """
     _require_depth(depth, x)
-    return _mc_from_samples([sampler.run(depth).f_hat(x) for _ in range(trials)])
+    return [sampler.run(depth).f_hat(x) for _ in range(trials)]
 
 
-def moment_estimate(
-    sampler: OrderSampler, n: int, trials: int
-) -> tuple[MCEstimate, MCEstimate]:
-    """Plug-in estimates of the n-th moments of the canonical pair (mu, nu).
+def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[float, float]]:
+    """Per-run plug-in values of the n-th moments of the canonical pair (mu, nu).
 
     The n-th mu-moment is (1/2)^n times the sum over the 2^n choices
     c_k in {a_k, b_k} of P{c_1 < a_{n+1}, ..., c_n < a_{n+1}} in the order;
     the sum of indicator products factorizes per run as
-    prod_k (1{a_k < a_{n+1}} + 1{b_k < a_{n+1}}), which is what each trial
+    prod_k (1{a_k < a_{n+1}} + 1{b_k < a_{n+1}}), which is what each run
     evaluates.  The nu-moment replaces the target by b_{n+1}.  Because the
     formula only involves order events, any source pair generating the
-    order yields the moments of its canonical pair.
+    order yields the moments of its canonical pair.  Returns one
+    (mu, nu) pair per run.
     """
     if not 1 <= n <= MOMENT_ORDER_CAP:
         raise ValueError(f"moment order must be between 1 and {MOMENT_ORDER_CAP}")
-    mu_samples = []
-    nu_samples = []
     half_n = 0.5**n
+    # Both products lie in 0..2^n, so the runs share (2^n + 1)^2 value pairs;
+    # reusing those tuples keeps each sample at one list slot.
+    values = [
+        [(half_n * mu_prod, half_n * nu_prod) for nu_prod in range(2**n + 1)]
+        for mu_prod in range(2**n + 1)
+    ]
+    out = []
     for _ in range(trials):
         run = sampler.run(n + 1)
         va, vb = run.values_a, run.values_b
@@ -263,13 +253,30 @@ def moment_estimate(
         for k in range(n):
             mu_prod *= (va[k] < va[n]) + (vb[k] < va[n])
             nu_prod *= (va[k] < vb[n]) + (vb[k] < vb[n])
-        mu_samples.append(half_n * mu_prod)
-        nu_samples.append(half_n * nu_prod)
-    return _mc_from_samples(mu_samples), _mc_from_samples(nu_samples)
+        out.append(values[mu_prod][nu_prod])
+    return out
 
 
-def parse_labeled_word(text: str) -> OrderPrefix:
-    """Parse the serialized form "a3 a1 b2 a2 b1 b3"."""
-    for token in text.split():
-        check_word(token[0])
-    return OrderPrefix.from_string(text)
+def estimate_d(
+    sampler: OrderSampler, x: LabeledLetter, y: LabeledLetter, depth: int, trials: int
+) -> MCEstimate:
+    """Monte Carlo estimate of the order metric d(x, y); d(x, x) is exactly 0."""
+    if x == y:
+        return MCEstimate(0.0, 0.0, 0)
+    return MCEstimate.from_samples(d_samples(sampler, x, y, depth, trials))
+
+
+def estimate_f(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> MCEstimate:
+    """Monte Carlo estimate of the embedding value f(x) in [0, 1]."""
+    return MCEstimate.from_samples(f_samples(sampler, x, depth, trials))
+
+
+def moment_estimate(
+    sampler: OrderSampler, n: int, trials: int
+) -> tuple[MCEstimate, MCEstimate]:
+    """Estimates of the n-th moments of (mu, nu); see `moment_samples`."""
+    samples = moment_samples(sampler, n, trials)
+    return (
+        MCEstimate.from_samples([mu for mu, _ in samples]),
+        MCEstimate.from_samples([nu for _, nu in samples]),
+    )

@@ -100,6 +100,8 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     values outright and read their interleaving.  The two agree in
     distribution and serve as mutual oracles.
     """
+    if n < 0:
+        raise ValueError(f"word size must be nonnegative, got {n}")
     if method == "sort":
         alpha, beta = float(rates.alpha), float(rates.beta)
         while True:

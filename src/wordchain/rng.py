@@ -19,8 +19,3 @@ def derive_rng(seed: int, label: str) -> random.Random:
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def replica_rngs(seed: int, label: str, count: int) -> list[random.Random]:
-    """Independent generators for `count` parallel replicas of one task."""
-    return [derive_rng(seed, f"{label}/{i}") for i in range(count)]

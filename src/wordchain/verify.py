@@ -12,14 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bridges import harmonic_h
-from .kernels import (
-    backward_prob,
-    bridge_conditional_check,
-    dm_kernel,
-    multi_step_prob,
-    one_step_prob,
-)
-from .measures import empirical_identity_check, fixture_pairs, pattern_distribution
+from .errors import CapExceededError
+from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
+from .measures import empirical_pair, fixture_pairs, pattern_distribution
 from .plackett_luce import RatePair, pl_harmonic, pl_transition, pl_word_prob
 from .words import (
     build_count_matrices,
@@ -28,8 +23,10 @@ from .words import (
     matrix_exp_nilpotent,
     subword_count,
     successors,
-    word_universe,
+    word_size,
 )
+
+BRIDGE_CHECK_CAP = 5
 
 PL_RATE_FIXTURES = (
     RatePair(Fraction(2), Fraction(1)),
@@ -40,6 +37,8 @@ PL_RATE_FIXTURES = (
 
 @dataclass
 class CheckResult:
+    """Outcome of sweeping an exact identity: instances checked, failures."""
+
     name: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
@@ -66,6 +65,60 @@ def _guard(fn, result: CheckResult) -> CheckResult:
     except _TooManyFailures:
         pass
     return result
+
+
+def bridge_conditional_check(w: str, cap: int = BRIDGE_CHECK_CAP) -> CheckResult:
+    """Verify P{U_m = u | U_{m+1} = v, endpoint w} = subword_count(v,u)/(m+1)^2.
+
+    The left side is assembled from first principles: conditioned on hitting
+    w, the probability of passing through u then v factorizes over
+    multi-step kernels, and the v -> w leg cancels.  Equality is asserted in
+    exact rationals for every m < size(w) and every (u, v) pair with the
+    conditioning event possible.
+    """
+    size = word_size(w)
+    if size > cap:
+        raise CapExceededError(f"word size {size} exceeds bridge check cap {cap}")
+
+    def run(res: CheckResult) -> None:
+        for m in range(size):
+            for v in enumerate_balanced(m + 1):
+                if multi_step_prob(v, w) == 0:
+                    continue  # conditioning event has zero probability
+                for u in enumerate_balanced(m):
+                    lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
+                    lhs = lhs_num / multi_step_prob("", v)
+                    rhs = backward_prob(u, v)
+                    res.checked += 1
+                    if lhs != rhs:
+                        res.fail(f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}")
+
+    return _guard(run, CheckResult(f"bridge conditionals to {w!r}"))
+
+
+def empirical_identity_check(y: str, m: int) -> CheckResult:
+    """Check (N^m)^2 * pattern_prob(empirical_pair(y), w) = (m!)^2 * binom(y, w).
+
+    Both sides are computed independently — the left by enumerating atom
+    selections, the right by the subword-count recurrence — and compared
+    exactly for every w of size m.
+    """
+    n = word_size(y)
+    if m > n:
+        raise CapExceededError(f"pattern size {m} exceeds word size {n}")
+
+    def run(res: CheckResult) -> None:
+        dist = pattern_distribution(empirical_pair(y), m)
+        scale = Fraction(n**m) ** 2
+        msq = math.factorial(m) ** 2
+        for w in enumerate_balanced(m):
+            lhs = scale * dist.get(w, Fraction(0))
+            rhs = Fraction(msq * subword_count(y, w))
+            res.checked += 1
+            if lhs != rhs:
+                res.fail(f"w={w!r}: {lhs} != {rhs}")
+
+    return _guard(run, CheckResult(f"empirical identity y={y!r} m={m}"))
 
 
 def check_recurrence_closure(max_len: int = 8) -> CheckResult:
@@ -204,8 +257,8 @@ def check_bridge_conditionals(limit: int = 4) -> CheckResult:
             for w in enumerate_balanced(size):
                 report = bridge_conditional_check(w)
                 res.checked += report.checked
-                for violation in report.violations:
-                    res.fail(f"target {w!r}: {violation}")
+                for failure in report.failures:
+                    res.fail(f"target {w!r}: {failure}")
 
     return _guard(run, CheckResult("bridge conditional = deletion dynamics"))
 
@@ -233,8 +286,8 @@ def check_empirical_identity(size_max: int = 6, m_max: int = 2) -> CheckResult:
                 for m in range(1, min(m_max, size) + 1):
                     report = empirical_identity_check(y, m)
                     res.checked += report.checked
-                    for violation in report.violations:
-                        res.fail(f"y={y!r} m={m}: {violation}")
+                    for failure in report.failures:
+                        res.fail(f"y={y!r} m={m}: {failure}")
 
     return _guard(run, CheckResult("empirical pattern identity"))
 

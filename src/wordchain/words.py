@@ -178,11 +178,6 @@ class CountMatrix:
     index: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, v: str, w: str) -> int:
-        i = self.index.index(v)
-        j = self.index.index(w)
-        return self.entries[i][j]
-
     def to_json(self) -> dict:
         return {
             "index": list(self.index),

@@ -11,11 +11,11 @@ from wordchain.boundary import (
     check_word_sequence,
     convergence_report,
     kernel_ratio,
-    limit_pair_estimate,
 )
 from wordchain.bridges import InfiniteBridge, simulate_forward
 from wordchain.errors import SizeMismatchError
 from wordchain.measures import (
+    AtomicPair,
     CanonicalPair,
     empirical_pair,
     fixture_pairs,
@@ -65,14 +65,14 @@ class TestKernelRatio:
 
 
 class TestLimitPairEstimate:
-    def test_alias_of_empirical_pair(self):
-        est = limit_pair_estimate("abab")
-        assert est == empirical_pair("abab")
+    def test_empirical_pair_of_word(self):
+        est = empirical_pair("abab")
+        assert est == AtomicPair("abab")
         assert est.size == 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            limit_pair_estimate("")
+            empirical_pair("")
 
 
 class TestSequenceValidation:

@@ -11,8 +11,6 @@ from conftest import chi2_critical, chi2_statistic, random_canonical_pair
 from wordchain.bridges import (
     InfiniteBridge,
     check_bridge_path,
-    extend_infinite_bridge,
-    extended_kernel,
     harmonic_h,
     htransform_row,
     htransform_step_prob,
@@ -107,7 +105,7 @@ class TestInfiniteBridge:
         for _ in range(runs):
             bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
             bridge.extend()
-            counts[extend_infinite_bridge(bridge)] += 1
+            counts[bridge.extend()] += 1
         expected = {w: F(1, 6) for w in enumerate_balanced(2)}
         stat = chi2_statistic(counts, expected, runs)
         assert stat < chi2_critical(6)
@@ -183,11 +181,6 @@ class TestHarmonicFunction:
     def test_normalized_at_empty_word(self):
         for pair in fixture_pairs().values():
             assert harmonic_h(pair, "") == 1
-
-    def test_extended_kernel_alias(self):
-        pair = fixture_pairs()["skewed"]
-        for w in ["", "ab", "abba"]:
-            assert extended_kernel(pair, w) == harmonic_h(pair, w)
 
     def test_harmonicity_exact(self):
         for name, pair in fixture_pairs().items():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wordchain import cli
 from wordchain.cli import main
 from wordchain.measures import CanonicalPair, fixture_pairs
 
@@ -154,6 +155,28 @@ class TestDeterminism:
         _, parallel = run(capsys, base + ["--jobs", "2"])
         assert serial == parallel
 
+    def test_pool_no_larger_than_replica_count(self, capsys, monkeypatch, pair_file):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        base = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--seed", "3"]
+        assert main(base + ["--trials", "100", "--jobs", "64"]) == 0
+        assert main(base + ["--trials", "3", "--jobs", "64"]) == 0
+        assert sizes == [cli.MC_REPLICAS, 3]
+
     def test_different_seeds_differ(self, capsys):
         _, a = run(capsys, ["simulate", "--steps", "5", "--seed", "1"])
         _, b = run(capsys, ["simulate", "--steps", "5", "--seed", "2"])
@@ -168,7 +191,60 @@ class TestErrorHandling:
         assert main(["kernel", "one-step", "ab", "ab"]) == 2
 
     def test_cap_violation_exit_code(self, capsys):
-        assert main(["pattern-prob", "--word-pair", "aabb", "--word", "aabbab"]) == 3
+        # size 5 is above the atomic pattern cap of 4
+        assert main(["pattern-prob", "--word-pair", "ab" * 6, "--word", "ab" * 5]) == 3
+
+    def test_atom_count_mismatch_is_usage_error(self, capsys):
+        assert main(["pattern-prob", "--word-pair", "ab", "--word", "abab"]) == 2
+
+    def test_moment_order_above_cap(self, capsys, pair_file):
+        argv = ["moments", "--order", "9", "--trials", "10", "--pair", pair_file]
+        assert main(argv) == 2
+        assert main(argv + ["--jobs", "2"]) == 2
+        assert capsys.readouterr().err.count("\n") == 2
+
+    def test_malformed_letter(self, capsys):
+        argv = ["orders", "--stat", "f", "--depth", "5", "--trials", "5",
+                "--zeta", "exp:1", "--eta", "exp:2", "--x"]
+        for token in ["", "a", "c1", "a0"]:
+            assert main(argv + [token]) == 2
+
+    def test_pair_excludes_parametric_sources(self, capsys, pair_file):
+        for extra in (["--zeta", "exp:1"], ["--eta", "exp:2"]):
+            argv = ["moments", "--order", "1", "--trials", "5", "--pair", pair_file]
+            assert main(argv + extra) == 2
+            assert main(["orders", "--stat", "f", "--x", "a1", "--depth", "5", "--trials", "5",
+                         "--pair", pair_file] + extra) == 2
+
+    def test_zero_denominator_rate(self, capsys):
+        assert main(["plackett-luce", "--alpha", "1/0", "--beta", "1", "prob", "ab"]) == 2
+        assert main(["moments", "--order", "1", "--trials", "5",
+                     "--zeta", "exp:1/0", "--eta", "exp:1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orders", "--stat", "f", "--x", "a1", "--zeta", "exp:1", "--eta", "exp:2",
+             "--trials", "0"],
+            ["orders", "--stat", "f", "--x", "a1", "--zeta", "exp:1", "--eta", "exp:2",
+             "--depth", "0"],
+            ["moments", "--order", "1", "--zeta", "exp:1", "--eta", "exp:2", "--trials", "0"],
+            ["moments", "--order", "1", "--zeta", "exp:1", "--eta", "exp:2", "--trials", "-4"],
+            ["simulate", "--steps", "3", "--jobs", "0"],
+            ["simulate", "--steps", "-3"],
+            ["simulate", "--steps", "x"],
+            ["infinite-bridge", "--pair", "p.json", "--steps", "-1"],
+            ["pattern-prob", "--word-pair", "abab", "--word", "ab", "--trials", "-1"],
+            ["pattern-prob", "--word", "ab"],
+            ["pattern-prob", "--word-pair", "abab", "--pair", "p.json", "--word", "ab"],
+            ["plackett-luce", "--alpha", "1", "--beta", "1", "sample", "--size", "-2"],
+        ],
+    )
+    def test_argparse_rejects(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_order_sources(self, capsys):
         assert main(["orders", "--stat", "f", "--x", "a1"]) == 2

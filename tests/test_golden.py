@@ -1,10 +1,10 @@
 """Golden output of the README commands at fixed seeds.
 
 Each case runs ``cli.main`` in-process and compares the SHA-256 of its
-stdout with a digest recorded before the Monte Carlo replica code was
-refactored, so any change to a seeded stream, the replica split or the
-number formatting shows up here.  Monte Carlo commands run at ``--jobs 1``
-and ``--jobs 2`` against the same digest.
+stdout with a recorded digest, so any change to a seeded stream, the
+replica split or the number formatting shows up here.  A digest may change
+only together with a CHANGES.md entry that declares the new stream.  Monte
+Carlo commands run at ``--jobs 1`` and ``--jobs 2`` against the same digest.
 """
 
 import hashlib

@@ -8,13 +8,13 @@ import pytest
 from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.kernels import (
     backward_prob,
-    bridge_conditional_check,
     dm_kernel,
     forward_matrix,
     kernel_table,
     multi_step_prob,
     one_step_prob,
 )
+from wordchain.verify import bridge_conditional_check
 from wordchain.words import enumerate_balanced, subword_count
 
 
@@ -172,6 +172,14 @@ class TestTables:
 
     def test_kernel_table_memoized(self):
         assert kernel_table(1, 1) is kernel_table(1, 1)
+
+    def test_kernel_table_read_only(self):
+        table = kernel_table(1, 1)
+        with pytest.raises(TypeError):
+            table["ab"] = {}
+        with pytest.raises(TypeError):
+            table["ab"]["abab"] = Fraction(1)
+        assert table["ab"]["abab"] == multi_step_prob("ab", "abab")
 
     def test_concurrent_callers_see_identical_tables(self):
         from concurrent.futures import ThreadPoolExecutor

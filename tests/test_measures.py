@@ -16,7 +16,6 @@ from wordchain.measures import (
     Exponential,
     StepMeasure,
     canonicalize,
-    empirical_identity_check,
     empirical_pair,
     fixture_pairs,
     pattern_distribution,
@@ -25,6 +24,7 @@ from wordchain.measures import (
     sample_measure,
     weak_distance,
 )
+from wordchain.verify import empirical_identity_check
 from wordchain.words import enumerate_balanced, subword_count, word_size
 
 F = Fraction
@@ -217,7 +217,7 @@ class TestEmpiricalIdentity:
             for y in enumerate_balanced(size):
                 for m in range(1, min(2, size) + 1):
                     report = empirical_identity_check(y, m)
-                    assert report.ok, report.violations
+                    assert report.ok, report.failures
 
     def test_m_too_large(self):
         with pytest.raises(CapExceededError):

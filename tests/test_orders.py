@@ -18,8 +18,6 @@ from wordchain.orders import (
     estimate_f,
     label_uniformly,
     moment_estimate,
-    order_from_parametric,
-    parse_labeled_word,
 )
 
 F = Fraction
@@ -33,6 +31,9 @@ def lebesgue_sampler(seed: int) -> OrderSampler:
 class TestLabeledWords:
     def test_letter_parse_and_str(self):
         assert str(LabeledLetter.parse("a3")) == "a3"
+        for token in ["", "a", "ax", "a-1", "c1"]:
+            with pytest.raises(ValueError):
+                LabeledLetter.parse(token)
         with pytest.raises(ValueError):
             LabeledLetter("c", 1)
         with pytest.raises(ValueError):
@@ -40,7 +41,7 @@ class TestLabeledWords:
 
     def test_prefix_roundtrip(self):
         text = "a3 a1 b2 a2 b1 b3"
-        prefix = parse_labeled_word(text)
+        prefix = OrderPrefix.from_string(text)
         assert prefix.to_string() == text
         assert prefix.unlabel() == "aababb"
 
@@ -94,15 +95,16 @@ class TestParametricOrders:
         zeta = StepMeasure.uniform_on(0, 1)
         eta = StepMeasure.uniform_on(2, 3)
         for seed in range(20):
-            prefix = order_from_parametric(zeta, eta, 2, random.Random(seed))
+            prefix = OrderSampler(zeta, eta, random.Random(seed)).run(2).prefix()
             assert prefix.unlabel() == "aabb"
 
     def test_lebesgue_unlabeled_words_uniform(self):
         rng = random.Random(202)
         runs = 60_000
         counts = Counter()
+        sampler = OrderSampler(StepMeasure.lebesgue(), StepMeasure.lebesgue(), rng)
         for _ in range(runs):
-            counts[order_from_parametric(StepMeasure.lebesgue(), StepMeasure.lebesgue(), 2, rng).unlabel()] += 1
+            counts[sampler.run(2).prefix().unlabel()] += 1
         from conftest import chi2_statistic
 
         expected = {w: F(1, 6) for w in ["aabb", "abab", "abba", "baab", "baba", "bbaa"]}
@@ -119,9 +121,7 @@ class TestParametricOrders:
         a_swap = {A1: A2, A2: A1}
         ab_swap = {A1: A2, A2: A1, B1: B2, B2: B1}
         for _ in range(runs):
-            prefix = order_from_parametric(
-                Exponential(F(1)), Exponential(F(2)), 2, rng
-            )
+            prefix = OrderSampler(Exponential(F(1)), Exponential(F(2)), rng).run(2).prefix()
             base[prefix.to_string()] += 1
             for swap, counter in ((a_swap, a_swapped), (ab_swap, ab_swapped)):
                 relabeled = OrderPrefix(tuple(swap.get(l, l) for l in prefix.letters))
@@ -201,7 +201,7 @@ class TestEmbeddingEstimates:
     def test_separated_orders_all_runs(self):
         zeta = StepMeasure.uniform_on(0, 1)
         eta = StepMeasure.uniform_on(2, 3)
-        sampler = OrderSampler.from_parametric(zeta, eta, random.Random(213))
+        sampler = OrderSampler(zeta, eta, random.Random(213))
         est_a = []
         est_b = []
         for _ in range(50):
@@ -214,6 +214,8 @@ class TestEmbeddingEstimates:
         sampler = lebesgue_sampler(214)
         est = estimate_f(sampler, A1, depth=200, trials=200)
         assert abs(est.value - 0.5) <= 3 * est.stderr + 0.01
+        with pytest.raises(ValueError):
+            estimate_f(sampler, A1, depth=200, trials=0)
 
 
 class TestMoments:
@@ -248,7 +250,7 @@ class TestMoments:
 
         zeta, eta = Exponential(F(2)), Exponential(F(1))
         pair = canonicalize(zeta, eta, resolution=256)
-        sampler = OrderSampler.from_parametric(zeta, eta, random.Random(218))
+        sampler = OrderSampler(zeta, eta, random.Random(218))
         mu1, _ = moment_estimate(sampler, 1, 60_000)
         assert abs(mu1.value - float(pair.mu.moment(1))) <= 3 * mu1.stderr + 1e-2
 

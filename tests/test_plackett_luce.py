@@ -169,6 +169,11 @@ class TestSamplers:
         stat, cells = two_sample_chi2(seq, srt)
         assert stat < chi2_critical(cells)
 
+    def test_negative_size_rejected(self):
+        for method in ("sequential", "sort"):
+            with pytest.raises(ValueError):
+                pl_sample(TWO_ONE, -1, random.Random(0), method=method)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             pl_sample(TWO_ONE, 2, random.Random(0), method="magic")
