@@ -101,8 +101,10 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
     Replica i runs trials // MC_REPLICAS trials, one more for i below the
     remainder, on the generator derive_rng(seed, f"{label}/{i}").  The split
     is fixed, so ``jobs`` only sizes the process pool (never above the
-    replica count) and never changes the samples.
+    replica count) and never changes the samples.  A zero-trial call on a
+    generator of its own runs the task's argument checks in this process.
     """
+    task(0, derive_rng(seed, f"{label}/check"))
     per, extra = divmod(trials, MC_REPLICAS)
     work = [
         (task, seed, f"{label}/{i}", per + (i < extra))

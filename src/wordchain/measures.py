@@ -33,8 +33,10 @@ ATOMIC_PATTERN_CAP = 4
 _ATOMIC_BUDGET = 5_000_000  # max number of atom-subset pairs enumerated
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+def parse_fraction(text: str, field: str = "value") -> Fraction:
+    """Parse "p/q" or "p" into an exact rational; `field` names it in errors."""
+    if not isinstance(text, str):
+        raise ValueError(f'{field} must be a string such as "1/2", got {text!r}')
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -163,11 +165,14 @@ class StepMeasure:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "StepMeasure":
-        return cls(
-            tuple(parse_fraction(b) for b in data["breakpoints"]),
-            tuple(parse_fraction(d) for d in data["densities"]),
-        )
+    def from_json(cls, data: dict, field: str = "measure") -> "StepMeasure":
+        keys = ("breakpoints", "densities")
+        if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in keys)):
+            raise ValueError(f"{field} must hold lists of breakpoints and densities")
+        return cls(*(
+            tuple(parse_fraction(v, f"{field}.{k}[{i}]") for i, v in enumerate(data[k]))
+            for k in keys
+        ))
 
 
 @dataclass(frozen=True)
@@ -292,10 +297,15 @@ class CanonicalPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "CanonicalPair":
+        if not isinstance(data, dict):
+            raise ValueError("a pair must be an object with keys mu and nu")
+        resolution = data.get("resolution")
+        if resolution is not None and type(resolution) is not int:
+            raise ValueError(f"resolution must be an integer, got {resolution!r}")
         return cls(
-            StepMeasure.from_json(data["mu"]),
-            StepMeasure.from_json(data["nu"]),
-            data.get("resolution"),
+            StepMeasure.from_json(data.get("mu"), "mu"),
+            StepMeasure.from_json(data.get("nu"), "nu"),
+            resolution,
         )
 
 
@@ -408,24 +418,21 @@ def _step_pattern_prob(pair: CanonicalPair, w: str) -> Fraction:
     return Fraction(math.factorial(m) ** 2) * state[0]
 
 
-def _atomic_subset_patterns(pair: AtomicPair, m: int):
-    """Yield (pattern, mass-product) over distinct-atom selections.
+def _atomic_pattern_counts(pair: AtomicPair, m: int) -> dict[str, int]:
+    """Count distinct-atom selections by the pattern they interleave as.
 
     Enumerates every m-subset of mu-atoms paired with every m-subset of
-    nu-atoms; the factor for ordered i.i.d. tuples is applied by the caller.
+    nu-atoms.  The atoms sit at the letter positions of the pair's word, so a
+    selection's pattern is that word read at the sorted selected positions.
     """
-    mu_atoms = pair.mu.atoms
-    nu_atoms = pair.nu.atoms
-    for a_sel in itertools.combinations(mu_atoms, m):
-        a_mass = math.prod((mass for _, mass in a_sel), start=Fraction(1))
-        for b_sel in itertools.combinations(nu_atoms, m):
-            locs = [loc for loc, _ in a_sel] + [loc for loc, _ in b_sel]
-            if len(set(locs)) < 2 * m:
-                continue  # coinciding points lie outside every pattern set
-            mass = a_mass * math.prod((ms for _, ms in b_sel), start=Fraction(1))
-            yield interleave_pattern(
-                [loc for loc, _ in a_sel], [loc for loc, _ in b_sel]
-            ), mass
+    y = pair.word
+    a_pos, b_pos = ([i for i, ch in enumerate(y) if ch == c] for c in "ab")
+    counts: dict[str, int] = {}
+    for a_sel in itertools.combinations(a_pos, m):
+        for b_sel in itertools.combinations(b_pos, m):
+            pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
+            counts[pattern] = counts.get(pattern, 0) + 1
+    return counts
 
 
 def _check_atomic_budget(pair: AtomicPair, m: int, cap: int) -> None:
@@ -457,13 +464,7 @@ def pattern_prob_exact(
             raise CapExceededError(f"pattern size {m} exceeds step cap {step_cap}")
         return _step_pattern_prob(pair, w)
     if isinstance(pair, AtomicPair):
-        _check_atomic_budget(pair, m, atomic_cap)
-        ordered = Fraction(math.factorial(m) ** 2)
-        total = Fraction(0)
-        for pattern, mass in _atomic_subset_patterns(pair, m):
-            if pattern == w:
-                total += mass
-        return ordered * total
+        return pattern_distribution(pair, m, atomic_cap=atomic_cap).get(w, Fraction(0))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
 
@@ -471,11 +472,9 @@ def pattern_distribution(pair: MeasurePair, m: int, **caps) -> dict[str, Fractio
     """pattern_prob_exact over all of W_m, computed in one sweep."""
     if isinstance(pair, AtomicPair):
         _check_atomic_budget(pair, m, caps.get("atomic_cap", ATOMIC_PATTERN_CAP))
-        ordered = Fraction(math.factorial(m) ** 2)
-        dist: dict[str, Fraction] = {}
-        for pattern, mass in _atomic_subset_patterns(pair, m):
-            dist[pattern] = dist.get(pattern, Fraction(0)) + ordered * mass
-        return dist
+        # each selection has mass N^(-2m); m!^2 orderings of the i.i.d. draws
+        mass = Fraction(math.factorial(m) ** 2, pair.size ** (2 * m))
+        return {w: count * mass for w, count in _atomic_pattern_counts(pair, m).items()}
     return {w: pattern_prob_exact(pair, w, **caps) for w in enumerate_balanced(m)}
 
 

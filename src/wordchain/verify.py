@@ -328,17 +328,16 @@ def check_harmonicity(size_max: int = 3, pair_names: tuple[str, ...] = ("lebesgu
         pairs = fixture_pairs()
         for name in pair_names:
             pair = pairs[name]
+            # h on every word the sweep reaches: each of size n + 1 succeeds one of size n
+            h = {v: harmonic_h(pair, v) for n in range(size_max + 2) for v in enumerate_balanced(n)}
             for size in range(size_max + 1):
                 for u in enumerate_balanced(size):
                     res.checked += 1
-                    h_u = harmonic_h(pair, u)
-                    total = sum(
-                        one_step_prob(u, v) * harmonic_h(pair, v) for v in successors(u)
-                    )
-                    if total != h_u:
+                    total = sum(one_step_prob(u, v) * h[v] for v in successors(u))
+                    if total != h[u]:
                         res.fail(f"pair {name}: harmonicity broken at {u!r}")
-                    if name == "lebesgue" and h_u != 1:
-                        res.fail(f"lebesgue pair: h({u!r}) = {h_u} != 1")
+                    if name == "lebesgue" and h[u] != 1:
+                        res.fail(f"lebesgue pair: h({u!r}) = {h[u]} != 1")
 
     return _guard(run, CheckResult("harmonicity of fixture boundary functions"))
 

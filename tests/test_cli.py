@@ -176,6 +176,11 @@ class TestDeterminism:
         assert main(base + ["--trials", "100", "--jobs", "64"]) == 0
         assert main(base + ["--trials", "3", "--jobs", "64"]) == 0
         assert sizes == [cli.MC_REPLICAS, 3]
+        # statistic argument errors are found before any pool is built
+        assert main(["moments", "--order", "9", "--jobs", "2", "--pair", pair_file]) == 2
+        assert main(["orders", "--stat", "f", "--x", "a9", "--depth", "3", "--jobs", "2",
+                     "--pair", pair_file]) == 2
+        assert sizes == [cli.MC_REPLICAS, 3]
 
     def test_different_seeds_differ(self, capsys):
         _, a = run(capsys, ["simulate", "--steps", "5", "--seed", "1"])
@@ -266,16 +271,47 @@ class TestErrorHandling:
         }))
         assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 2
 
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ({"mu": {"breakpoints": [0, 1], "densities": [1]},
+              "nu": {"breakpoints": ["0", "1"], "densities": ["1"]}}, "mu.breakpoints[0]"),
+            ([{"breakpoints": ["0", "1"], "densities": ["1"]}], "a pair"),
+            ({**CanonicalPair.lebesgue().to_json(), "resolution": "8"}, "resolution"),
+        ],
+    )
+    def test_pair_file_types_checked(self, capsys, tmp_path, content, field):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(content))
+        assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
 
 
+# Identity counts per family may grow but never drop; a change to them
+# must update this text on purpose.
+VERIFY_STDOUT = """\
+subword recurrence closure: 239785 identities: OK
+subword convolution identity: 2230 identities: OK
+exp(H) = P on words of length <= 5: 3969 identities: OK
+Chapman-Kolmogorov composition: 2230 identities: OK
+Doob-Martin kernel ratio law: 7571 identities: OK
+backward kernel normalization: 98 identities: OK
+bridge conditional = deletion dynamics: 4516 identities: OK
+pattern probability normalization: 15 identities: OK
+empirical pattern identity: 10180 identities: OK
+Plackett-Luce closed forms: 99 identities: OK
+harmonicity of fixture boundary functions: 87 identities: OK
+11 identity families, 270780 identities checked, 0 families failing
+"""
+
+
 def test_verify_command(capsys):
     code, out = run(capsys, ["verify"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 12  # 11 identity families plus the summary
-    assert all("OK" in line for line in lines[:-1])
-    assert "0 families failing" in lines[-1]
+    assert out == VERIFY_STDOUT

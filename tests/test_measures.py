@@ -10,6 +10,7 @@ import pytest
 from conftest import random_canonical_pair
 from wordchain.errors import CapExceededError
 from wordchain.measures import (
+    ATOMIC_PATTERN_CAP,
     AtomicMeasure,
     AtomicPair,
     CanonicalPair,
@@ -218,6 +219,15 @@ class TestEmpiricalIdentity:
                 for m in range(1, min(2, size) + 1):
                     report = empirical_identity_check(y, m)
                     assert report.ok, report.failures
+        # beyond the verify sweep: sizes 7-8, every m up to the atomic cap
+        for y in ["abbaabababbaab", "aaaaaaabbbbbbb", "aabbbaababbaabab"]:
+            n = word_size(y)
+            pair = empirical_pair(y)
+            for m in range(1, ATOMIC_PATTERN_CAP + 1):
+                dist = pattern_distribution(pair, m)
+                for w in enumerate_balanced(m):
+                    closed = F(math.factorial(m) ** 2 * subword_count(y, w), n ** (2 * m))
+                    assert dist.get(w, 0) == closed == pattern_prob_exact(pair, w), (y, w)
 
     def test_m_too_large(self):
         with pytest.raises(CapExceededError):
