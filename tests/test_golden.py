@@ -9,6 +9,7 @@ Carlo commands run at ``--jobs 1`` and ``--jobs 2`` against the same digest.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -71,6 +72,18 @@ SERIAL_CASES = {
         ["infinite-bridge", "--pair", "{pair}", "--steps", "20", "--seed", "1", "--emit", "csv"],
         "7eee53689688d3db8e858f4df28c377175f0a08b421da6bd21df10b183378b19",
     ),
+    "infinite-bridge-csv-500": (
+        ["infinite-bridge", "--pair", "{pair}", "--steps", "500", "--seed", "11", "--emit", "csv"],
+        "0762543ec0a2f02b120878c788012a9a2ac9f1207043386c8519d99a74c0f00d",
+    ),
+    "infinite-bridge-json-500": (
+        ["infinite-bridge", "--pair", "{pair}", "--steps", "500", "--seed", "11", "--emit", "json"],
+        "c88dd6c97611d87f4eed329cea40a4e54b9144d7222a151b0e185600c4c0fcbe",
+    ),
+    "bridge-json-300": (
+        ["bridge", "--target", "{target}", "--seed", "12", "--format", "json"],
+        "4eed1346da3c8ab2b623e77cbe11f686a4aa63591a0dada1b6c09b31f980da6d",
+    ),
     "pattern-prob-exact": (
         ["pattern-prob", "--pair", "{pair}", "--word", "abab"],
         "fe461f5bac3c62638a6ca177a19075d65731db94d0e1b93d24af60ab2d9fbb3a",
@@ -101,7 +114,9 @@ def files(tmp_path):
     pair.write_text(json.dumps(fixture_pairs()["three-cell"].to_json()))
     seq = tmp_path / "seq.txt"
     seq.write_text("aabbab\nabaabbab\nababaabbab\n")
-    return {"pair": str(pair), "seq": str(seq)}
+    letters = list("ab" * 300)
+    random.Random(300).shuffle(letters)  # a fixed balanced word of size 300
+    return {"pair": str(pair), "seq": str(seq), "target": "".join(letters)}
 
 
 def _digest(capsys, argv, files):
