@@ -6,23 +6,22 @@ target by uniform pair deletion, which is exact and needs no kernel
 evaluations.  Infinite bridges are driven by a measure pair: the word at
 step n is the interleaving pattern of n draws from mu and n draws from nu,
 and the latent points are kept so consistency between consecutive words can
-be checked per run.
+be checked per run.  Step n+1 only inserts its two new points into the
+sorted latent points, so growing a bridge to n steps costs O(n log n)
+comparisons plus list insertions; the words are built only when read.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import (
-    CanonicalPair,
-    interleave_pattern,
-    pattern_prob_exact,
-    sample_measure,
-)
+from .measures import CanonicalPair, pattern_prob_exact
 from .words import (
     check_balanced,
     delete_pair,
@@ -84,7 +83,9 @@ class InfiniteBridge:
 
     Stores the latent points, so the word at every step is a deterministic
     function of the draws and deleting the newest pair of points recovers
-    the previous word exactly.
+    the previous word exactly.  The points are kept sorted, each with its
+    letter and the step that drew it; a step inserts its two points by
+    bisection, and a word is built only when it is read.
     """
 
     def __init__(self, pair: CanonicalPair, rng: random.Random):
@@ -94,33 +95,67 @@ class InfiniteBridge:
         self.rng = rng
         self.x_samples: list[float] = []
         self.y_samples: list[float] = []
-        self.words: list[str] = [""]
+        self._seen: set[float] = set()
+        self._values: list[float] = []  # every latent point, ascending
+        self._letters: list[str] = []  # letter of each sorted point
+        self._births: list[int] = []  # step that drew each sorted point
 
     @property
     def step(self) -> int:
         return len(self.x_samples)
 
     def word(self, n: int | None = None) -> str:
-        return self.words[self.step if n is None else n]
+        """The word at step n (default: the current step)."""
+        if n is None or n == self.step:
+            return "".join(self._letters)
+        if not 0 <= n < self.step:
+            raise IndexError(f"step {n} is outside 0..{self.step}")
+        return "".join(compress(self._letters, map(n.__ge__, self._births)))
+
+    @property
+    def words(self) -> list[str]:
+        """The path U_0, ..., U_step, rebuilt by replaying the insertions."""
+        values: list[float] = []
+        word = ""
+        path = [word]
+        for x, y in zip(self.x_samples, self.y_samples):
+            for v, letter in ((x, "a"), (y, "b")):
+                i = bisect.bisect(values, v)
+                values.insert(i, v)
+                word = word[:i] + letter + word[i:]
+            path.append(word)
+        return path
 
     def _draw_distinct(self, measure) -> float:
-        seen = set(self.x_samples) | set(self.y_samples)
         while True:
-            x = float(sample_measure(measure, self.rng))
-            if x not in seen:
-                return x
+            v = measure.sample(self.rng)
+            if v not in self._seen:
+                self._seen.add(v)
+                return v
+
+    def _insert(self, v: float, letter: str) -> None:
+        i = bisect.bisect(self._values, v)
+        self._values.insert(i, v)
+        self._letters.insert(i, letter)
+        self._births.insert(i, self.step)
+
+    def _grow(self) -> None:
+        # x joins the seen set before y is drawn
+        x = self._draw_distinct(self.pair.mu)
+        y = self._draw_distinct(self.pair.nu)
+        self.x_samples.append(x)
+        self.y_samples.append(y)
+        self._insert(x, "a")
+        self._insert(y, "b")
 
     def extend(self) -> str:
-        """Draw one new point from each measure and rebuild the word."""
-        self.x_samples.append(self._draw_distinct(self.pair.mu))
-        self.y_samples.append(self._draw_distinct(self.pair.nu))
-        word = interleave_pattern(self.x_samples, self.y_samples)
-        self.words.append(word)
-        return word
+        """Draw one new point from each measure; returns the new word."""
+        self._grow()
+        return self.word()
 
     def extend_to(self, n: int) -> str:
         while self.step < n:
-            self.extend()
+            self._grow()
         return self.word(n)
 
 

@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WordchainError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (WordchainError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -436,13 +436,12 @@ def _atomic_pattern_counts(pair: AtomicPair, m: int) -> dict[str, int]:
 
 
 def _check_atomic_budget(pair: AtomicPair, m: int, cap: int) -> None:
-    n_mu = len(pair.mu.atoms)
-    n_nu = len(pair.nu.atoms)
-    if m > min(n_mu, n_nu):
-        raise SizeMismatchError(f"cannot select {m} atoms from measures of size {n_mu}, {n_nu}")
+    n = pair.size  # mu and nu each have one atom per letter of their kind
+    if m > n:
+        raise SizeMismatchError(f"cannot select {m} atoms from measures of {n} atoms each")
     if m > cap:
         raise CapExceededError(f"pattern size {m} exceeds atomic cap {cap}")
-    if math.comb(n_mu, m) * math.comb(n_nu, m) > _ATOMIC_BUDGET:
+    if math.comb(n, m) ** 2 > _ATOMIC_BUDGET:
         raise CapExceededError("atom-subset enumeration exceeds the size budget")
 
 

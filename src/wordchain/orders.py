@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure, sample_measure
+from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure
 from .words import delete_pair, letter_positions
 
 MOMENT_ORDER_CAP = 4
@@ -182,16 +182,19 @@ class OrderSampler:
 
     def run(self, depth: int) -> OrderRun:
         seen: set[float] = set()
+        rng = self.rng
 
-        def draw(source) -> float:
-            while True:  # ties have probability zero; guard float collisions
-                v = float(sample_measure(source, self.rng))
-                if v not in seen:
+        def draws(sample) -> tuple[float, ...]:
+            values: list[float] = []
+            while len(values) < depth:
+                v = sample(rng)
+                if v not in seen:  # ties have probability zero; guard float collisions
                     seen.add(v)
-                    return v
+                    values.append(v)
+            return tuple(values)
 
-        values_a = tuple(draw(self.a_source) for _ in range(depth))
-        values_b = tuple(draw(self.b_source) for _ in range(depth))
+        values_a = draws(self.a_source.sample)
+        values_b = draws(self.b_source.sample)
         return OrderRun(values_a, values_b)
 
 

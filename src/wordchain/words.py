@@ -143,9 +143,12 @@ def successors(v: str) -> dict[str, int]:
 
 def delete_pair(w: str, a_pos: int, b_pos: int) -> str:
     """Word left after removing the a at index `a_pos` and the b at `b_pos`."""
+    if not (0 <= a_pos < len(w) and 0 <= b_pos < len(w)):
+        raise ValueError(f"positions ({a_pos}, {b_pos}) lie outside 0..{len(w) - 1} in {w!r}")
     if w[a_pos] != "a" or w[b_pos] != "b":
         raise ValueError(f"positions ({a_pos}, {b_pos}) are not an (a, b) pair in {w!r}")
-    return "".join(ch for k, ch in enumerate(w) if k not in (a_pos, b_pos))
+    lo, hi = sorted((a_pos, b_pos))
+    return w[:lo] + w[lo + 1:hi] + w[hi + 1:]
 
 
 def letter_positions(w: str, letter: str) -> list[int]:

@@ -116,11 +116,35 @@ class TestInfiniteBridge:
             assert bridge.extend() == "a" * n + "b" * n
 
     def test_consistency_per_run(self):
-        bridge = InfiniteBridge(fixture_pairs()["crossed"], random.Random(107))
-        bridge.extend_to(6)
-        for n in range(1, 7):
-            rebuilt = interleave_pattern(bridge.x_samples[:n], bridge.y_samples[:n])
-            assert rebuilt == bridge.word(n)
+        for k, pair in enumerate(fixture_pairs().values()):
+            bridge = InfiniteBridge(pair, random.Random(107 + k))
+            bridge.extend_to(300)
+            for n in range(301):
+                rebuilt = interleave_pattern(bridge.x_samples[:n], bridge.y_samples[:n])
+                assert rebuilt == bridge.word(n)
+            assert bridge.words == [bridge.word(n) for n in range(301)]
+            with pytest.raises(IndexError):
+                bridge.word(301)
+
+    def test_redraws_keep_points_distinct(self):
+        class ScriptedRandom:
+            """random() replays a fixed list; under Lebesgue each draw is that value."""
+
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        # step 2: x repeats an x, then hits a y; y then hits the x just drawn
+        script = ScriptedRandom([0.5, 0.25, 0.5, 0.25, 0.75, 0.75, 0.125])
+        bridge = InfiniteBridge(CanonicalPair.lebesgue(), script)
+        assert bridge.extend() == "ba"
+        assert bridge.extend() == "bbaa"
+        assert script.values == []
+        assert bridge.x_samples == [0.5, 0.75]
+        assert bridge.y_samples == [0.25, 0.125]
+        assert bridge.words == ["", "ba", "bbaa"]
 
     def test_backward_frequencies_universal(self):
         # deleting the newest points realizes the deletion dynamics at

@@ -175,8 +175,18 @@ class TestRandomSubword:
 def test_delete_pair_roundtrip():
     w = "abba"
     assert delete_pair(w, 0, 1) == "ba"
+    assert delete_pair(w, 3, 2) == "ab"
+    assert delete_pair(w, 0, 2) == "ba"
     with pytest.raises(ValueError):
         delete_pair(w, 1, 0)
+
+
+@pytest.mark.parametrize("w, a_pos, b_pos", [
+    ("ba", -1, 0), ("abab", -2, -1), ("ab", 0, -1), ("ab", 2, 1), ("ab", 0, 2),
+])
+def test_delete_pair_rejects_positions_outside_word(w, a_pos, b_pos):
+    with pytest.raises(ValueError, match="outside"):
+        delete_pair(w, a_pos, b_pos)
 
 
 def test_display_word():
