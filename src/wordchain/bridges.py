@@ -139,23 +139,19 @@ class InfiniteBridge:
         self._letters.insert(i, letter)
         self._births.insert(i, self.step)
 
-    def _grow(self) -> None:
-        # x joins the seen set before y is drawn
-        x = self._draw_distinct(self.pair.mu)
-        y = self._draw_distinct(self.pair.nu)
-        self.x_samples.append(x)
-        self.y_samples.append(y)
-        self._insert(x, "a")
-        self._insert(y, "b")
-
     def extend(self) -> str:
         """Draw one new point from each measure; returns the new word."""
-        self._grow()
-        return self.word()
+        return self.extend_to(self.step + 1)
 
     def extend_to(self, n: int) -> str:
         while self.step < n:
-            self._grow()
+            # x joins the seen set before y is drawn
+            x = self._draw_distinct(self.pair.mu)
+            y = self._draw_distinct(self.pair.nu)
+            self.x_samples.append(x)
+            self.y_samples.append(y)
+            self._insert(x, "a")
+            self._insert(y, "b")
         return self.word(n)
 
 
