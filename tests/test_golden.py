@@ -84,6 +84,10 @@ SERIAL_CASES = {
         ["bridge", "--target", "{target}", "--seed", "12", "--format", "json"],
         "4eed1346da3c8ab2b623e77cbe11f686a4aa63591a0dada1b6c09b31f980da6d",
     ),
+    "bridge-json-2000": (
+        ["bridge", "--target", "{target2000}", "--seed", "13", "--format", "json"],
+        "366a2356320af67f8e91480846b8fda8d35415f8b63f4d68af684fb290732e77",
+    ),
     "pattern-prob-exact": (
         ["pattern-prob", "--pair", "{pair}", "--word", "abab"],
         "fe461f5bac3c62638a6ca177a19075d65731db94d0e1b93d24af60ab2d9fbb3a",
@@ -114,9 +118,12 @@ def files(tmp_path):
     pair.write_text(json.dumps(fixture_pairs()["three-cell"].to_json()))
     seq = tmp_path / "seq.txt"
     seq.write_text("aabbab\nabaabbab\nababaabbab\n")
-    letters = list("ab" * 300)
-    random.Random(300).shuffle(letters)  # a fixed balanced word of size 300
-    return {"pair": str(pair), "seq": str(seq), "target": "".join(letters)}
+    targets = {}
+    for name, size in (("target", 300), ("target2000", 2000)):
+        letters = list("ab" * size)
+        random.Random(size).shuffle(letters)  # a fixed balanced word of that size
+        targets[name] = "".join(letters)
+    return {"pair": str(pair), "seq": str(seq), **targets}
 
 
 def _digest(capsys, argv, files):
