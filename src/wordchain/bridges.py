@@ -17,7 +17,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count, islice
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
@@ -25,7 +25,6 @@ from .measures import CanonicalPair, pattern_prob_exact
 from .words import (
     check_balanced,
     delete_pair,
-    letter_positions,
     subword_count,
     successors,
     word_size,
@@ -60,6 +59,17 @@ def simulate_forward(n: int, rng: random.Random) -> list[str]:
     return path
 
 
+def _uniform_position(w: str, letter: str, rng: random.Random) -> int:
+    """Index of an occurrence of `letter` in w chosen uniformly at random.
+
+    Draws what rng.choice(letter_positions(w, letter)) draws, one
+    randrange over the count, but finds that occurrence at C level instead
+    of listing every position in Python.
+    """
+    k = rng.randrange(w.count(letter))
+    return next(islice(compress(count(), map(letter.__eq__, w)), k, None))
+
+
 def sample_finite_bridge(w: str, rng: random.Random) -> list[str]:
     """A path of the base chain conditioned to end at w.
 
@@ -71,8 +81,8 @@ def sample_finite_bridge(w: str, rng: random.Random) -> list[str]:
     reversed_path = [w]
     cur = w
     while cur:
-        a_pos = rng.choice(letter_positions(cur, "a"))
-        b_pos = rng.choice(letter_positions(cur, "b"))
+        a_pos = _uniform_position(cur, "a", rng)
+        b_pos = _uniform_position(cur, "b", rng)
         cur = delete_pair(cur, a_pos, b_pos)
         reversed_path.append(cur)
     return reversed_path[::-1]
@@ -188,9 +198,13 @@ def htransform_step_prob(pair: CanonicalPair, u: str, v: str) -> Fraction:
 
 
 def htransform_row(pair: CanonicalPair, u: str) -> dict[str, Fraction]:
-    """Transition row of the h-chain from u, over reachable successors."""
-    return {
-        v: htransform_step_prob(pair, u, v)
-        for v in successors(u)
-        if pattern_prob_exact(pair, v) > 0
-    }
+    """Transition row of the h-chain from u, over reachable successors.
+
+    h is harmonic and nonnegative, so a state of zero mass has no successor
+    of positive mass and its row is empty.
+    """
+    h_u = harmonic_h(pair, u)
+    if h_u == 0:
+        return {}
+    h = {v: harmonic_h(pair, v) for v in successors(u)}
+    return {v: one_step_prob(u, v) * h_v / h_u for v, h_v in h.items() if h_v > 0}

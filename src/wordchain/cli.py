@@ -291,7 +291,7 @@ _nonnegative = _int_at_least(0)
 
 
 def _add_order_sources(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair", "--source", dest="pair", help="canonical pair JSON file")
+    p.add_argument("--pair", help="canonical pair JSON file")
     p.add_argument("--zeta", help='measure spec: "exp:RATE" or step-measure JSON path')
     p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
 

@@ -17,7 +17,6 @@ from mu and m draws from nu interleave as a given balanced word.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -26,11 +25,9 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError
-from .words import check_balanced, enumerate_balanced, word_size
+from .words import check_balanced, enumerate_balanced, subword_count, word_size
 
 STEP_PATTERN_CAP = 6
-ATOMIC_PATTERN_CAP = 4
-_ATOMIC_BUDGET = 5_000_000  # max number of atom-subset pairs enumerated
 
 
 def parse_fraction(text: str, field: str = "value") -> Fraction:
@@ -418,63 +415,32 @@ def _step_pattern_prob(pair: CanonicalPair, w: str) -> Fraction:
     return Fraction(math.factorial(m) ** 2) * state[0]
 
 
-def _atomic_pattern_counts(pair: AtomicPair, m: int) -> dict[str, int]:
-    """Count distinct-atom selections by the pattern they interleave as.
-
-    Enumerates every m-subset of mu-atoms paired with every m-subset of
-    nu-atoms.  The atoms sit at the letter positions of the pair's word, so a
-    selection's pattern is that word read at the sorted selected positions.
-    """
-    y = pair.word
-    a_pos, b_pos = ([i for i, ch in enumerate(y) if ch == c] for c in "ab")
-    counts: dict[str, int] = {}
-    for a_sel in itertools.combinations(a_pos, m):
-        for b_sel in itertools.combinations(b_pos, m):
-            pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
-            counts[pattern] = counts.get(pattern, 0) + 1
-    return counts
-
-
-def _check_atomic_budget(pair: AtomicPair, m: int, cap: int) -> None:
-    n = pair.size  # mu and nu each have one atom per letter of their kind
-    if m > n:
-        raise SizeMismatchError(f"cannot select {m} atoms from measures of {n} atoms each")
-    if m > cap:
-        raise CapExceededError(f"pattern size {m} exceeds atomic cap {cap}")
-    if math.comb(n, m) ** 2 > _ATOMIC_BUDGET:
-        raise CapExceededError("atom-subset enumeration exceeds the size budget")
-
-
-def pattern_prob_exact(
-    pair: MeasurePair,
-    w: str,
-    step_cap: int = STEP_PATTERN_CAP,
-    atomic_cap: int = ATOMIC_PATTERN_CAP,
-) -> Fraction:
+def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     """P{m draws from mu and m draws from nu interleave as w}, exactly.
 
     For diffuse step pairs the probabilities over all of W_m total 1; for
     atomic pairs they total the probability that all 2m draws are distinct,
-    which is at most 1.
+    which is at most 1.  The empirical pair of a word y of size N serves the
+    closed form (m!)^2 * binom(y, w) / N^(2m): each selection of m a-atoms
+    and m b-atoms has mass N^(-2m) in each of the m!^2 orders of the draws,
+    and binom(y, w) selections read as w.
     """
     m = word_size(w)
     if isinstance(pair, CanonicalPair):
-        if m > step_cap:
-            raise CapExceededError(f"pattern size {m} exceeds step cap {step_cap}")
+        if m > STEP_PATTERN_CAP:
+            raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
         return _step_pattern_prob(pair, w)
     if isinstance(pair, AtomicPair):
-        return pattern_distribution(pair, m, atomic_cap=atomic_cap).get(w, Fraction(0))
+        n = pair.size  # mu and nu each have one atom per letter of their kind
+        if m > n:
+            raise SizeMismatchError(f"cannot select {m} atoms from measures of {n} atoms each")
+        return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), n ** (2 * m))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
 
-def pattern_distribution(pair: MeasurePair, m: int, **caps) -> dict[str, Fraction]:
-    """pattern_prob_exact over all of W_m, computed in one sweep."""
-    if isinstance(pair, AtomicPair):
-        _check_atomic_budget(pair, m, caps.get("atomic_cap", ATOMIC_PATTERN_CAP))
-        # each selection has mass N^(-2m); m!^2 orderings of the i.i.d. draws
-        mass = Fraction(math.factorial(m) ** 2, pair.size ** (2 * m))
-        return {w: count * mass for w, count in _atomic_pattern_counts(pair, m).items()}
-    return {w: pattern_prob_exact(pair, w, **caps) for w in enumerate_balanced(m)}
+def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
+    """pattern_prob_exact over all of W_m, in lexicographic order."""
+    return {w: pattern_prob_exact(pair, w) for w in enumerate_balanced(m)}
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ line per identity family with the number of instances checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 from .bridges import harmonic_h
 from .errors import CapExceededError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
-from .measures import empirical_pair, fixture_pairs, pattern_distribution
+from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
 from .plackett_luce import RatePair, pl_harmonic, pl_transition, pl_word_prob
 from .words import (
     build_count_matrices,
@@ -67,7 +68,7 @@ def _guard(fn, result: CheckResult) -> CheckResult:
     return result
 
 
-def bridge_conditional_check(w: str, cap: int = BRIDGE_CHECK_CAP) -> CheckResult:
+def bridge_conditional_check(w: str) -> CheckResult:
     """Verify P{U_m = u | U_{m+1} = v, endpoint w} = subword_count(v,u)/(m+1)^2.
 
     The left side is assembled from first principles: conditioned on hitting
@@ -77,8 +78,8 @@ def bridge_conditional_check(w: str, cap: int = BRIDGE_CHECK_CAP) -> CheckResult
     conditioning event possible.
     """
     size = word_size(w)
-    if size > cap:
-        raise CapExceededError(f"word size {size} exceeds bridge check cap {cap}")
+    if size > BRIDGE_CHECK_CAP:
+        raise CapExceededError(f"word size {size} exceeds bridge check cap {BRIDGE_CHECK_CAP}")
 
     def run(res: CheckResult) -> None:
         for m in range(size):
@@ -96,11 +97,29 @@ def bridge_conditional_check(w: str, cap: int = BRIDGE_CHECK_CAP) -> CheckResult
     return _guard(run, CheckResult(f"bridge conditionals to {w!r}"))
 
 
-def empirical_identity_check(y: str, m: int) -> CheckResult:
-    """Check (N^m)^2 * pattern_prob(empirical_pair(y), w) = (m!)^2 * binom(y, w).
+def _atomic_pattern_counts(y: str, m: int) -> dict[str, int]:
+    """Count distinct-atom selections of the empirical pair of y by pattern.
 
-    Both sides are computed independently — the left by enumerating atom
-    selections, the right by the subword-count recurrence — and compared
+    Enumerates every m-subset of mu-atoms paired with every m-subset of
+    nu-atoms, C(N, m)^2 selections for y of size N.  The atoms sit at the
+    letter positions of y, so a selection's pattern is y read at the sorted
+    selected positions.
+    """
+    a_pos, b_pos = ([i for i, ch in enumerate(y) if ch == c] for c in "ab")
+    counts: dict[str, int] = {}
+    for a_sel in itertools.combinations(a_pos, m):
+        for b_sel in itertools.combinations(b_pos, m):
+            pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
+            counts[pattern] = counts.get(pattern, 0) + 1
+    return counts
+
+
+def empirical_identity_check(y: str, m: int) -> CheckResult:
+    """Check pattern_prob_exact(empirical_pair(y), w) against atom enumeration.
+
+    The served value is the closed form (m!)^2 * binom(y, w) / N^(2m).  The
+    oracle enumerates the atom selections that read w, each of mass
+    (m!)^2 / N^(2m), without the subword-count recurrence.  Both are compared
     exactly for every w of size m.
     """
     n = word_size(y)
@@ -108,15 +127,15 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
         raise CapExceededError(f"pattern size {m} exceeds word size {n}")
 
     def run(res: CheckResult) -> None:
-        dist = pattern_distribution(empirical_pair(y), m)
-        scale = Fraction(n**m) ** 2
-        msq = math.factorial(m) ** 2
+        pair = empirical_pair(y)
+        counts = _atomic_pattern_counts(y, m)
+        mass = Fraction(math.factorial(m) ** 2, n ** (2 * m))
         for w in enumerate_balanced(m):
-            lhs = scale * dist.get(w, Fraction(0))
-            rhs = Fraction(msq * subword_count(y, w))
+            served = pattern_prob_exact(pair, w)
+            enumerated = counts.get(w, 0) * mass
             res.checked += 1
-            if lhs != rhs:
-                res.fail(f"w={w!r}: {lhs} != {rhs}")
+            if served != enumerated:
+                res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
 
     return _guard(run, CheckResult(f"empirical identity y={y!r} m={m}"))
 
@@ -177,7 +196,7 @@ def check_matrix_exponential(max_len: int = 5) -> CheckResult:
     """exp of the one-step count matrix equals the full count matrix."""
 
     def run(res: CheckResult) -> None:
-        p, h = build_count_matrices(max_len, cap=max_len)
+        p, h = build_count_matrices(max_len)
         size = len(p.index)
         for i in range(size):
             if p.entries[i][i] != 1:

@@ -97,12 +97,12 @@ def enumerate_words(length: int) -> list[str]:
     return sorted(words)
 
 
-def enumerate_balanced(n: int, cap: int = BALANCED_ENUM_CAP) -> list[str]:
+def enumerate_balanced(n: int) -> list[str]:
     """All C(2n, n) balanced words of size n, lexicographic, a < b."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"size {n} exceeds enumeration cap {cap}")
+    if n > BALANCED_ENUM_CAP:
+        raise CapExceededError(f"size {n} exceeds enumeration cap {BALANCED_ENUM_CAP}")
 
     out: list[str] = []
 
@@ -196,7 +196,7 @@ def word_universe(max_len: int) -> list[str]:
     return out
 
 
-def build_count_matrices(max_len: int, cap: int = COUNT_MATRIX_CAP) -> tuple[CountMatrix, CountMatrix]:
+def build_count_matrices(max_len: int) -> tuple[CountMatrix, CountMatrix]:
     """The full subword-count matrix P and its one-step part H.
 
     P has entry (v, w) = subword_count(w, v); H keeps only the entries with
@@ -206,8 +206,8 @@ def build_count_matrices(max_len: int, cap: int = COUNT_MATRIX_CAP) -> tuple[Cou
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if max_len > cap:
-        raise CapExceededError(f"max_len {max_len} exceeds matrix cap {cap}")
+    if max_len > COUNT_MATRIX_CAP:
+        raise CapExceededError(f"max_len {max_len} exceeds matrix cap {COUNT_MATRIX_CAP}")
     index = tuple(word_universe(max_len))
     p_rows = []
     h_rows = []

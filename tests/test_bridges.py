@@ -258,3 +258,4 @@ class TestHTransform:
         pair = fixture_pairs()["separated"]
         row = htransform_row(pair, "ab")
         assert row == {"aabb": F(1)}
+        assert htransform_row(pair, "ba") == {}  # zero mass: no reachable successor

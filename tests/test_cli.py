@@ -1,12 +1,15 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from wordchain import cli
 from wordchain.cli import main
 from wordchain.measures import CanonicalPair, fixture_pairs
+from wordchain.words import subword_count
 
 
 @pytest.fixture
@@ -195,9 +198,16 @@ class TestErrorHandling:
     def test_size_mismatch_is_usage_error(self, capsys):
         assert main(["kernel", "one-step", "ab", "ab"]) == 2
 
-    def test_cap_violation_exit_code(self, capsys):
-        # size 5 is above the atomic pattern cap of 4
-        assert main(["pattern-prob", "--word-pair", "ab" * 6, "--word", "ab" * 5]) == 3
+    def test_cap_violation_exit_code(self, capsys, pair_file):
+        # size 7 is above the step pattern cap of 6
+        assert main(["pattern-prob", "--pair", pair_file, "--word", "ab" * 7]) == 3
+
+    def test_word_pair_serves_closed_form(self, capsys):
+        # (m!)^2 * binom(y, w) / N^(2m); no size cap beyond N
+        y, w = "ab" * 6, "ab" * 5
+        code, out = run(capsys, ["pattern-prob", "--word-pair", y, "--word", w])
+        closed = Fraction(math.factorial(5) ** 2 * subword_count(y, w), 6 ** 10)
+        assert code == 0 and out.strip() == str(closed)
 
     def test_atom_count_mismatch_is_usage_error(self, capsys):
         assert main(["pattern-prob", "--word-pair", "ab", "--word", "abab"]) == 2

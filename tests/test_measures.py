@@ -10,7 +10,6 @@ import pytest
 from conftest import random_canonical_pair
 from wordchain.errors import CapExceededError
 from wordchain.measures import (
-    ATOMIC_PATTERN_CAP,
     AtomicMeasure,
     AtomicPair,
     CanonicalPair,
@@ -25,7 +24,7 @@ from wordchain.measures import (
     sample_measure,
     weak_distance,
 )
-from wordchain.verify import empirical_identity_check
+from wordchain.verify import _atomic_pattern_counts, empirical_identity_check
 from wordchain.words import enumerate_balanced, subword_count, word_size
 
 F = Fraction
@@ -143,9 +142,23 @@ class TestPatternExact:
         with pytest.raises(CapExceededError):
             pattern_prob_exact(CanonicalPair.lebesgue(), "ab" * 7)
 
-    def test_atomic_cap(self):
-        with pytest.raises(CapExceededError):
-            pattern_prob_exact(empirical_pair("ab" * 6), "ab" * 5)
+    def test_atomic_closed_form_beyond_enumeration(self):
+        # C(200, 5)^2 selections: far past any enumeration, served in O(|y| |w|)
+        letters = list("ab" * 200)
+        random.Random(200).shuffle(letters)
+        y = "".join(letters)
+        pair = empirical_pair(y)
+        for w in ["aaaaabbbbb", "ababababab", "bbbbbaaaaa", "abbaabbaab"]:
+            closed = F(math.factorial(5) ** 2 * subword_count(y, w), 200 ** 10)
+            assert pattern_prob_exact(pair, w) == closed, w
+
+    def test_atomic_matches_enumeration_oracle(self):
+        y, m = "abbaababbaabbaba", 5
+        mass = F(math.factorial(m) ** 2, word_size(y) ** (2 * m))
+        counts = _atomic_pattern_counts(y, m)
+        assert pattern_distribution(empirical_pair(y), m) == {
+            w: counts.get(w, 0) * mass for w in enumerate_balanced(m)
+        }
 
 
 class TestPatternMC:
@@ -219,11 +232,11 @@ class TestEmpiricalIdentity:
                 for m in range(1, min(2, size) + 1):
                     report = empirical_identity_check(y, m)
                     assert report.ok, report.failures
-        # beyond the verify sweep: sizes 7-8, every m up to the atomic cap
+        # beyond the verify sweep: sizes 7-8, every m up to 4
         for y in ["abbaabababbaab", "aaaaaaabbbbbbb", "aabbbaababbaabab"]:
             n = word_size(y)
             pair = empirical_pair(y)
-            for m in range(1, ATOMIC_PATTERN_CAP + 1):
+            for m in range(1, 5):
                 dist = pattern_distribution(pair, m)
                 for w in enumerate_balanced(m):
                     closed = F(math.factorial(m) ** 2 * subword_count(y, w), n ** (2 * m))
