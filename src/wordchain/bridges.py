@@ -17,7 +17,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
@@ -63,11 +63,12 @@ def _uniform_position(w: str, letter: str, rng: random.Random) -> int:
     """Index of an occurrence of `letter` in w chosen uniformly at random.
 
     Draws what rng.choice(letter_positions(w, letter)) draws, one
-    randrange over the count, but finds that occurrence at C level instead
-    of listing every position in Python.
+    randrange over the count, but finds occurrence k by bisecting on
+    prefix counts (str.count at C level) instead of listing every position.
     """
     k = rng.randrange(w.count(letter))
-    return next(islice(compress(count(), map(letter.__eq__, w)), k, None))
+    # the first index p with k + 1 occurrences of letter in w[:p + 1]
+    return bisect.bisect_left(range(len(w)), k + 1, key=lambda p: w.count(letter, 0, p + 1))
 
 
 def sample_finite_bridge(w: str, rng: random.Random) -> list[str]:

@@ -25,7 +25,13 @@ from wordchain.measures import (
     interleave_pattern,
     pattern_prob_exact,
 )
-from wordchain.words import enumerate_balanced, subword_count, successors
+from wordchain.words import (
+    delete_pair,
+    enumerate_balanced,
+    letter_positions,
+    subword_count,
+    successors,
+)
 
 F = Fraction
 
@@ -66,6 +72,17 @@ class TestForwardChain:
 class TestFiniteBridge:
     def test_forced_path(self, rng):
         assert sample_finite_bridge("ab", rng) == ["", "ab"]
+
+    def test_draws_match_choice_over_positions(self):
+        # reference: rng.choice over the listed positions of each letter
+        for seed, w in enumerate(["ab", "ba", "abba", "bbaa", "abababba", "aabbbaab" * 5]):
+            rng, cur, reference = random.Random(seed), w, [w]
+            while cur:
+                a_pos = rng.choice(letter_positions(cur, "a"))
+                b_pos = rng.choice(letter_positions(cur, "b"))
+                cur = delete_pair(cur, a_pos, b_pos)
+                reference.append(cur)
+            assert sample_finite_bridge(w, random.Random(seed)) == reference[::-1], w
 
     def test_paths_end_at_target_and_validate(self, rng):
         for w in ["abab", "bbaa", "abbaba"]:

@@ -237,10 +237,11 @@ class TestEmpiricalIdentity:
             n = word_size(y)
             pair = empirical_pair(y)
             for m in range(1, 5):
+                assert empirical_identity_check(y, m).ok, (y, m)
                 dist = pattern_distribution(pair, m)
                 for w in enumerate_balanced(m):
                     closed = F(math.factorial(m) ** 2 * subword_count(y, w), n ** (2 * m))
-                    assert dist.get(w, 0) == closed == pattern_prob_exact(pair, w), (y, w)
+                    assert dist[w] == closed == pattern_prob_exact(pair, w), (y, w)
 
     def test_m_too_large(self):
         with pytest.raises(CapExceededError):
