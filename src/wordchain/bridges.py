@@ -62,12 +62,11 @@ def simulate_forward(n: int, rng: random.Random) -> list[str]:
 def _uniform_position(w: str, letter: str, rng: random.Random) -> int:
     """Index of an occurrence of `letter` in w chosen uniformly at random.
 
-    Draws what rng.choice(letter_positions(w, letter)) draws, one
-    randrange over the count, but finds occurrence k by bisecting on
-    prefix counts (str.count at C level) instead of listing every position.
+    Draws what rng.choice(letter_positions(w, letter)) draws, one randrange
+    over the count.  Occurrence k is the first index p with k + 1 of the
+    letter in w[:p + 1], found by bisecting on str.count at C level.
     """
     k = rng.randrange(w.count(letter))
-    # the first index p with k + 1 occurrences of letter in w[:p + 1]
     return bisect.bisect_left(range(len(w)), k + 1, key=lambda p: w.count(letter, 0, p + 1))
 
 
@@ -201,11 +200,9 @@ def htransform_step_prob(pair: CanonicalPair, u: str, v: str) -> Fraction:
 def htransform_row(pair: CanonicalPair, u: str) -> dict[str, Fraction]:
     """Transition row of the h-chain from u, over reachable successors.
 
-    h is harmonic and nonnegative, so a state of zero mass has no successor
-    of positive mass and its row is empty.
+    h is harmonic and nonnegative, so h(v) > 0 for a successor implies
+    h(u) > 0; a state of zero mass gets an empty row.
     """
     h_u = harmonic_h(pair, u)
-    if h_u == 0:
-        return {}
     h = {v: harmonic_h(pair, v) for v in successors(u)}
     return {v: one_step_prob(u, v) * h_v / h_u for v, h_v in h.items() if h_v > 0}
