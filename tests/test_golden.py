@@ -109,7 +109,52 @@ SERIAL_CASES = {
         ["boundary", "--seq", "{seq}", "--pair", "{pair}", "--mmax", "2"],
         "13b0f3d7b4852ae659467aa3b885f7d7a5b9befa273da067e7099eba60e2419f",
     ),
+    "boundary-long-mmax3": (
+        ["boundary", "--seq", "{long_seq}", "--pair", "{pair}", "--mmax", "3"],
+        "ed4b33921f90cba566035a61303da2b5a4c7b54d38d8ac9a84037c551186a319",
+    ),
+    "plackett-luce-transition-600": (
+        ["plackett-luce", "--alpha", "3", "--beta", "2", "transition", "{pl_u}", "{pl_v}"],
+        "6a1f0ef24057c1a5cdf8a068c53ce618939d24011aa6fc303f4ccb150cf06eed",
+    ),
+    "kernel-multi-step-500": (
+        ["kernel", "multi-step", "{kernel_v}", "{kernel_w}"],
+        "1ffcf047a1c4ee05f813abbb2e2f78a0ffb06d9d972cc63d856867a8278a4b5a",
+    ),
 }
+
+
+def _shuffled(size: int, seed: int) -> str:
+    """A fixed balanced word of the given size."""
+    letters = list("ab" * size)
+    random.Random(seed).shuffle(letters)
+    return "".join(letters)
+
+
+def _long_words() -> dict[str, str]:
+    """Seeded long inputs for the integer exact paths.
+
+    A size-600 word with a one-step successor (one a, then one b inserted at
+    seeded slots), a size-500 word with a size-50 subword read at seeded
+    letter positions, and a sequence of words of sizes 200 to 800.
+    """
+    rng = random.Random(6)
+    u = _shuffled(600, 601)
+    mid = rng.randint(0, len(u))
+    mid = u[:mid] + "a" + u[mid:]
+    cut = rng.randint(0, len(mid))
+    w = _shuffled(500, 501)
+    keep = sorted(
+        rng.sample([i for i, ch in enumerate(w) if ch == "a"], 50)
+        + rng.sample([i for i, ch in enumerate(w) if ch == "b"], 50)
+    )
+    return {
+        "pl_u": u,
+        "pl_v": mid[:cut] + "b" + mid[cut:],
+        "kernel_w": w,
+        "kernel_v": "".join(w[i] for i in keep),
+        "long_seq": "\n".join(_shuffled(size, 800 + size) for size in (200, 350, 500, 800)) + "\n",
+    }
 
 
 @pytest.fixture
@@ -118,12 +163,11 @@ def files(tmp_path):
     pair.write_text(json.dumps(fixture_pairs()["three-cell"].to_json()))
     seq = tmp_path / "seq.txt"
     seq.write_text("aabbab\nabaabbab\nababaabbab\n")
-    targets = {}
-    for name, size in (("target", 300), ("target2000", 2000)):
-        letters = list("ab" * size)
-        random.Random(size).shuffle(letters)  # a fixed balanced word of that size
-        targets[name] = "".join(letters)
-    return {"pair": str(pair), "seq": str(seq), **targets}
+    targets = {name: _shuffled(size, size) for name, size in (("target", 300), ("target2000", 2000))}
+    long_words = _long_words()
+    long_seq = tmp_path / "long_seq.txt"
+    long_seq.write_text(long_words.pop("long_seq"))
+    return {"pair": str(pair), "seq": str(seq), "long_seq": str(long_seq), **targets, **long_words}
 
 
 def _digest(capsys, argv, files):
