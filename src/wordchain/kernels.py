@@ -46,9 +46,7 @@ def multi_step_prob(v: str, w: str) -> Fraction:
     if k < m:
         raise SizeMismatchError(f"target size {k} is below source size {m}")
     n = k - m
-    denom = 1
-    for i in range(2 * m + 1, 2 * m + 2 * n + 1):
-        denom *= i
+    denom = math.perm(2 * m + 2 * n, 2 * n)  # (2m+1)(2m+2)...(2m+2n)
     return Fraction(subword_count(w, v) * math.factorial(n) ** 2, denom)
 
 

@@ -17,11 +17,12 @@ from mu and m draws from nu interleave as a given balanced word.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError
@@ -44,6 +45,15 @@ def format_fraction(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _scaled(xs, den: int) -> list[int]:
+    """The rationals xs as integers over den (a multiple of every denominator)."""
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
 @dataclass(frozen=True)
 class StepMeasure:
     """Diffuse probability measure with piecewise-constant density.
@@ -57,8 +67,8 @@ class StepMeasure:
     densities: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        dens = tuple(Fraction(d) for d in self.densities)
+        bps = tuple(map(_as_fraction, self.breakpoints))
+        dens = tuple(map(_as_fraction, self.densities))
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
         if len(bps) < 2 or len(dens) != len(bps) - 1:
@@ -202,16 +212,19 @@ class AtomicMeasure:
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, mass)
 
     def __post_init__(self):
-        atoms = tuple((Fraction(x), Fraction(m)) for x, m in self.atoms)
+        atoms = tuple((_as_fraction(x), _as_fraction(m)) for x, m in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("need at least one atom")
         locs = [x for x, _ in atoms]
-        if any(x2 <= x1 for x1, x2 in zip(locs, locs[1:])):
+        grid = _scaled(locs, math.lcm(*(x.denominator for x in locs)))
+        if any(x2 <= x1 for x1, x2 in zip(grid, grid[1:])):
             raise ValueError("atom locations must be strictly increasing")
-        if any(m <= 0 for _, m in atoms):
+        masses = [m for _, m in atoms]
+        if any(m.numerator <= 0 for m in masses):
             raise ValueError("atom masses must be positive")
-        if sum(m for _, m in atoms) != 1:
+        den = math.lcm(*(m.denominator for m in masses))
+        if sum(_scaled(masses, den)) != den:
             raise ValueError("atom masses must total 1")
 
     def cdf(self, x) -> Fraction:
@@ -269,7 +282,9 @@ class CanonicalPair:
         object.__setattr__(self, "nu", nu)
 
     @classmethod
+    @cache
     def lebesgue(cls) -> "CanonicalPair":
+        """The pair of the base chain; pairs are immutable, so one instance serves every call."""
         return cls(StepMeasure.lebesgue(), StepMeasure.lebesgue())
 
     @classmethod
@@ -328,12 +343,9 @@ class AtomicPair:
 
     def _atoms(self, letter: str) -> AtomicMeasure:
         n = self.size
+        mass = Fraction(1, n)
         return AtomicMeasure(
-            tuple(
-                (Fraction(i + 1, 2 * n), Fraction(1, n))
-                for i, ch in enumerate(self.word)
-                if ch == letter
-            )
+            tuple((Fraction(i + 1, 2 * n), mass) for i, ch in enumerate(self.word) if ch == letter)
         )
 
     @property
@@ -374,45 +386,92 @@ def interleave_pattern(xs, ys) -> str:
     return "".join(t for _, t in tagged)
 
 
-def _step_pattern_prob(pair: CanonicalPair, w: str) -> Fraction:
-    """Exact interleaving probability for a diffuse canonical pair.
+def _integer_masses(pair: CanonicalPair) -> tuple[int, list[int], list[int]]:
+    """(D, P, Q): the cell masses of mu and nu as P_k / D and Q_k / D."""
+    mu_masses, nu_masses = pair.mu.cell_masses(), pair.nu.cell_masses()
+    den = math.lcm(*(x.denominator for x in mu_masses + nu_masses))
+    return den, _scaled(mu_masses, den), _scaled(nu_masses, den)
 
-    Conditioning on how many points land in each density cell reduces the
-    event to a product over cells: within a cell the points are uniform, so
-    a block with i a's and j b's matches its piece of w with probability
-    1/C(i+j, i).  Folding the multinomial coefficients gives
 
-        P = m!^2 * sum over cuts of w into per-cell blocks of
-            prod_k mu(I_k)^{i_k} * nu(I_k)^{j_k} / (i_k + j_k)!
+class _StepTrie:
+    """The integer step DP over the prefix trie of balanced words.
 
-    evaluated by dynamic programming over (cell, consumed prefix of w).
+    Conditioning on how many of the 2m draws land in each density cell (the
+    draws within a cell are uniform, so every order of a cell's block is
+    equally likely) gives, with the cell masses written P_k / D and Q_k / D,
+
+        P(w) = m!^2 * G_K(w) / ((2m)! * D^(2m)),
+        G_k(x) = sum_{s=0}^{|x|} C(|x|, s) * G_{k-1}(x[:s]) * P_k^#a(x[s:]) * Q_k^#b(x[s:]),
+
+    with G_0 the indicator of the empty word.  Every term is an integer.
+    ``node`` computes the vector (G_0(x), ..., G_K(x)) from the vectors of
+    the proper prefixes of x, so a walk down the trie computes each prefix
+    once for every word below it.
     """
-    m = word_size(w)
-    mu_masses = pair.mu.cell_masses()
-    nu_masses = pair.nu.cell_masses()
-    length = 2 * m
-    # state[pos] = sum over ways of placing w[pos:] into the remaining cells
-    state = [Fraction(0)] * (length + 1)
-    state[length] = Fraction(1)
-    for mu_m, nu_m in zip(reversed(mu_masses), reversed(nu_masses)):
-        nxt = [Fraction(0)] * (length + 1)
-        for pos in range(length + 1):
-            acc = Fraction(0)
-            n_a = n_b = 0
-            weight = Fraction(1)
-            for end in range(pos, length + 1):
-                if end > pos:
-                    if w[end - 1] == "a":
-                        n_a += 1
-                        weight = weight * mu_m
-                    else:
-                        n_b += 1
-                        weight = weight * nu_m
-                if state[end]:
-                    acc += weight / math.factorial(end - pos) * state[end]
-            nxt[pos] = acc
-        state = nxt
-    return Fraction(math.factorial(m) ** 2) * state[0]
+
+    def __init__(self, pair: CanonicalPair, m: int):
+        self.m = m
+        self.den, p_masses, q_masses = _integer_masses(pair)
+        self.monomials = []  # monomials[k][i][j] = P_k^i * Q_k^j
+        for pk, qk in zip(p_masses, q_masses):
+            q_powers = [qk**j for j in range(m + 1)]
+            self.monomials.append([[pk**i * qj for qj in q_powers] for i in range(m + 1)])
+        self.binomials = [[math.comb(n, s) for s in range(n)] for n in range(2 * m + 1)]
+        self.root = (0, 0, [1] * (len(self.monomials) + 1))
+
+    def node(self, path: list[tuple[int, int, list[int]]], n_a: int, n_b: int) -> tuple[int, int, list[int]]:
+        """The trie node with n_a a's and n_b b's below the prefixes in ``path``."""
+        weights = [0]
+        binomials = self.binomials[len(path)]
+        for k, monomial in enumerate(self.monomials):
+            acc = weights[k]  # s = |x|: the node itself, one cell earlier
+            for c, (a, b, prefix) in zip(binomials, path):
+                if prefix[k]:
+                    acc += c * prefix[k] * monomial[n_a - a][n_b - b]
+            weights.append(acc)
+        return n_a, n_b, weights
+
+    def prob(self, weights: list[int]) -> Fraction:
+        m = self.m
+        return Fraction(
+            math.factorial(m) ** 2 * weights[-1],
+            math.factorial(2 * m) * self.den ** (2 * m),
+        )
+
+    def word_prob(self, w: str) -> Fraction:
+        """P(w) along the single trie path of w."""
+        path = [self.root]
+        n_a = n_b = 0
+        for ch in w:
+            if ch == "a":
+                n_a += 1
+            else:
+                n_b += 1
+            path.append(self.node(path, n_a, n_b))
+        return self.prob(path[-1][2])
+
+    def distribution(self) -> dict[str, Fraction]:
+        """P(w) for every w in W_m, by a depth-first walk of the trie."""
+        m = self.m
+        out: dict[str, Fraction] = {}
+        path = [self.root]
+        letters: list[str] = []
+
+        def walk() -> None:
+            n_a, n_b, weights = path[-1]
+            if n_a == n_b == m:
+                out["".join(letters)] = self.prob(weights)
+                return
+            for ch, a, b in (("a", n_a + 1, n_b), ("b", n_a, n_b + 1)):
+                if a <= m and b <= m:
+                    path.append(self.node(path, a, b))
+                    letters.append(ch)
+                    walk()
+                    letters.pop()
+                    path.pop()
+
+        walk()
+        return out
 
 
 def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
@@ -427,9 +486,8 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     """
     m = word_size(w)
     if isinstance(pair, CanonicalPair):
-        if m > STEP_PATTERN_CAP:
-            raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
-        return _step_pattern_prob(pair, w)
+        _check_step_cap(m)
+        return _StepTrie(pair, m).word_prob(w)
     if isinstance(pair, AtomicPair):
         n = pair.size  # mu and nu each have one atom per letter of their kind
         if m > n:
@@ -438,9 +496,22 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
 
+def _check_step_cap(m: int) -> None:
+    if m > STEP_PATTERN_CAP:
+        raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
+
+
 def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
-    """pattern_prob_exact over all of W_m, in lexicographic order."""
-    return {w: pattern_prob_exact(pair, w) for w in enumerate_balanced(m)}
+    """pattern_prob_exact over all of W_m, in lexicographic order.
+
+    A step pair shares the integer DP across W_m by walking the prefix trie.
+    """
+    words = enumerate_balanced(m)
+    if isinstance(pair, CanonicalPair):
+        _check_step_cap(m)
+        probs = _StepTrie(pair, m).distribution()
+        return {w: probs[w] for w in words}
+    return {w: pattern_prob_exact(pair, w) for w in words}
 
 
 @dataclass(frozen=True)
@@ -636,62 +707,67 @@ def sample_measure(measure, rng: random.Random):
     raise TypeError(f"cannot sample from {type(measure).__name__}")
 
 
-def _cdf_evaluator(measure):
-    """(points, cdf, mass_at) with cdf using a precomputed prefix table."""
+def _knots(measure) -> list[Fraction]:
+    """Points where the CDF of a measure on [0, 1] bends or jumps."""
     if isinstance(measure, StepMeasure):
-        lo, hi = measure.support
-        if lo < 0 or hi > 1:
-            raise ValueError("weak_distance expects measures supported in [0,1]")
-        bps = measure.breakpoints
-        cum = [Fraction(0)]
-        for mass in measure.cell_masses():
-            cum.append(cum[-1] + mass)
+        knots = list(measure.breakpoints)
+    elif isinstance(measure, AtomicMeasure):
+        knots = [loc for loc, _ in measure.atoms]
+    else:
+        raise TypeError(f"no exact CDF for {type(measure).__name__}")
+    if knots[0] < 0 or knots[-1] > 1:
+        raise ValueError("weak_distance expects measures supported in [0,1]")
+    return knots
 
-        def cdf(x: Fraction) -> Fraction:
-            if x <= bps[0]:
-                return Fraction(0)
-            if x >= bps[-1]:
-                return Fraction(1)
-            k = bisect.bisect_right(bps, x) - 1
-            return cum[k] + measure.densities[k] * (x - bps[k])
 
-        return bps, cdf, lambda x: Fraction(0)
-
+def _grid_cdf(measure, grid: int, points: list[int]) -> tuple[int, list[int], list[int]]:
+    """(E, right, left): E times the CDF at each point X / grid, and at its left limit."""
+    knots = _scaled(_knots(measure), grid)
     if isinstance(measure, AtomicMeasure):
-        locs = [loc for loc, _ in measure.atoms]
-        if locs[0] < 0 or locs[-1] > 1:
-            raise ValueError("weak_distance expects measures supported in [0,1]")
-        cum = [Fraction(0)]
-        for _, mass in measure.atoms:
-            cum.append(cum[-1] + mass)
+        masses = [mass for _, mass in measure.atoms]
+        den = math.lcm(*(x.denominator for x in masses))
+        cum = list(itertools.accumulate(_scaled(masses, den), initial=0))
+        return (
+            den,
+            [cum[bisect.bisect_right(knots, x)] for x in points],
+            [cum[bisect.bisect_left(knots, x)] for x in points],
+        )
+    masses = measure.cell_masses()
+    den = grid * math.lcm(*(x.denominator for x in masses + measure.densities))
+    cum = list(itertools.accumulate(_scaled(masses, den), initial=0))
+    slopes = _scaled(measure.densities, den // grid)
 
-        def cdf(x: Fraction) -> Fraction:
-            return cum[bisect.bisect_right(locs, x)]
+    def value(x: int) -> int:
+        if x <= knots[0]:
+            return 0
+        if x >= knots[-1]:
+            return den
+        k = bisect.bisect_right(knots, x) - 1
+        return cum[k] + slopes[k] * (x - knots[k])
 
-        def mass_at(x: Fraction) -> Fraction:
-            k = bisect.bisect_left(locs, x)
-            if k < len(locs) and locs[k] == x:
-                return measure.atoms[k][1]
-            return Fraction(0)
-
-        return locs, cdf, mass_at
-
-    raise TypeError(f"no exact CDF for {type(measure).__name__}")
+    right = [value(x) for x in points]
+    return den, right, right
 
 
 def weak_distance(p, q) -> float:
     """Kolmogorov distance sup_x |F_p(x) - F_q(x)| for measures on [0,1].
 
     Both CDFs are piecewise linear between breakpoints and atoms, so the
-    supremum is attained at one of those points or at a left limit there;
-    the candidates are evaluated exactly and the maximum returned as float.
+    supremum is attained at one of those points or at a left limit there.
+    Every candidate point is an integer on the grid 1/L of the common
+    denominator L, and every CDF value there an integer over one
+    denominator, so the candidates are compared exactly in integers and
+    the maximum returned as float.
     """
-    points_p, cdf_p, jump_p = _cdf_evaluator(p)
-    points_q, cdf_q, jump_q = _cdf_evaluator(q)
-    candidates = {Fraction(0), Fraction(1)} | set(points_p) | set(points_q)
-    best = Fraction(0)
-    for x in candidates:
-        fp, jp = cdf_p(x), jump_p(x)
-        fq, jq = cdf_q(x), jump_q(x)
-        best = max(best, abs(fp - fq), abs((fp - jp) - (fq - jq)))
-    return float(best)
+    knots = _knots(p) + _knots(q)
+    grid = math.lcm(*(x.denominator for x in knots))
+    points = sorted({0, grid, *_scaled(knots, grid)})
+    den_p, right_p, left_p = _grid_cdf(p, grid, points)
+    den_q, right_q, left_q = _grid_cdf(q, grid, points)
+    den = math.lcm(den_p, den_q)
+    sp, sq = den // den_p, den // den_q
+    best = max(
+        max(abs(fp * sp - fq * sq) for fp, fq in zip(right_p, right_q)),
+        max(abs(fp * sp - fq * sq) for fp, fq in zip(left_p, left_q)),
+    )
+    return best / den

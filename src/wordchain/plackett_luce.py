@@ -50,11 +50,23 @@ def suffix_counts(u: str) -> list[tuple[int, int]]:
     return counts[::-1]
 
 
-def _suffix_product(rates: RatePair, u: str) -> Fraction:
-    return math.prod(
-        (a * rates.alpha + b * rates.beta for a, b in suffix_counts(u)),
-        start=Fraction(1),
-    )
+def _suffix_product(rates: RatePair, u: str) -> int:
+    """prod_i (A_i alpha + B_i beta) * (qs)^|u| for alpha = p/q and beta = r/s.
+
+    Each factor (A_i p s + B_i r q) / (qs) is an integer over qs, so the
+    product runs in integers and the caller divides by (qs)^|u| once.
+    """
+    p, q = rates.alpha.as_integer_ratio()
+    r, s = rates.beta.as_integer_ratio()
+    ps, rq = p * s, r * q
+    return math.prod(a * ps + b * rq for a, b in suffix_counts(u))
+
+
+def _rate_products(rates: RatePair) -> tuple[int, int]:
+    """(pr, qs): the numerator and denominator of alpha * beta, unreduced."""
+    p, q = rates.alpha.as_integer_ratio()
+    r, s = rates.beta.as_integer_ratio()
+    return p * r, q * s
 
 
 def pl_word_prob(rates: RatePair, u: str) -> Fraction:
@@ -63,8 +75,8 @@ def pl_word_prob(rates: RatePair, u: str) -> Fraction:
     Sums to 1 over W_n; for equal rates every word gets 1 / C(2n, n).
     """
     n = word_size(u)
-    num = Fraction(math.factorial(n) ** 2) * rates.alpha**n * rates.beta**n
-    return num / _suffix_product(rates, u)
+    pr, qs = _rate_products(rates)
+    return Fraction(math.factorial(n) ** 2 * (pr * qs) ** n, _suffix_product(rates, u))
 
 
 def pl_harmonic(rates: RatePair, w: str) -> Fraction:
@@ -74,8 +86,8 @@ def pl_harmonic(rates: RatePair, w: str) -> Fraction:
     when the rates are equal.
     """
     m = word_size(w)
-    num = Fraction(math.factorial(2 * m)) * rates.alpha**m * rates.beta**m
-    return num / _suffix_product(rates, w)
+    pr, qs = _rate_products(rates)
+    return Fraction(math.factorial(2 * m) * (pr * qs) ** m, _suffix_product(rates, w))
 
 
 def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
@@ -87,8 +99,9 @@ def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
     n = word_size(u)
     if word_size(v) != n + 1:
         raise SizeMismatchError(f"transition needs sizes (n, n+1), got ({n}, {word_size(v)})")
-    num = subword_count(v, u) * rates.alpha * rates.beta * _suffix_product(rates, u)
-    return num / _suffix_product(rates, v)
+    pr, qs = _rate_products(rates)
+    num = subword_count(v, u) * pr * qs * _suffix_product(rates, u)
+    return Fraction(num, _suffix_product(rates, v))
 
 
 def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequential") -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bridges import harmonic_h
-from .errors import CapExceededError
+from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
 from .plackett_luce import RatePair, pl_harmonic, pl_transition, pl_word_prob
@@ -124,7 +124,7 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
     """
     n = word_size(y)
     if m > n:
-        raise CapExceededError(f"pattern size {m} exceeds word size {n}")
+        raise SizeMismatchError(f"pattern size {m} exceeds word size {n}")
 
     def run(res: CheckResult) -> None:
         pair = empirical_pair(y)

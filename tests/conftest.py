@@ -1,12 +1,15 @@
 """Shared helpers: chi-square criticals, random canonical pairs, oracles."""
 
+import bisect
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from scipy import stats
 
-from wordchain.measures import CanonicalPair, StepMeasure
+from wordchain.measures import AtomicMeasure, CanonicalPair, StepMeasure
+from wordchain.words import word_size
 
 
 def chi2_critical(cells: int, level: float = 0.01) -> float:
@@ -51,6 +54,75 @@ def random_canonical_pair(rng: random.Random, cells: int = 3) -> CanonicalPair:
             break
     mu = StepMeasure(bps, tuple(densities))
     return CanonicalPair.from_mu(mu)
+
+
+def step_pattern_oracle(pair: CanonicalPair, w: str) -> Fraction:
+    """Interleaving probability of w by the Fraction DP over (cell, suffix).
+
+    Conditioning on how many points land in each density cell reduces the
+    event to a product over cells: within a cell the points are uniform, so
+    a block with i a's and j b's matches its piece of w with probability
+    1/C(i+j, i).  Folding the multinomial coefficients gives
+
+        P = m!^2 * sum over cuts of w into per-cell blocks of
+            prod_k mu(I_k)^{i_k} * nu(I_k)^{j_k} / (i_k + j_k)!
+
+    evaluated cell by cell from the last, in rationals throughout.
+    """
+    m = word_size(w)
+    length = 2 * m
+    # state[pos] = sum over ways of placing w[pos:] into the remaining cells
+    state = [Fraction(0)] * (length + 1)
+    state[length] = Fraction(1)
+    for mu_m, nu_m in zip(reversed(pair.mu.cell_masses()), reversed(pair.nu.cell_masses())):
+        nxt = [Fraction(0)] * (length + 1)
+        for pos in range(length + 1):
+            acc = Fraction(0)
+            weight = Fraction(1)
+            for end in range(pos, length + 1):
+                if end > pos:
+                    weight *= mu_m if w[end - 1] == "a" else nu_m
+                if state[end]:
+                    acc += weight / math.factorial(end - pos) * state[end]
+            nxt[pos] = acc
+        state = nxt
+    return math.factorial(m) ** 2 * state[0]
+
+
+def _fraction_cdf(measure):
+    """(knots, cdf, jump) of a step or atomic measure, all in Fractions."""
+    if isinstance(measure, StepMeasure):
+        bps = measure.breakpoints
+        cum = [Fraction(0)]
+        for mass in measure.cell_masses():
+            cum.append(cum[-1] + mass)
+
+        def cdf(x):
+            if x <= bps[0]:
+                return Fraction(0)
+            if x >= bps[-1]:
+                return Fraction(1)
+            k = bisect.bisect_right(bps, x) - 1
+            return cum[k] + measure.densities[k] * (x - bps[k])
+
+        return bps, cdf, lambda x: Fraction(0)
+    assert isinstance(measure, AtomicMeasure)
+    return (
+        [loc for loc, _ in measure.atoms],
+        lambda x: sum((m for loc, m in measure.atoms if loc <= x), Fraction(0)),
+        lambda x: sum((m for loc, m in measure.atoms if loc == x), Fraction(0)),
+    )
+
+
+def weak_distance_oracle(p, q) -> Fraction:
+    """sup |F_p - F_q| over every knot and its left limit, in Fractions."""
+    knots_p, cdf_p, jump_p = _fraction_cdf(p)
+    knots_q, cdf_q, jump_q = _fraction_cdf(q)
+    best = Fraction(0)
+    for x in {Fraction(0), Fraction(1), *knots_p, *knots_q}:
+        fp, fq = cdf_p(x), cdf_q(x)
+        best = max(best, abs(fp - fq), abs((fp - jump_p(x)) - (fq - jump_q(x))))
+    return best
 
 
 @pytest.fixture

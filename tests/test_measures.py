@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_canonical_pair
-from wordchain.errors import CapExceededError
+from conftest import random_canonical_pair, step_pattern_oracle, weak_distance_oracle
+from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.measures import (
     AtomicMeasure,
     AtomicPair,
@@ -129,6 +129,25 @@ class TestPatternExact:
                 total = sum(pattern_distribution(pair, m).values())
                 assert total == 1, (name, m)
 
+    def test_distribution_matches_fraction_oracle(self):
+        seed_rng = random.Random(61)
+        pairs = list(fixture_pairs().values())
+        pairs += [random_canonical_pair(seed_rng, cells=c) for c in (2, 3, 4)]
+        for pair in pairs:
+            for m in range(6):
+                law = pattern_distribution(pair, m)
+                assert list(law) == enumerate_balanced(m)
+                assert law == {w: step_pattern_oracle(pair, w) for w in law}
+
+    def test_single_word_matches_fraction_oracle_at_cap(self):
+        seed_rng = random.Random(62)
+        pairs = list(fixture_pairs().values())
+        pairs += [random_canonical_pair(seed_rng, cells=c) for c in (3, 6, 8)]
+        words = enumerate_balanced(6)
+        for pair in pairs:
+            for w in seed_rng.sample(words, 4) + ["a" * 6 + "b" * 6, "b" * 6 + "a" * 6]:
+                assert pattern_prob_exact(pair, w) == step_pattern_oracle(pair, w)
+
     def test_atomic_normalization_is_distinctness_probability(self):
         for y in ["abab", "aabbab", "babaab"]:
             n = word_size(y)
@@ -244,7 +263,7 @@ class TestEmpiricalIdentity:
                     assert dist[w] == closed == pattern_prob_exact(pair, w), (y, w)
 
     def test_m_too_large(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(SizeMismatchError):
             empirical_identity_check("ab", 2)
 
 
@@ -368,3 +387,32 @@ class TestWeakDistance:
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
             weak_distance(StepMeasure.uniform_on(0, 2), StepMeasure.lebesgue())
+
+    def test_atoms_on_a_breakpoint(self):
+        # the atoms of ab, ba and aabb sit on 1/2, the breakpoint of separated
+        pair = separated_pair()
+        expected = {"ab": (1.0, 1.0), "ba": (1.0, 1.0), "aabb": (0.5, 0.5), "abab": (0.5, 0.5)}
+        for y, (d_mu, d_nu) in expected.items():
+            emp = empirical_pair(y)
+            for p, q, d in ((emp.mu, pair.mu, d_mu), (emp.nu, pair.nu, d_nu)):
+                assert weak_distance(p, q) == d == float(weak_distance_oracle(p, q))
+                assert weak_distance(q, p) == d
+
+    def test_matches_fraction_oracle(self):
+        seed_rng = random.Random(63)
+        pairs = list(fixture_pairs().values())
+        pairs += [random_canonical_pair(seed_rng, cells=c) for c in (2, 5, 7)]
+        for k in range(40):
+            size = seed_rng.randint(1, 40)
+            letters = list("ab" * size)
+            seed_rng.shuffle(letters)
+            emp = empirical_pair("".join(letters))
+            pair, other = pairs[k % len(pairs)], seed_rng.choice(pairs)
+            for p, q in (
+                (emp.mu, pair.mu),
+                (emp.nu, pair.nu),
+                (emp.mu, emp.nu),
+                (pair.mu, other.nu),
+                (emp.average, pair.nu),
+            ):
+                assert weak_distance(p, q) == float(weak_distance_oracle(p, q))

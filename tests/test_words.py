@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from wordchain.errors import CapExceededError
 from wordchain.words import (
     build_count_matrices,
+    check_word,
     delete_pair,
     display_word,
     enumerate_balanced,
@@ -62,6 +64,45 @@ class TestSubwordCount:
                     for v in enumerate_words(q):
                         assert subword_count(w, v) == brute_force_count(w, v)
 
+    def test_matches_selection_counts_up_to_length_10(self):
+        # every pair |w| <= 10, |v| <= 8, uncached, against counted selections
+        short = [v for q in range(9) for v in enumerate_words(q)]
+        for p in range(11):
+            for w in enumerate_words(p):
+                selections = Counter(
+                    "".join(w[i] for i in positions)
+                    for q in range(min(p, 8) + 1)
+                    for positions in itertools.combinations(range(p), q)
+                )
+                counts = list(map(subword_count.__wrapped__, itertools.repeat(w), short))
+                assert counts == [selections[v] for v in short], w
+
+    def test_long_successors_match_insertion_counts(self):
+        # M(v, w) = binom(w, v): counting insertion pairs is a second oracle
+        seed_rng = random.Random(64)
+        for size in (1, 7, 60, 150):
+            letters = list("ab" * size)
+            seed_rng.shuffle(letters)
+            v = "".join(letters)
+            inserted = successors(v)
+            targets = sorted(inserted)
+            for w in targets if len(targets) <= 5000 else seed_rng.sample(targets, 300):
+                assert subword_count(w, v) == inserted[w]
+
+    def test_wide_gap_on_long_words(self):
+        seed_rng = random.Random(65)
+        for size, sub in ((400, 40), (400, 3), (300, 270)):
+            letters = list("ab" * size)
+            seed_rng.shuffle(letters)
+            w = "".join(letters)
+            v = random_subword(w, sub, seed_rng)
+            expected = [1] + [0] * len(v)  # the plain O(|w| * |v|) DP
+            for ch in w:
+                for j in range(len(v), 0, -1):
+                    if v[j - 1] == ch:
+                        expected[j] += expected[j - 1]
+            assert subword_count(w, v) == expected[-1]
+
     @given(words_st, words_st, st.sampled_from("ab"), st.sampled_from("ab"))
     @settings(max_examples=300)
     def test_recurrence_property(self, w, v, x, y):
@@ -76,6 +117,14 @@ class TestSubwordCount:
     def test_rejects_bad_letters(self):
         with pytest.raises(ValueError):
             subword_count("abc", "a")
+
+    def test_bad_letter_message_names_the_first(self):
+        for w, first in (("abcab", "c"), ("dabc", "d"), ("ab ", " "), ("xyz", "x")):
+            with pytest.raises(ValueError) as err:
+                check_word(w)
+            assert str(err.value) == f"invalid letter {first!r} in word {w!r}"
+        with pytest.raises(TypeError):
+            check_word(["a"])
 
 
 class TestEnumeration:
