@@ -405,31 +405,30 @@ class _StepTrie:
 
     with G_0 the indicator of the empty word.  Every term is an integer.
     ``node`` computes the vector (G_0(x), ..., G_K(x)) from the vectors of
-    the proper prefixes of x, so a walk down the trie computes each prefix
-    once for every word below it.
+    the proper prefixes of x, summing over s by Horner's rule (one
+    multiplication by a single cell mass per prefix), so a walk down the
+    trie computes each prefix once for every word below it.
     """
 
     def __init__(self, pair: CanonicalPair, m: int):
         self.m = m
         self.den, p_masses, q_masses = _integer_masses(pair)
-        self.monomials = []  # monomials[k][i][j] = P_k^i * Q_k^j
-        for pk, qk in zip(p_masses, q_masses):
-            q_powers = [qk**j for j in range(m + 1)]
-            self.monomials.append([[pk**i * qj for qj in q_powers] for i in range(m + 1)])
-        self.binomials = [[math.comb(n, s) for s in range(n)] for n in range(2 * m + 1)]
-        self.root = (0, 0, [1] * (len(self.monomials) + 1))
+        self.masses = [{"a": pk, "b": qk} for pk, qk in zip(p_masses, q_masses)]
+        self.binomials = [[math.comb(n, s) for s in range(n + 1)] for n in range(2 * m + 1)]
+        self.root = [1] * (len(self.masses) + 1)
 
-    def node(self, path: list[tuple[int, int, list[int]]], n_a: int, n_b: int) -> tuple[int, int, list[int]]:
-        """The trie node with n_a a's and n_b b's below the prefixes in ``path``."""
+    def node(self, path: list[list[int]], x: str) -> list[int]:
+        """G_0(x), ..., G_K(x), given ``path``: the vectors of x[:0], ..., x[:-1]."""
+        binomials = self.binomials[len(x)]
         weights = [0]
-        binomials = self.binomials[len(path)]
-        for k, monomial in enumerate(self.monomials):
-            acc = weights[k]  # s = |x|: the node itself, one cell earlier
-            for c, (a, b, prefix) in zip(binomials, path):
-                if prefix[k]:
-                    acc += c * prefix[k] * monomial[n_a - a][n_b - b]
-            weights.append(acc)
-        return n_a, n_b, weights
+        for k, mass in enumerate(self.masses):
+            # Horner over s: after step s, acc holds the terms s' <= s, each
+            # times the masses of the letters x[s'], ..., x[s] in this cell
+            acc = 0
+            for c, prefix, letter in zip(binomials, path, x):
+                acc = (acc + c * prefix[k]) * mass[letter]
+            weights.append(acc + weights[k])  # s = |x|: x itself, one cell earlier
+        return weights
 
     def prob(self, weights: list[int]) -> Fraction:
         m = self.m
@@ -441,36 +440,27 @@ class _StepTrie:
     def word_prob(self, w: str) -> Fraction:
         """P(w) along the single trie path of w."""
         path = [self.root]
-        n_a = n_b = 0
-        for ch in w:
-            if ch == "a":
-                n_a += 1
-            else:
-                n_b += 1
-            path.append(self.node(path, n_a, n_b))
-        return self.prob(path[-1][2])
+        for size in range(1, len(w) + 1):
+            path.append(self.node(path, w[:size]))
+        return self.prob(path[-1])
 
     def distribution(self) -> dict[str, Fraction]:
         """P(w) for every w in W_m, by a depth-first walk of the trie."""
         m = self.m
         out: dict[str, Fraction] = {}
         path = [self.root]
-        letters: list[str] = []
 
-        def walk() -> None:
-            n_a, n_b, weights = path[-1]
+        def walk(x: str, n_a: int, n_b: int) -> None:
             if n_a == n_b == m:
-                out["".join(letters)] = self.prob(weights)
+                out[x] = self.prob(path[-1])
                 return
-            for ch, a, b in (("a", n_a + 1, n_b), ("b", n_a, n_b + 1)):
+            for child, a, b in ((x + "a", n_a + 1, n_b), (x + "b", n_a, n_b + 1)):
                 if a <= m and b <= m:
-                    path.append(self.node(path, a, b))
-                    letters.append(ch)
-                    walk()
-                    letters.pop()
+                    path.append(self.node(path, child))
+                    walk(child, a, b)
                     path.pop()
 
-        walk()
+        walk("", 0, 0)
         return out
 
 
@@ -720,9 +710,12 @@ def _knots(measure) -> list[Fraction]:
     return knots
 
 
-def _grid_cdf(measure, grid: int, points: list[int]) -> tuple[int, list[int], list[int]]:
-    """(E, right, left): E times the CDF at each point X / grid, and at its left limit."""
-    knots = _scaled(_knots(measure), grid)
+def _grid_cdf(measure, knots: list[int], grid: int, points: list[int]) -> tuple[int, list[int], list[int]]:
+    """(E, right, left): E times the CDF at each point X / grid, and at its left limit.
+
+    ``knots`` are the measure's knots and ``points`` the sorted candidates,
+    both as integers on the grid.
+    """
     if isinstance(measure, AtomicMeasure):
         masses = [mass for _, mass in measure.atoms]
         den = math.lcm(*(x.denominator for x in masses))
@@ -759,11 +752,12 @@ def weak_distance(p, q) -> float:
     denominator, so the candidates are compared exactly in integers and
     the maximum returned as float.
     """
-    knots = _knots(p) + _knots(q)
-    grid = math.lcm(*(x.denominator for x in knots))
-    points = sorted({0, grid, *_scaled(knots, grid)})
-    den_p, right_p, left_p = _grid_cdf(p, grid, points)
-    den_q, right_q, left_q = _grid_cdf(q, grid, points)
+    knots_p, knots_q = _knots(p), _knots(q)
+    grid = math.lcm(*(x.denominator for x in knots_p + knots_q))
+    knots_p, knots_q = _scaled(knots_p, grid), _scaled(knots_q, grid)
+    points = sorted({0, grid, *knots_p, *knots_q})
+    den_p, right_p, left_p = _grid_cdf(p, knots_p, grid, points)
+    den_q, right_q, left_q = _grid_cdf(q, knots_q, grid, points)
     den = math.lcm(den_p, den_q)
     sp, sq = den // den_p, den // den_q
     best = max(

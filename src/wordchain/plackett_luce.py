@@ -50,23 +50,16 @@ def suffix_counts(u: str) -> list[tuple[int, int]]:
     return counts[::-1]
 
 
-def _suffix_product(rates: RatePair, u: str) -> int:
-    """prod_i (A_i alpha + B_i beta) * (qs)^|u| for alpha = p/q and beta = r/s.
-
-    Each factor (A_i p s + B_i r q) / (qs) is an integer over qs, so the
-    product runs in integers and the caller divides by (qs)^|u| once.
-    """
+def _scaled_rates(rates: RatePair) -> tuple[int, int]:
+    """(alpha * qs, beta * qs) = (ps, rq) for alpha = p/q and beta = r/s."""
     p, q = rates.alpha.as_integer_ratio()
     r, s = rates.beta.as_integer_ratio()
-    ps, rq = p * s, r * q
+    return p * s, r * q
+
+
+def _suffix_product(ps: int, rq: int, u: str) -> int:
+    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq."""
     return math.prod(a * ps + b * rq for a, b in suffix_counts(u))
-
-
-def _rate_products(rates: RatePair) -> tuple[int, int]:
-    """(pr, qs): the numerator and denominator of alpha * beta, unreduced."""
-    p, q = rates.alpha.as_integer_ratio()
-    r, s = rates.beta.as_integer_ratio()
-    return p * r, q * s
 
 
 def pl_word_prob(rates: RatePair, u: str) -> Fraction:
@@ -75,8 +68,8 @@ def pl_word_prob(rates: RatePair, u: str) -> Fraction:
     Sums to 1 over W_n; for equal rates every word gets 1 / C(2n, n).
     """
     n = word_size(u)
-    pr, qs = _rate_products(rates)
-    return Fraction(math.factorial(n) ** 2 * (pr * qs) ** n, _suffix_product(rates, u))
+    ps, rq = _scaled_rates(rates)
+    return Fraction(math.factorial(n) ** 2 * (ps * rq) ** n, _suffix_product(ps, rq, u))
 
 
 def pl_harmonic(rates: RatePair, w: str) -> Fraction:
@@ -86,8 +79,8 @@ def pl_harmonic(rates: RatePair, w: str) -> Fraction:
     when the rates are equal.
     """
     m = word_size(w)
-    pr, qs = _rate_products(rates)
-    return Fraction(math.factorial(2 * m) * (pr * qs) ** m, _suffix_product(rates, w))
+    ps, rq = _scaled_rates(rates)
+    return Fraction(math.factorial(2 * m) * (ps * rq) ** m, _suffix_product(ps, rq, w))
 
 
 def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
@@ -99,9 +92,9 @@ def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
     n = word_size(u)
     if word_size(v) != n + 1:
         raise SizeMismatchError(f"transition needs sizes (n, n+1), got ({n}, {word_size(v)})")
-    pr, qs = _rate_products(rates)
-    num = subword_count(v, u) * pr * qs * _suffix_product(rates, u)
-    return Fraction(num, _suffix_product(rates, v))
+    ps, rq = _scaled_rates(rates)
+    num = subword_count(v, u) * ps * rq * _suffix_product(ps, rq, u)
+    return Fraction(num, _suffix_product(ps, rq, v))
 
 
 def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequential") -> str:
