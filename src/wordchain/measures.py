@@ -67,8 +67,8 @@ class StepMeasure:
     densities: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(map(_as_fraction, self.breakpoints))
-        dens = tuple(map(_as_fraction, self.densities))
+        bps = tuple(Fraction(b) for b in self.breakpoints)
+        dens = tuple(Fraction(d) for d in self.densities)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
         if len(bps) < 2 or len(dens) != len(bps) - 1:
@@ -464,6 +464,11 @@ class _StepTrie:
         return out
 
 
+def _check_step_cap(m: int) -> None:
+    if m > STEP_PATTERN_CAP:
+        raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
+
+
 def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     """P{m draws from mu and m draws from nu interleave as w}, exactly.
 
@@ -484,11 +489,6 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
             raise SizeMismatchError(f"cannot select {m} atoms from measures of {n} atoms each")
         return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), n ** (2 * m))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
-
-
-def _check_step_cap(m: int) -> None:
-    if m > STEP_PATTERN_CAP:
-        raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
 
 
 def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:

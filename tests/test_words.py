@@ -89,7 +89,7 @@ class TestSubwordCount:
             for w in targets if len(targets) <= 5000 else seed_rng.sample(targets, 300):
                 assert subword_count(w, v) == inserted[w]
 
-    def test_wide_gap_on_long_words(self):
+    def test_long_words_match_full_dp(self):
         seed_rng = random.Random(65)
         for size, sub in ((400, 40), (400, 3), (300, 270)):
             letters = list("ab" * size)
