@@ -25,6 +25,11 @@ MC_CASES = {
         ["pattern-prob", "--word-pair", "aabbab", "--word", "ab", "--trials", "5", "--seed", "6"],
         "e3dd57420d1f3344d7473a088fd385d9f678a14d53520b8aeef51634f6e75596",
     ),
+    "pattern-prob-mc-word-pair-200": (
+        ["pattern-prob", "--word-pair", "{word_pair}", "--word", "abab", "--trials", "2003",
+         "--seed", "2"],
+        "5f12a95aaa3f95c00ca83fa54c1d04b24ae5230208198e716ba03dfa66c01630",
+    ),
     "orders-d-pair": (
         ["orders", "--stat", "d", "--x", "a1", "--y", "b1", "--depth", "40", "--trials", "203",
          "--pair", "{pair}", "--seed", "3"],
@@ -163,7 +168,10 @@ def files(tmp_path):
     pair.write_text(json.dumps(fixture_pairs()["three-cell"].to_json()))
     seq = tmp_path / "seq.txt"
     seq.write_text("aabbab\nabaabbab\nababaabbab\n")
-    targets = {name: _shuffled(size, size) for name, size in (("target", 300), ("target2000", 2000))}
+    targets = {
+        name: _shuffled(size, size)
+        for name, size in (("word_pair", 200), ("target", 300), ("target2000", 2000))
+    }
     long_words = _long_words()
     long_seq = tmp_path / "long_seq.txt"
     long_seq.write_text(long_words.pop("long_seq"))
