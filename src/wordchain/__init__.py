@@ -37,7 +37,6 @@ from .measures import (
     fixture_pairs,
     pattern_prob_exact,
     pattern_prob_mc,
-    sample_measure,
     weak_distance,
 )
 from .orders import (
@@ -52,15 +51,6 @@ from .orders import (
 from .plackett_luce import RatePair, pl_harmonic, pl_sample, pl_transition, pl_word_prob
 from .rng import derive_rng
 from .verify import bridge_conditional_check, empirical_identity_check
-from .words import (
-    CountMatrix,
-    build_count_matrices,
-    enumerate_balanced,
-    matrix_exp_nilpotent,
-    random_subword,
-    subword_count,
-    successors,
-    word_size,
-)
+from .words import enumerate_balanced, random_subword, subword_count, successors, word_size
 
 __version__ = "0.1.0"

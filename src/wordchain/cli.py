@@ -60,17 +60,24 @@ def _format_path(path: list[str], fmt: str, seed: int) -> str:
     return "\n".join(f"{k} {words.display_word(w)}" for k, w in enumerate(path))
 
 
+def _read_file(path: str, parse=json.load):
+    """parse(fh) on the UTF-8 text file at `path`; a malformed file's error names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise WordchainError(f"{path}: {exc}") from None
+
+
 def _load_pair(path: str) -> CanonicalPair:
-    with open(path, encoding="utf-8") as fh:
-        return CanonicalPair.from_json(json.load(fh))
+    return CanonicalPair.from_json(_read_file(path))
 
 
 def _parse_measure_spec(spec: str):
     """"exp:RATE" for an exponential law, otherwise a step-measure JSON file."""
     if spec.startswith("exp:"):
         return Exponential(parse_fraction(spec.split(":", 1)[1]))
-    with open(spec, encoding="utf-8") as fh:
-        return StepMeasure.from_json(json.load(fh))
+    return StepMeasure.from_json(_read_file(spec))
 
 
 def _order_sources(args):
@@ -243,8 +250,7 @@ def _cmd_plackett_luce(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    with open(args.seq, encoding="utf-8") as fh:
-        seq = [line.strip() for line in fh if line.strip()]
+    seq = _read_file(args.seq, lambda fh: [line.strip() for line in fh if line.strip()])
     pair = _load_pair(args.pair)
     report = boundary_mod.convergence_report(seq, pair, args.mmax)
     _emit_json(args, report.to_json())

@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import SizeMismatchError
-from .words import enumerate_balanced, subword_count, successors, word_size
+from .words import enumerate_balanced, subword_count, word_size
 
 
 def _sizes(v: str, w: str) -> tuple[int, int]:
@@ -94,11 +94,3 @@ def kernel_table(m: int, n: int) -> Mapping[str, Mapping[str, Fraction]]:
         }
     )
 
-
-def forward_matrix(m: int) -> dict[str, dict[str, Fraction]]:
-    """One-step transition rows from size m, restricted to reachable targets."""
-    rows: dict[str, dict[str, Fraction]] = {}
-    denom = (2 * m + 2) * (2 * m + 1)
-    for v in enumerate_balanced(m):
-        rows[v] = {w: Fraction(c, denom) for w, c in successors(v).items()}
-    return rows

@@ -77,9 +77,9 @@ class StepMeasure:
             raise ValueError("breakpoints must be strictly increasing")
         if any(d < 0 for d in dens):
             raise ValueError("densities must be nonnegative")
-        total = sum(d * (b2 - b1) for d, b1, b2 in zip(dens, bps, bps[1:]))
-        if total != 1:
-            raise ValueError(f"total mass is {total}, expected 1")
+        den, cum, _ = self._cdf_table
+        if cum[-1] != den:
+            raise ValueError(f"total mass is {Fraction(cum[-1], den)}, expected 1")
 
     @classmethod
     def lebesgue(cls) -> "StepMeasure":
@@ -100,27 +100,31 @@ class StepMeasure:
             for d, b1, b2 in zip(self.densities, self.breakpoints, self.breakpoints[1:])
         )
 
+    @cached_property
+    def _cdf_table(self) -> tuple[int, list[int], list[int]]:
+        """(E, cum, dens): the CDF at breakpoint k is cum[k] / E, density k is dens[k] / E."""
+        masses = self.cell_masses()
+        den = math.lcm(*(x.denominator for x in masses + self.densities))
+        return (
+            den,
+            list(itertools.accumulate(_scaled(masses, den), initial=0)),
+            _scaled(self.densities, den),
+        )
+
     def cdf(self, x) -> Fraction:
         """Exact CDF at a rational point."""
         x = Fraction(x)
-        if x <= self.breakpoints[0]:
+        bps = self.breakpoints
+        if x <= bps[0]:
             return Fraction(0)
-        acc = Fraction(0)
-        for d, b1, b2 in zip(self.densities, self.breakpoints, self.breakpoints[1:]):
-            if x >= b2:
-                acc += d * (b2 - b1)
-            else:
-                acc += d * (x - b1)
-                break
-        return acc
+        if x >= bps[-1]:
+            return Fraction(1)
+        den, cum, dens = self._cdf_table
+        k = bisect.bisect_right(bps, x) - 1
+        return (cum[k] + dens[k] * (x - bps[k])) / den
 
     def cdf_float(self, x: float) -> float:
-        lo, hi = self.support
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        return float(self.cdf(Fraction(x)))
+        return float(self.cdf(x))
 
     def moment(self, n: int) -> Fraction:
         """Exact n-th moment: integral of x^n against the measure."""
@@ -146,17 +150,13 @@ class StepMeasure:
     @cached_property
     def _sampler_table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """Float (cumulative mass, left breakpoint, density) per positive cell."""
-        cum = [0.0]
-        lefts, dens = [], []
-        acc = Fraction(0)
-        for d, b1, b2 in zip(self.densities, self.breakpoints, self.breakpoints[1:]):
-            if d == 0:
-                continue
-            lefts.append(float(b1))
-            dens.append(float(d))
-            acc += d * (b2 - b1)
-            cum.append(float(acc))
-        return tuple(cum), tuple(lefts), tuple(dens)
+        den, cum, dens = self._cdf_table
+        cells = [k for k, d in enumerate(dens) if d]
+        return (
+            (0.0, *(cum[k + 1] / den for k in cells)),
+            tuple(float(self.breakpoints[k]) for k in cells),
+            tuple(dens[k] / den for k in cells),
+        )
 
     def sample(self, rng: random.Random) -> float:
         """Inverse-CDF draw; distributed per the measure."""
@@ -220,29 +220,23 @@ class AtomicMeasure:
         grid = _scaled(locs, math.lcm(*(x.denominator for x in locs)))
         if any(x2 <= x1 for x1, x2 in zip(grid, grid[1:])):
             raise ValueError("atom locations must be strictly increasing")
-        masses = [m for _, m in atoms]
-        if any(m.numerator <= 0 for m in masses):
+        if any(m.numerator <= 0 for _, m in atoms):
             raise ValueError("atom masses must be positive")
-        den = math.lcm(*(m.denominator for m in masses))
-        if sum(_scaled(masses, den)) != den:
+        den, cum = self._cdf_table
+        if cum[-1] != den:
             raise ValueError("atom masses must total 1")
 
-    def cdf(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((m for loc, m in self.atoms if loc <= x), Fraction(0))
-
-    def mass_at(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((m for loc, m in self.atoms if loc == x), Fraction(0))
+    @cached_property
+    def _cdf_table(self) -> tuple[int, list[int]]:
+        """(E, cum): the CDF just below atom k is cum[k] / E, and 1 past the last atom."""
+        masses = [m for _, m in self.atoms]
+        den = math.lcm(*(m.denominator for m in masses))
+        return den, list(itertools.accumulate(_scaled(masses, den), initial=0))
 
     @cached_property
     def _cumulative(self) -> tuple[float, ...]:
-        acc = Fraction(0)
-        out = []
-        for _, m in self.atoms:
-            acc += m
-            out.append(float(acc))
-        return tuple(out)
+        den, cum = self._cdf_table
+        return tuple(c / den for c in cum[1:])
 
     def sample(self, rng: random.Random) -> Fraction:
         u = rng.random()
@@ -292,14 +286,6 @@ class CanonicalPair:
         """Complete mu (with mu <= 2*Lebesgue on [0,1]) to a canonical pair."""
         nu = StepMeasure(mu.breakpoints, tuple(2 - d for d in mu.densities))
         return cls(mu, nu)
-
-    def cells(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        """(lo, hi, mu-density, nu-density) per cell of the common grid."""
-        bps = self.mu.breakpoints
-        return [
-            (bps[k], bps[k + 1], self.mu.densities[k], self.nu.densities[k])
-            for k in range(len(bps) - 1)
-        ]
 
     def to_json(self) -> dict:
         data = {"mu": self.mu.to_json(), "nu": self.nu.to_json()}
@@ -355,14 +341,6 @@ class AtomicPair:
     @property
     def nu(self) -> AtomicMeasure:
         return self._atoms("b")
-
-    @property
-    def average(self) -> AtomicMeasure:
-        """(mu + nu)/2: the uniform measure on the grid {l/(2N)}."""
-        n = self.size
-        return AtomicMeasure(
-            tuple((Fraction(i, 2 * n), Fraction(1, 2 * n)) for i in range(1, 2 * n + 1))
-        )
 
 
 MeasurePair = Union[CanonicalPair, AtomicPair]
@@ -640,14 +618,17 @@ def canonicalize(
     if isinstance(zeta, StepMeasure) and isinstance(eta, StepMeasure):
         return _canonicalize_steps(zeta, eta)
 
-    # Cumulative mu-masses at the grid points, then rationalized.  Snapping
-    # the cumulative values (not the cell masses) keeps the total exactly 1.
+    # Cumulative mu-masses at the grid points, snapped to multiples of 1/g.
+    # Snapping the cumulative values (not the cell masses) keeps the total
+    # exactly 1.  One denominator for every value keeps the integers of the
+    # step DP small, and the clamps below, steps of 1/resolution, stay on it.
     cdf_vals = [0.0]
     for i in range(1, resolution):
         z = _invert_mixture(zeta, eta, i / resolution)
         cdf_vals.append(zeta.cdf_float(z))
     cdf_vals.append(1.0)
-    cum = [Fraction(c).limit_denominator(10**9) for c in cdf_vals]
+    g = resolution * 10**9
+    cum = [Fraction(round(c * g), g) for c in cdf_vals]
     cum[0], cum[-1] = Fraction(0), Fraction(1)
     cell = Fraction(1, resolution)
     for i in range(1, resolution + 1):  # clamp into [prev, prev + 2*cell]
@@ -690,13 +671,6 @@ def fixture_pairs() -> dict[str, CanonicalPair]:
     }
 
 
-def sample_measure(measure, rng: random.Random):
-    """Draw one point from a step, parametric, or atomic measure."""
-    if isinstance(measure, (StepMeasure, Exponential, AtomicMeasure)):
-        return measure.sample(rng)
-    raise TypeError(f"cannot sample from {type(measure).__name__}")
-
-
 def _knots(measure) -> list[Fraction]:
     """Points where the CDF of a measure on [0, 1] bends or jumps."""
     if isinstance(measure, StepMeasure):
@@ -717,29 +691,25 @@ def _grid_cdf(measure, knots: list[int], grid: int, points: list[int]) -> tuple[
     both as integers on the grid.
     """
     if isinstance(measure, AtomicMeasure):
-        masses = [mass for _, mass in measure.atoms]
-        den = math.lcm(*(x.denominator for x in masses))
-        cum = list(itertools.accumulate(_scaled(masses, den), initial=0))
+        den, cum = measure._cdf_table
         return (
             den,
             [cum[bisect.bisect_right(knots, x)] for x in points],
             [cum[bisect.bisect_left(knots, x)] for x in points],
         )
-    masses = measure.cell_masses()
-    den = grid * math.lcm(*(x.denominator for x in masses + measure.densities))
-    cum = list(itertools.accumulate(_scaled(masses, den), initial=0))
-    slopes = _scaled(measure.densities, den // grid)
+    # x / grid lies in cell k, so E * grid * F = grid * cum[k] + dens[k] * (x - knots[k])
+    den, cum, dens = measure._cdf_table
 
     def value(x: int) -> int:
         if x <= knots[0]:
             return 0
         if x >= knots[-1]:
-            return den
+            return grid * den
         k = bisect.bisect_right(knots, x) - 1
-        return cum[k] + slopes[k] * (x - knots[k])
+        return grid * cum[k] + dens[k] * (x - knots[k])
 
     right = [value(x) for x in points]
-    return den, right, right
+    return grid * den, right, right
 
 
 def weak_distance(p, q) -> float:

@@ -39,9 +39,10 @@ class LabeledLetter:
     @classmethod
     def parse(cls, token: str) -> "LabeledLetter":
         """Parse a token such as "a3" or "b12"."""
-        if len(token) < 2 or not token[1:].isdigit():
+        digits = token[1:]
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"expected a labeled letter such as a1, got {token!r}")
-        return cls(token[0], int(token[1:]))
+        return cls(token[0], int(digits))
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,6 @@ class OrderPrefix:
     def unlabel(self) -> str:
         """Forget the indices, leaving a balanced {a,b}-word."""
         return "".join(letter.kind for letter in self.letters)
-
-    def restrict(self, n: int) -> "OrderPrefix":
-        """The induced order on {a1, b1, ..., an, bn}."""
-        return OrderPrefix(tuple(l for l in self.letters if l.index <= n))
-
-    def precedes(self, x: LabeledLetter, y: LabeledLetter) -> bool:
-        return self.letters.index(x) < self.letters.index(y)
 
     def to_string(self) -> str:
         return " ".join(str(letter) for letter in self.letters)

@@ -17,15 +17,7 @@ from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
 from .plackett_luce import RatePair, pl_harmonic, pl_transition, pl_word_prob
-from .words import (
-    build_count_matrices,
-    enumerate_balanced,
-    enumerate_words,
-    matrix_exp_nilpotent,
-    subword_count,
-    successors,
-    word_size,
-)
+from .words import enumerate_balanced, enumerate_words, subword_count, successors, word_size
 
 BRIDGE_CHECK_CAP = 5
 
@@ -192,23 +184,77 @@ def check_convolution_identity(limit: int = 4) -> CheckResult:
     return _guard(run, CheckResult("subword convolution identity"))
 
 
+def _count_matrices(max_len: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
+    """The index, the full subword-count matrix P and its one-step part H.
+
+    The index holds every {a,b}-word of length <= max_len (not only balanced
+    ones), ordered by (length, lexicographic), which makes P and H upper
+    triangular.  P has entry (v, w) = subword_count(w, v); H keeps only the
+    entries with |w| = |v| + 1.
+    """
+    index = [w for length in range(max_len + 1) for w in enumerate_words(length)]
+    p = [[subword_count(w, v) for w in index] for v in index]
+    h = [
+        [c if len(w) == len(v) + 1 else 0 for w, c in zip(index, row)]
+        for v, row in zip(index, p)
+    ]
+    return index, p, h
+
+
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    size = len(a)
+    out = [[0] * size for _ in range(size)]
+    for i in range(size):
+        row_a = a[i]
+        row_out = out[i]
+        for k in range(size):
+            aik = row_a[k]
+            if aik:
+                row_b = b[k]
+                for j in range(size):
+                    if row_b[j]:
+                        row_out[j] += aik * row_b[j]
+    return out
+
+
+def _matrix_exp_nilpotent(h: list[list[int]]) -> list[list[Fraction]]:
+    """exp(H) for a nilpotent integer matrix H, exactly.
+
+    H^k = 0 once k reaches the size of H, so exp(H) = sum_k H^k / k! is a
+    finite sum of exact rationals.
+    """
+    size = len(h)
+    acc = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    power = h
+    for k in range(1, size + 1):
+        if not any(any(row) for row in power):
+            break
+        inv_fact = Fraction(1, math.factorial(k))
+        for i in range(size):
+            for j in range(size):
+                if power[i][j]:
+                    acc[i][j] += power[i][j] * inv_fact
+        power = _mat_mul(power, h)
+    return acc
+
+
 def check_matrix_exponential(max_len: int = 5) -> CheckResult:
     """exp of the one-step count matrix equals the full count matrix."""
 
     def run(res: CheckResult) -> None:
-        p, h = build_count_matrices(max_len)
-        size = len(p.index)
+        index, p, h = _count_matrices(max_len)
+        size = len(index)
         for i in range(size):
-            if p.entries[i][i] != 1:
-                res.fail(f"P diagonal at {p.index[i]!r} is not 1")
-            if h.entries[i][i] != 0:
-                res.fail(f"H diagonal at {h.index[i]!r} is not 0")
-        exp_h = matrix_exp_nilpotent(h)
+            if p[i][i] != 1:
+                res.fail(f"P diagonal at {index[i]!r} is not 1")
+            if h[i][i] != 0:
+                res.fail(f"H diagonal at {index[i]!r} is not 0")
+        exp_h = _matrix_exp_nilpotent(h)
         for i in range(size):
             for j in range(size):
                 res.checked += 1
-                if exp_h[i][j] != p.entries[i][j]:
-                    res.fail(f"exp(H) != P at ({p.index[i]!r}, {p.index[j]!r})")
+                if exp_h[i][j] != p[i][j]:
+                    res.fail(f"exp(H) != P at ({index[i]!r}, {index[j]!r})")
 
     return _guard(run, CheckResult(f"exp(H) = P on words of length <= {max_len}"))
 

@@ -9,10 +9,7 @@ subword (letters kept in relative order).
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceededError
@@ -20,7 +17,6 @@ from .errors import CapExceededError
 ALPHABET = "ab"
 
 BALANCED_ENUM_CAP = 12
-COUNT_MATRIX_CAP = 6
 
 
 def check_word(w: str) -> str:
@@ -33,25 +29,12 @@ def check_word(w: str) -> str:
     return w
 
 
-def count_a(w: str) -> int:
-    return w.count("a")
-
-
-def count_b(w: str) -> int:
-    return w.count("b")
-
-
-def is_balanced(w: str) -> bool:
-    return count_a(w) == count_b(w)
-
-
 def check_balanced(w: str) -> str:
     """Validate that `w` is a balanced {a,b}-word; returns `w`."""
     check_word(w)
-    if not is_balanced(w):
-        raise ValueError(
-            f"word {w!r} is not balanced: {count_a(w)} a's vs {count_b(w)} b's"
-        )
+    n_a, n_b = w.count("a"), w.count("b")
+    if n_a != n_b:
+        raise ValueError(f"word {w!r} is not balanced: {n_a} a's vs {n_b} b's")
     return w
 
 
@@ -183,97 +166,3 @@ def random_subword(w: str, m: int, rng: random.Random) -> str:
         rng.sample(letter_positions(w, "a"), m) + rng.sample(letter_positions(w, "b"), m)
     )
     return "".join(w[i] for i in keep)
-
-
-@dataclass(frozen=True)
-class CountMatrix:
-    """Square matrix indexed by all {a,b}-words up to a length cap.
-
-    The index is ordered by (length, lexicographic), which makes both the
-    subword-count matrix and its one-step restriction upper triangular.
-    """
-
-    index: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "index": list(self.index),
-            "entries": [[str(e) for e in row] for row in self.entries],
-        }
-
-
-def word_universe(max_len: int) -> list[str]:
-    """All {a,b}-words of length <= max_len, ordered by (length, lex)."""
-    out: list[str] = []
-    for length in range(max_len + 1):
-        out.extend(enumerate_words(length))
-    return out
-
-
-def build_count_matrices(max_len: int) -> tuple[CountMatrix, CountMatrix]:
-    """The full subword-count matrix P and its one-step part H.
-
-    P has entry (v, w) = subword_count(w, v); H keeps only the entries with
-    |w| = |v| + 1.  Indexed over every {a,b}-word of length <= max_len (not
-    only balanced ones).  H is nilpotent and exp(H), summed as the finite
-    series over exact rationals, reproduces P entrywise.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    if max_len > COUNT_MATRIX_CAP:
-        raise CapExceededError(f"max_len {max_len} exceeds matrix cap {COUNT_MATRIX_CAP}")
-    index = tuple(word_universe(max_len))
-    p_rows = []
-    h_rows = []
-    for v in index:
-        p_row = []
-        h_row = []
-        for w in index:
-            c = subword_count(w, v)
-            p_row.append(c)
-            h_row.append(c if len(w) == len(v) + 1 else 0)
-        p_rows.append(tuple(p_row))
-        h_rows.append(tuple(h_row))
-    return (
-        CountMatrix(index=index, entries=tuple(p_rows)),
-        CountMatrix(index=index, entries=tuple(h_rows)),
-    )
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    size = len(a)
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        row_a = a[i]
-        row_out = out[i]
-        for k in range(size):
-            aik = row_a[k]
-            if aik:
-                row_b = b[k]
-                for j in range(size):
-                    if row_b[j]:
-                        row_out[j] += aik * row_b[j]
-    return out
-
-
-def matrix_exp_nilpotent(h: CountMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """exp(H) for the nilpotent one-step matrix, exactly.
-
-    The series terminates: H^k = 0 once k exceeds the longest word length,
-    so exp(H) = sum_{k} H^k / k! is a finite sum of exact rationals.
-    """
-    size = len(h.index)
-    longest = max((len(w) for w in h.index), default=0)
-    acc = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    power = [list(row) for row in h.entries]
-    k = 1
-    while k <= longest + 1 and any(any(row) for row in power):
-        inv_fact = Fraction(1, math.factorial(k))
-        for i in range(size):
-            for j in range(size):
-                if power[i][j]:
-                    acc[i][j] += power[i][j] * inv_fact
-        power = _mat_mul(power, [list(row) for row in h.entries])
-        k += 1
-    return tuple(tuple(row) for row in acc)

@@ -8,7 +8,7 @@ import pytest
 
 from wordchain import cli
 from wordchain.cli import main
-from wordchain.measures import CanonicalPair, fixture_pairs
+from wordchain.measures import CanonicalPair, StepMeasure, fixture_pairs
 from wordchain.words import subword_count
 
 
@@ -296,6 +296,24 @@ class TestErrorHandling:
         assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--eta", b'{"breakpoints": ["0", "1"], "dens'),
+        ("--eta", b"\xff\xfe{}"),
+        ("--seq", b"ab\n\xe9\n"),
+    ])
+    def test_unreadable_file_is_named(self, capsys, tmp_path, pair_file, flag, content):
+        zeta = tmp_path / "zeta.json"
+        zeta.write_text(json.dumps(StepMeasure.lebesgue().to_json()))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {
+            "--eta": ["moments", "--order", "1", "--zeta", str(zeta), "--eta", str(bad)],
+            "--seq": ["boundary", "--seq", str(bad), "--pair", pair_file],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

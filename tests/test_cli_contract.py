@@ -2,7 +2,8 @@
 
 Argument vectors follow the subcommand grammar with small sizes and mix
 valid tokens with bad ones: negatives, zeros, unknown letters, malformed
-numbers and missing or conflicting measure sources.  ``verify`` is left out;
+numbers, missing or conflicting measure sources, and input files that are
+truncated JSON or not UTF-8.  ``verify`` is left out;
 ``test_cli.test_verify_command`` covers it.
 """
 
@@ -26,7 +27,8 @@ SMALL = st.integers(min_value=-1, max_value=6).map(str)
 LETTERS = st.sampled_from(["a1", "b1", "a2", "b3", "a9", "a0", "c1", "a", "", "bx"])
 RATES = st.sampled_from(["1", "2", "3/2", "0", "-1", "1/0", "x"])
 SPECS = st.sampled_from(["exp:1", "exp:2", "exp:1/3", "exp:0", "exp:-1", "exp:1/0", "exp:x",
-                         "{missing}", "{pair}"])
+                         "{missing}", "{pair}", "{truncated}", "{not_utf8}"])
+PAIR_FILES = st.sampled_from(["{pair}", "{truncated}", "{not_utf8}", "{missing}"])
 
 
 def _flag(name, values):
@@ -36,11 +38,10 @@ def _flag(name, values):
 
 def _order_source():
     return st.one_of(
-        st.just(["--pair", "{pair}"]),
+        PAIR_FILES.map(lambda p: ["--pair", p]),
         st.tuples(SPECS, SPECS).map(lambda zs: ["--zeta", zs[0], "--eta", zs[1]]),
         SPECS.map(lambda z: ["--zeta", z]),
         SPECS.map(lambda z: ["--pair", "{pair}", "--eta", z]),
-        st.just(["--pair", "{missing}"]),
         st.just([]),
     )
 
@@ -50,11 +51,11 @@ def _command():
                          _flag("--format", st.sampled_from(["text", "csv", "json"])))
     bridge = st.tuples(st.just(["bridge", "--target"]), WORDS)
     infinite = st.tuples(st.just(["infinite-bridge"]),
-                         st.sampled_from([["--pair", "{pair}"], ["--pair", "{missing}"], []]),
+                         st.one_of(PAIR_FILES.map(lambda p: ["--pair", p]), st.just([])),
                          st.just(["--steps"]), SMALL)
     pattern = st.tuples(
         st.just(["pattern-prob"]),
-        st.one_of(st.just(["--pair", "{pair}"]), WORDS.map(lambda w: ["--word-pair", w]),
+        st.one_of(PAIR_FILES.map(lambda p: ["--pair", p]), WORDS.map(lambda w: ["--word-pair", w]),
                   WORDS.map(lambda w: ["--pair", "{pair}", "--word-pair", w]), st.just([])),
         WORDS.map(lambda w: ["--word", w]),
         _flag("--trials", COUNTS),
@@ -73,8 +74,12 @@ def _command():
         st.lists(WORDS, max_size=2), _flag("--size", SMALL),
         _flag("--method", st.sampled_from(["sequential", "sort"])),
     )
-    boundary = st.tuples(st.just(["boundary", "--seq", "{seq}", "--pair", "{pair}", "--mmax"]),
-                         SMALL)
+    boundary = st.tuples(
+        st.just(["boundary", "--seq"]),
+        st.sampled_from(["{seq}", "{truncated}", "{not_utf8}", "{missing}"]),
+        PAIR_FILES.map(lambda p: ["--pair", p]),
+        st.just(["--mmax"]), SMALL,
+    )
     exact = st.one_of(
         st.tuples(st.just(["subword"]), WORDS, WORDS),
         st.tuples(st.just(["kernel"]),
@@ -98,7 +103,12 @@ def files(tmp_path_factory):
     pair.write_text(json.dumps(fixture_pairs()["three-cell"].to_json()))
     seq = root / "seq.txt"
     seq.write_text("abab\naabbab\n")
-    return {"pair": str(pair), "seq": str(seq), "missing": str(root / "missing.json")}
+    truncated = root / "truncated.json"
+    truncated.write_text(pair.read_text()[:40])
+    not_utf8 = root / "not_utf8.json"
+    not_utf8.write_bytes(b'{"mu": "\xff\xfe"}\nab\xe9ab\n')
+    return {"pair": str(pair), "seq": str(seq), "missing": str(root / "missing.json"),
+            "truncated": str(truncated), "not_utf8": str(not_utf8)}
 
 
 @settings(max_examples=300, deadline=None)

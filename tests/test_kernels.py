@@ -9,7 +9,6 @@ from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.kernels import (
     backward_prob,
     dm_kernel,
-    forward_matrix,
     kernel_table,
     multi_step_prob,
     one_step_prob,
@@ -188,9 +187,3 @@ class TestTables:
         with ThreadPoolExecutor(max_workers=8) as pool:
             tables = list(pool.map(lambda _: kernel_table(2, 2), range(16)))
         assert all(t == tables[0] for t in tables)
-
-    def test_forward_matrix(self):
-        rows = forward_matrix(1)
-        assert rows["ab"]["aabb"] == Fraction(1, 3)
-        for row in rows.values():
-            assert sum(row.values()) == 1

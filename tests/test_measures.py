@@ -21,7 +21,6 @@ from wordchain.measures import (
     pattern_distribution,
     pattern_prob_exact,
     pattern_prob_mc,
-    sample_measure,
     weak_distance,
 )
 from wordchain.verify import _atomic_pattern_counts, empirical_identity_check
@@ -228,14 +227,20 @@ class TestEmpiricalPair:
             assert sum(m for _, m in pair.mu.atoms) == 1
             assert sum(m for _, m in pair.nu.atoms) == 1
 
-    def test_average_is_uniform_grid(self):
-        avg = empirical_pair("abba").average
-        assert [loc for loc, _ in avg.atoms] == [F(1, 4), F(2, 4), F(3, 4), F(1)]
-        assert all(m == F(1, 4) for _, m in avg.atoms)
-
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             empirical_pair("")
+
+    @pytest.mark.parametrize("atoms", [
+        (),
+        ((F(1, 2), F(1, 2)), (F(1, 4), F(1, 2))),  # decreasing locations
+        ((F(0), F(3, 2)), (F(1), F(-1, 2))),  # a negative mass
+        ((F(0), F(1, 2)), (F(1), F(1, 3))),  # mass 5/6
+        ((F(0), F(1, 2)), (F(1), F(2, 3))),  # mass 7/6
+    ])
+    def test_atomic_measure_validation(self, atoms):
+        with pytest.raises(ValueError):
+            AtomicMeasure(atoms)
 
 
 class TestEmpiricalIdentity:
@@ -300,6 +305,15 @@ class TestCanonicalize:
         for dm, dn in zip(pair.mu.densities, pair.nu.densities):
             assert dm + dn == 2
 
+    def test_one_grid_denominator(self):
+        # every cell mass is a multiple of 1/(resolution * 10**9), which keeps
+        # the integers of the step DP small
+        for res in (256, 400):
+            pair = canonicalize(Exponential(F(1)), Exponential(F(2)), resolution=res)
+            masses = pair.mu.cell_masses() + pair.nu.cell_masses()
+            den = math.lcm(*(x.denominator for x in masses))
+            assert (res * 10**9) % den == 0
+
     def test_disjoint_steps(self):
         zeta = StepMeasure.uniform_on(0, 1)
         eta = StepMeasure.uniform_on(2, 3)
@@ -355,13 +369,18 @@ class TestSampling:
     def test_step_sampler_respects_cells(self):
         rng = random.Random(34)
         sep = separated_pair()
-        assert all(sample_measure(sep.mu, rng) < 0.5 for _ in range(500))
+        assert all(sep.mu.sample(rng) < 0.5 for _ in range(500))
 
     def test_atomic_sampler(self):
         rng = random.Random(35)
         atoms = empirical_pair("abab").mu
-        draws = {sample_measure(atoms, rng) for _ in range(200)}
+        draws = {atoms.sample(rng) for _ in range(200)}
         assert draws == {F(1, 4), F(3, 4)}
+
+
+def uniform_grid(n: int) -> AtomicMeasure:
+    """(mu + nu)/2 for the empirical pair of a word of size n: mass 1/(2n) at each l/(2n)."""
+    return AtomicMeasure(tuple((F(i, 2 * n), F(1, 2 * n)) for i in range(1, 2 * n + 1)))
 
 
 class TestWeakDistance:
@@ -374,7 +393,8 @@ class TestWeakDistance:
     def test_grid_average_close_to_lebesgue(self):
         for y in ["aabb", "ab" * 3, "ab" * 5]:
             pair = empirical_pair(y)
-            assert weak_distance(StepMeasure.lebesgue(), pair.average) <= 1 / (2 * pair.size)
+            grid = uniform_grid(pair.size)
+            assert weak_distance(StepMeasure.lebesgue(), grid) <= 1 / (2 * pair.size)
 
     def test_metric_axioms_on_random_triples(self):
         seed_rng = random.Random(99)
@@ -413,6 +433,6 @@ class TestWeakDistance:
                 (emp.nu, pair.nu),
                 (emp.mu, emp.nu),
                 (pair.mu, other.nu),
-                (emp.average, pair.nu),
+                (uniform_grid(size), pair.nu),
             ):
                 assert weak_distance(p, q) == float(weak_distance_oracle(p, q))

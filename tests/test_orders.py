@@ -31,7 +31,7 @@ def lebesgue_sampler(seed: int) -> OrderSampler:
 class TestLabeledWords:
     def test_letter_parse_and_str(self):
         assert str(LabeledLetter.parse("a3")) == "a3"
-        for token in ["", "a", "ax", "a-1", "c1"]:
+        for token in ["", "a", "ax", "a-1", "c1", "a\u0661", "a\u00b2"]:
             with pytest.raises(ValueError):
                 LabeledLetter.parse(token)
         with pytest.raises(ValueError):
@@ -69,7 +69,8 @@ class TestLabelUniformly:
             path = simulate_forward(4, rng)
             prefixes = label_uniformly(path, rng)
             for k in range(1, len(prefixes)):
-                assert prefixes[k].restrict(k - 1) == prefixes[k - 1]
+                kept = tuple(x for x in prefixes[k].letters if x.index < k)
+                assert kept == prefixes[k - 1].letters
 
     def test_abba_labelings_uniform(self):
         # over bridges to abba, all four labelings are equally likely

@@ -11,19 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordchain.errors import CapExceededError
+from wordchain.verify import _count_matrices, _matrix_exp_nilpotent
 from wordchain.words import (
-    build_count_matrices,
     check_word,
     delete_pair,
     display_word,
     enumerate_balanced,
     enumerate_words,
-    matrix_exp_nilpotent,
     random_subword,
     subword_count,
     successors,
     word_size,
-    word_universe,
 )
 
 words_st = st.text(alphabet="ab", max_size=8)
@@ -170,37 +168,25 @@ class TestSuccessors:
 
 class TestCountMatrices:
     def test_diagonals_and_triangularity(self):
-        p, h = build_count_matrices(4)
-        size = len(p.index)
-        for i in range(size):
-            assert p.entries[i][i] == 1
-            assert h.entries[i][i] == 0
+        index, p, h = _count_matrices(4)
+        for i in range(len(index)):
+            assert p[i][i] == 1
+            assert h[i][i] == 0
             for j in range(i):
-                assert p.entries[i][j] == 0
-                assert h.entries[i][j] == 0
+                assert p[i][j] == 0
+                assert h[i][j] == 0
 
     def test_exp_of_one_step_matrix(self):
-        p, h = build_count_matrices(4)
-        exp_h = matrix_exp_nilpotent(h)
-        for i in range(len(p.index)):
-            for j in range(len(p.index)):
-                assert exp_h[i][j] == Fraction(p.entries[i][j])
+        index, p, h = _count_matrices(4)
+        exp_h = _matrix_exp_nilpotent(h)
+        for i in range(len(index)):
+            for j in range(len(index)):
+                assert exp_h[i][j] == Fraction(p[i][j])
 
     def test_universe_ordering(self):
-        index = word_universe(3)
+        index, _, _ = _count_matrices(3)
         assert index[:7] == ["", "a", "b", "aa", "ab", "ba", "bb"]
         assert len(index) == 2**4 - 1
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            build_count_matrices(7)
-
-    def test_json_export(self):
-        p, _ = build_count_matrices(2)
-        data = p.to_json()
-        assert data["index"] == list(p.index)
-        assert data["entries"][0][0] == "1"
-        assert all(isinstance(e, str) for row in data["entries"] for e in row)
 
 
 class TestRandomSubword:
