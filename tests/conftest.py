@@ -125,6 +125,17 @@ def weak_distance_oracle(p, q) -> Fraction:
     return best
 
 
+class ScriptedRandom(random.Random):
+    """A generator whose random() returns ``script`` in order, then the seeded stream."""
+
+    def __init__(self, seed: int, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self) -> float:
+        return self.script.pop(0) if self.script else super().random()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

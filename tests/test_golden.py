@@ -13,8 +13,10 @@ import random
 
 import pytest
 
+from wordchain.bridges import sample_finite_bridge
 from wordchain.cli import main
 from wordchain.measures import fixture_pairs
+from wordchain.orders import label_uniformly
 
 MC_CASES = {
     "pattern-prob-mc": (
@@ -48,6 +50,20 @@ MC_CASES = {
     "moments-pair": (
         ["moments", "--order", "2", "--trials", "1005", "--pair", "{pair}", "--seed", "4"],
         "f131ac6005397168eddaec97c161dfa3650b9fa2747f47880d4f4fc970579374",
+    ),
+    "orders-d-exp-b3-a2": (
+        ["orders", "--stat", "d", "--x", "b3", "--y", "a2", "--depth", "200", "--trials", "203",
+         "--zeta", "exp:1", "--eta", "exp:2", "--seed", "5"],
+        "1db0050cd3a146b824af840d1b337f025ba382f3b4e775257161e79e4d194157",
+    ),
+    "orders-f-pair-b1": (
+        ["orders", "--stat", "f", "--x", "b1", "--depth", "200", "--trials", "203",
+         "--pair", "{pair}", "--seed", "5"],
+        "1c566a890934b6702ea0571452f0840e757d68f3b6c3c75ec5e57a17d733671d",
+    ),
+    "moments-pair-order4": (
+        ["moments", "--order", "4", "--trials", "1005", "--pair", "{pair}", "--seed", "6"],
+        "7710f5481a2dccb9a62f798bcf17c1a6fe83f405394eda047ef361a7574952b0",
     ),
     "moments-exp": (
         ["moments", "--order", "3", "--trials", "7", "--zeta", "exp:1", "--eta", "exp:2",
@@ -195,3 +211,9 @@ def test_golden_serial(name, capsys, files):
 def test_golden_monte_carlo(name, jobs, capsys, files):
     argv, expected = MC_CASES[name]
     assert _digest(capsys, argv + ["--jobs", jobs], files) == expected
+
+
+def test_golden_label_uniformly():
+    path = sample_finite_bridge(_shuffled(100, 100), random.Random(14))
+    text = "\n".join(prefix.to_string() for prefix in label_uniformly(path, random.Random(15)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "aa3319a4b05ba9f9028101d2f5d2a75387b74752f70baef7684a79bbb95fe839"

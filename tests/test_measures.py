@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_canonical_pair, step_pattern_oracle, weak_distance_oracle
+from conftest import ScriptedRandom, random_canonical_pair, step_pattern_oracle, weak_distance_oracle
 from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.measures import (
     AtomicMeasure,
@@ -19,6 +19,7 @@ from wordchain.measures import (
     empirical_pair,
     fixture_pairs,
     pattern_distribution,
+    pattern_matches,
     pattern_prob_exact,
     pattern_prob_mc,
     weak_distance,
@@ -376,6 +377,14 @@ class TestSampling:
         atoms = empirical_pair("abab").mu
         draws = {atoms.sample(rng) for _ in range(200)}
         assert draws == {F(1, 4), F(3, 4)}
+
+    def test_pattern_match_needs_distinct_atoms(self):
+        # mu has atoms 1/4, 1/2 and nu has 3/4, 1, each of mass 1/2; trial 1
+        # would read aabb but for its tied mu draws, trial 3 ties as well
+        script = [0.125, 0.25, 0.125, 0.625, 0.125, 0.625, 0.625, 0.125, 0.625, 0.75, 0.125, 0.625]
+        rng = ScriptedRandom(36, script)
+        assert pattern_matches(empirical_pair("aabb"), "aabb", 3, rng) == [False, True, False]
+        assert rng.script == []
 
 
 def uniform_grid(n: int) -> AtomicMeasure:

@@ -7,17 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chi2_critical, two_sample_chi2
+from conftest import ScriptedRandom, chi2_critical, two_sample_chi2
 from wordchain.bridges import sample_finite_bridge, simulate_forward
 from wordchain.measures import CanonicalPair, Exponential, StepMeasure, fixture_pairs
 from wordchain.orders import (
     LabeledLetter,
     OrderPrefix,
     OrderSampler,
+    d_samples,
     estimate_d,
     estimate_f,
     label_uniformly,
     moment_estimate,
+    moment_samples,
 )
 
 F = Fraction
@@ -275,6 +277,43 @@ class TestSamplerSources:
         run = sampler.run(100)
         values = run.values_a + run.values_b
         assert len(set(values)) == len(values)
+
+    # Lebesgue draws are the generator's random() values themselves, so each
+    # script below repeats a value inside the a-block, then an a-value
+    # inside the b-block, then a value inside the b-block.
+    RUN_SCRIPT = [0.125, 0.25, 0.125, 0.375, 0.25, 0.5, 0.5, 0.625, 0.75]
+
+    def test_repeated_draws_are_redrawn(self):
+        rng = ScriptedRandom(222, self.RUN_SCRIPT)
+        sampler = OrderSampler.from_pair(CanonicalPair.lebesgue(), rng)
+        run = sampler.run(3)
+        assert run.values_a == (0.125, 0.25, 0.375)
+        assert run.values_b == (0.5, 0.625, 0.75)
+        # past the script, the run reads the seeded stream and leaves it where
+        # six single draws would
+        reference = random.Random(222)
+        expected = [reference.random() for _ in range(6)]
+        run = sampler.run(3)
+        assert run.values_a + run.values_b == tuple(expected)
+        assert rng.getstate() == reference.getstate()
+
+    def test_d_samples_on_repeated_draws(self):
+        script = self.RUN_SCRIPT + [0.5, 0.5, 0.0625, 0.375, 0.0625, 0.25, 0.75, 0.25, 0.875]
+        rng = ScriptedRandom(223, script)
+        sampler = OrderSampler.from_pair(CanonicalPair.lebesgue(), rng)
+        # run 1: a = (1/8, 1/4, 3/8), b = (1/2, 5/8, 3/4); run 2: a = (1/2,
+        # 1/16, 3/8), b = (1/4, 3/4, 7/8)
+        assert d_samples(sampler, A1, B1, 3, 2) == [2 / 6, 1 / 6]
+        assert rng.script == []
+        assert rng.getstate() == random.Random(223).getstate()
+
+    def test_moment_samples_on_repeated_draws(self):
+        rng = ScriptedRandom(224, [0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 0.875])
+        sampler = OrderSampler.from_pair(CanonicalPair.lebesgue(), rng)
+        # a = (1/4, 1/2), b = (3/4, 7/8): one letter below a2, two below b2
+        assert moment_samples(sampler, 1, 1) == [(0.5, 1.0)]
+        assert rng.script == []
+        assert rng.getstate() == random.Random(224).getstate()
 
     def test_atomic_sources_rejected(self):
         from wordchain.measures import empirical_pair
