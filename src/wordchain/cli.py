@@ -60,24 +60,27 @@ def _format_path(path: list[str], fmt: str, seed: int) -> str:
     return "\n".join(f"{k} {words.display_word(w)}" for k, w in enumerate(path))
 
 
-def _read_file(path: str, parse=json.load):
-    """parse(fh) on the UTF-8 text file at `path`; a malformed file's error names it."""
+def _read_file(path: str, parse):
+    """parse(fh) on the UTF-8 text file at `path`; a malformed file's error names it.
+
+    Undecodable bytes, bad JSON and bad fields all raise ValueError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise WordchainError(f"{path}: {exc}") from None
 
 
 def _load_pair(path: str) -> CanonicalPair:
-    return CanonicalPair.from_json(_read_file(path))
+    return _read_file(path, lambda fh: CanonicalPair.from_json(json.load(fh)))
 
 
 def _parse_measure_spec(spec: str):
     """"exp:RATE" for an exponential law, otherwise a step-measure JSON file."""
     if spec.startswith("exp:"):
         return Exponential(parse_fraction(spec.split(":", 1)[1]))
-    return StepMeasure.from_json(_read_file(spec))
+    return _read_file(spec, lambda fh: StepMeasure.from_json(json.load(fh)))
 
 
 def _order_sources(args):

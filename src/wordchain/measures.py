@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError
 from .words import check_balanced, enumerate_balanced, subword_count, word_size
@@ -165,6 +165,30 @@ class StepMeasure:
         k = min(bisect.bisect_right(cum, u) - 1, len(lefts) - 1)
         return lefts[k] + (u - cum[k]) / dens[k]
 
+    def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
+        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call.
+
+        Same generator calls and float arithmetic as single draws; the
+        bisection over cum[1:K] stands in for clamping the cell to K - 1,
+        and with one cell cum[0] is 0.0, so u - cum[0] is u.
+        """
+        cum, lefts, dens = self._sampler_table
+        random_ = rng.random
+        if len(lefts) == 1:
+            left, den = lefts[0], dens[0]
+            return lambda k: [left + random_() / den for _ in range(k)]
+        cells = list(zip(lefts, cum, dens))
+        bisect_right, hi = bisect.bisect_right, len(lefts)
+
+        def draw(k: int) -> list[float]:
+            return [
+                left + (u - c) / den
+                for u in [random_() for _ in range(k)]
+                for left, c, den in (cells[bisect_right(cum, u, 1, hi) - 1],)
+            ]
+
+        return draw
+
     def to_json(self) -> dict:
         return {
             "breakpoints": [format_fraction(b) for b in self.breakpoints],
@@ -200,6 +224,11 @@ class Exponential:
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(float(self.rate))
+
+    def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
+        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call."""
+        expovariate, rate = rng.expovariate, float(self.rate)
+        return lambda k: [expovariate(rate) for _ in range(k)]
 
 
 ParametricMeasure = Union[Exponential, StepMeasure]
@@ -242,6 +271,13 @@ class AtomicMeasure:
         u = rng.random()
         k = min(bisect.bisect_right(self._cumulative, u), len(self.atoms) - 1)
         return self.atoms[k][0]
+
+    def drawer(self, rng: random.Random) -> Callable[[int], list[Fraction]]:
+        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call."""
+        cum, random_ = self._cumulative, rng.random
+        locations = [x for x, _ in self.atoms]
+        bisect_right, hi = bisect.bisect_right, len(locations) - 1
+        return lambda k: [locations[bisect_right(cum, random_(), 0, hi)] for _ in range(k)]
 
 
 @dataclass(frozen=True)
@@ -517,16 +553,15 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     sorted interleaving reads w; tied draws match no pattern.
     """
     m = word_size(w)
-    draw_mu = pair.mu.sample
-    draw_nu = pair.nu.sample
+    draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
+    target = [letter == "b" for letter in w]
     out = []
     for _ in range(trials):
-        xs = [draw_mu(rng) for _ in range(m)]
-        ys = [draw_nu(rng) for _ in range(m)]
-        try:
-            out.append(interleave_pattern(xs, ys) == w)
-        except ValueError:
-            out.append(False)
+        tagged = [(x, False) for x in draw_mu(m)] + [(y, True) for y in draw_nu(m)]
+        tagged.sort()
+        out.append(
+            [tag for _, tag in tagged] == target and len({v for v, _ in tagged}) == 2 * m
+        )
     return out
 
 

@@ -11,11 +11,11 @@ estimated here at finite depth.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure
-from .words import delete_pair, letter_positions
 
 MOMENT_ORDER_CAP = 4
 
@@ -75,6 +75,33 @@ class OrderPrefix:
         return cls(tuple(LabeledLetter.parse(tok) for tok in text.split()))
 
 
+def _insertion_pairs(prev: str, cur: str) -> list[tuple[int, int]]:
+    """Every (a_pos, b_pos) of cur whose deletion leaves prev, in sorted order.
+
+    Deleting positions lo < hi leaves prev exactly when cur and prev agree
+    on [0, lo), cur[t + 1] == prev[t] for t in [lo, hi - 1), and they agree
+    on the last |cur| - 1 - hi letters.  The first condition bounds lo by
+    the longest common prefix, the last bounds hi below by the longest
+    common suffix, and a run table of the shifted agreement bounds hi above.
+    """
+    size = len(prev)
+    lcp = next((t for t in range(size) if cur[t] != prev[t]), size)
+    lcs = next((t for t in range(size) if cur[-1 - t] != prev[-1 - t]), size)
+    run = [0] * (size + 1)  # run[t]: how many t' >= t in a row have cur[t' + 1] == prev[t']
+    for t in range(size - 1, -1, -1):
+        if cur[t + 1] == prev[t]:
+            run[t] = run[t + 1] + 1
+    last = size + 1
+    pairs = [
+        (lo, hi) if cur[lo] == "a" else (hi, lo)
+        for lo in range(lcp + 1)
+        for hi in range(max(lo + 1, last - lcs), min(last, lo + run[lo] + 1) + 1)
+        if cur[lo] != cur[hi]
+    ]
+    pairs.sort()
+    return pairs
+
+
 def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     """Subscript the letters of a bridge path by insertion step.
 
@@ -90,20 +117,10 @@ def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     prefixes = [OrderPrefix(())]
     tokens: list[LabeledLetter] = []
     for k, (prev, cur) in enumerate(zip(path, path[1:]), start=1):
-        pairs = [
-            (i, j)
-            for i in letter_positions(cur, "a")
-            for j in letter_positions(cur, "b")
-            if delete_pair(cur, i, j) == prev
-        ]
+        pairs = _insertion_pairs(prev, cur)
         a_pos, b_pos = pairs[rng.randrange(len(pairs))]
-        old = iter(tokens)
-        tokens = [
-            LabeledLetter("a", k) if pos == a_pos
-            else LabeledLetter("b", k) if pos == b_pos
-            else next(old)
-            for pos in range(len(cur))
-        ]
+        for pos in sorted((a_pos, b_pos)):
+            tokens.insert(pos, LabeledLetter(cur[pos], k))
         prefixes.append(OrderPrefix(tuple(tokens)))
     return prefixes
 
@@ -125,8 +142,7 @@ class OrderRun:
         return len(self.values_a)
 
     def value(self, letter: LabeledLetter) -> float:
-        seq = self.values_a if letter.kind == "a" else self.values_b
-        return seq[letter.index - 1]
+        return _value(self.values_a, self.values_b, letter)
 
     def prefix(self, n: int | None = None) -> OrderPrefix:
         n = self.depth if n is None else n
@@ -137,23 +153,55 @@ class OrderRun:
 
     def d_hat(self, x: LabeledLetter, y: LabeledLetter) -> float:
         """Fraction of letters strictly between x and y (symmetrized)."""
-        if x == y:
-            return 0.0
-        lo, hi = sorted((self.value(x), self.value(y)))
-        inside_a = sum(1 for v in self.values_a if lo < v < hi)
-        inside_b = sum(1 for v in self.values_b if lo < v < hi)
-        return (inside_a + inside_b) / (2 * self.depth)
+        return _d_hat(self.values_a, self.values_b, x, y)
 
     def f_hat(self, x: LabeledLetter) -> float:
         """Fraction of letters strictly below x."""
-        vx = self.value(x)
-        below_a = sum(1 for v in self.values_a if v < vx)
-        below_b = sum(1 for v in self.values_b if v < vx)
-        return (below_a + below_b) / (2 * self.depth)
+        return _f_hat(self.values_a, self.values_b, x)
+
+
+def _value(values_a, values_b, letter: LabeledLetter) -> float:
+    return (values_a if letter.kind == "a" else values_b)[letter.index - 1]
+
+
+def _share_between(values_a, values_b, lo: float, hi: float) -> float:
+    """Fraction of a run's letters whose values lie strictly between lo and hi."""
+    inside = len([v for v in values_a if lo < v < hi]) + len([v for v in values_b if lo < v < hi])
+    return inside / (2 * len(values_a))
+
+
+def _d_hat(values_a, values_b, x: LabeledLetter, y: LabeledLetter) -> float:
+    lo, hi = sorted((_value(values_a, values_b, x), _value(values_a, values_b, y)))
+    return _share_between(values_a, values_b, lo, hi)
+
+
+def _f_hat(values_a, values_b, x: LabeledLetter) -> float:
+    return _share_between(values_a, values_b, -math.inf, _value(values_a, values_b, x))
+
+
+def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
+    """The first ``depth`` of ``values`` and further draws that are not in ``seen``.
+
+    This is the rule of one draw at a time: a value already seen is
+    skipped and drawn again.  While k values are missing that rule makes at
+    least k more draws, so the batch draw(k) holds exactly its next k
+    draws, and the generator ends where single draws leave it.
+    """
+    kept: list[float] = []
+    while values:
+        for v in values:
+            if v not in seen:
+                seen.add(v)
+                kept.append(v)
+        values = draw(depth - len(kept))
+    return kept
 
 
 class OrderSampler:
-    """Generates independent order runs from a pair of diffuse sources."""
+    """Generates independent order runs from a pair of diffuse sources.
+
+    A run draws its a-values, then its b-values, each source in one batch.
+    """
 
     def __init__(self, a_source, b_source, rng: random.Random):
         for source in (a_source, b_source):
@@ -164,6 +212,8 @@ class OrderSampler:
         self.a_source = a_source
         self.b_source = b_source
         self.rng = rng
+        self._draw_a = a_source.drawer(rng)
+        self._draw_b = b_source.drawer(rng)
 
     @classmethod
     def from_pair(cls, pair: MeasurePair, rng: random.Random) -> "OrderSampler":
@@ -174,22 +224,27 @@ class OrderSampler:
         """Reads the measure pair and generator off an infinite bridge."""
         return cls.from_pair(bridge.pair, bridge.rng)
 
+    def _values(self, depth: int) -> tuple[list[float], list[float]]:
+        """The a-values and b-values of one run, all distinct.
+
+        Each source draws its values in one batch; only a batch holding a
+        repeat (ties have probability zero, so only a float collision) is
+        replayed by `_redraw_repeats`.
+        """
+        values_a = self._draw_a(depth)
+        seen = set(values_a)
+        if len(seen) < depth:
+            seen = set()
+            values_a = _redraw_repeats(self._draw_a, values_a, depth, seen)
+        values_b = self._draw_b(depth)
+        seen.update(values_b)
+        if len(seen) < 2 * depth:
+            values_b = _redraw_repeats(self._draw_b, values_b, depth, set(values_a))
+        return values_a, values_b
+
     def run(self, depth: int) -> OrderRun:
-        seen: set[float] = set()
-        rng = self.rng
-
-        def draws(sample) -> tuple[float, ...]:
-            values: list[float] = []
-            while len(values) < depth:
-                v = sample(rng)
-                if v not in seen:  # ties have probability zero; guard float collisions
-                    seen.add(v)
-                    values.append(v)
-            return tuple(values)
-
-        values_a = draws(self.a_source.sample)
-        values_b = draws(self.b_source.sample)
-        return OrderRun(values_a, values_b)
+        values_a, values_b = self._values(depth)
+        return OrderRun(tuple(values_a), tuple(values_b))
 
 
 def _require_depth(depth: int, *letters: LabeledLetter) -> None:
@@ -210,7 +265,8 @@ def d_samples(
     if x == y:
         return [0.0] * trials
     _require_depth(depth, x, y)
-    return [sampler.run(depth).d_hat(x, y) for _ in range(trials)]
+    values = sampler._values
+    return [_d_hat(*values(depth), x, y) for _ in range(trials)]
 
 
 def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> list[float]:
@@ -218,7 +274,8 @@ def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) 
     `depth` letters of each kind lying strictly below x.
     """
     _require_depth(depth, x)
-    return [sampler.run(depth).f_hat(x) for _ in range(trials)]
+    values = sampler._values
+    return [_f_hat(*values(depth), x) for _ in range(trials)]
 
 
 def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[float, float]]:
@@ -242,14 +299,15 @@ def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[flo
         [(half_n * mu_prod, half_n * nu_prod) for nu_prod in range(2**n + 1)]
         for mu_prod in range(2**n + 1)
     ]
+    draw = sampler._values
     out = []
     for _ in range(trials):
-        run = sampler.run(n + 1)
-        va, vb = run.values_a, run.values_b
+        va, vb = draw(n + 1)
+        target_a, target_b = va[n], vb[n]
         mu_prod = nu_prod = 1
         for k in range(n):
-            mu_prod *= (va[k] < va[n]) + (vb[k] < va[n])
-            nu_prod *= (va[k] < vb[n]) + (vb[k] < vb[n])
+            mu_prod *= (va[k] < target_a) + (vb[k] < target_a)
+            nu_prod *= (va[k] < target_b) + (vb[k] < target_b)
         out.append(values[mu_prod][nu_prod])
     return out
 

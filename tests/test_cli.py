@@ -300,6 +300,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("flag, content", [
         ("--eta", b'{"breakpoints": ["0", "1"], "dens'),
         ("--eta", b"\xff\xfe{}"),
+        ("--eta", b'{"breakpoints": [0, 1], "densities": ["1"]}'),
         ("--seq", b"ab\n\xe9\n"),
     ])
     def test_unreadable_file_is_named(self, capsys, tmp_path, pair_file, flag, content):

@@ -378,6 +378,22 @@ class TestSampling:
         draws = {atoms.sample(rng) for _ in range(200)}
         assert draws == {F(1, 4), F(3, 4)}
 
+    @pytest.mark.parametrize("source", [
+        StepMeasure.uniform_on(F(1, 3), F(2, 3)),
+        fixture_pairs()["separated"].nu,  # zero density on [0, 1/2]
+        fixture_pairs()["three-cell"].nu,  # zero density on the first cell
+        fixture_pairs()["skewed"].mu,
+        Exponential(F(3, 2)),
+        empirical_pair("abbaab").nu,
+    ], ids=["one-cell", "separated-nu", "three-cell-nu", "skewed-mu", "exp", "atomic"])
+    def test_batch_draw_equals_single_draws(self, source):
+        for seed in range(40):
+            single, batch = random.Random(seed), random.Random(seed)
+            k = seed % 13
+            draw = source.drawer(batch)
+            assert draw(k) + draw(7) == [source.sample(single) for _ in range(k + 7)]
+            assert batch.getstate() == single.getstate()
+
     def test_pattern_match_needs_distinct_atoms(self):
         # mu has atoms 1/4, 1/2 and nu has 3/4, 1, each of mass 1/2; trial 1
         # would read aabb but for its tied mu draws, trial 3 ties as well

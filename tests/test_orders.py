@@ -315,6 +315,32 @@ class TestSamplerSources:
         assert rng.script == []
         assert rng.getstate() == random.Random(224).getstate()
 
+    def test_runs_match_single_draws_under_collisions(self):
+        # scripts drawn from 12 dyadic values force repeats in every block
+        def single_draw_run(sampler, depth):
+            seen, out = set(), []
+            for source in (sampler.a_source, sampler.b_source):
+                values = []
+                while len(values) < depth:
+                    v = source.sample(sampler.rng)
+                    if v not in seen:
+                        seen.add(v)
+                        values.append(v)
+                out.append(tuple(values))
+            return out
+
+        pool = [i / 16 for i in range(2, 14)]
+        for seed in range(60):
+            script = random.Random(seed).choices(pool, k=30)
+            pairs = [fixture_pairs()["three-cell"], CanonicalPair.lebesgue()]
+            batch, single = ScriptedRandom(seed, script), ScriptedRandom(seed, script)
+            batch_sampler = OrderSampler.from_pair(pairs[seed % 2], batch)
+            single_sampler = OrderSampler.from_pair(pairs[seed % 2], single)
+            for depth in (4, 3):
+                run = batch_sampler.run(depth)
+                assert [run.values_a, run.values_b] == single_draw_run(single_sampler, depth)
+            assert batch.getstate() == single.getstate() and batch.script == single.script
+
     def test_atomic_sources_rejected(self):
         from wordchain.measures import empirical_pair
 
