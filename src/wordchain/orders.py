@@ -180,10 +180,10 @@ def _f_hat(values_a, values_b, x: LabeledLetter) -> float:
 
 
 def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
-    """The first ``depth`` of ``values`` and further draws that are not in ``seen``.
+    """``depth`` values not in ``seen``: the batch ``values``, then further draws.
 
     This is the rule of one draw at a time: a value already seen is
-    skipped and drawn again.  While k values are missing that rule makes at
+    skipped and drawn again, and each kept value joins ``seen``.  While k values are missing that rule makes at
     least k more draws, so the batch draw(k) holds exactly its next k
     draws, and the generator ends where single draws leave it.
     """
