@@ -169,14 +169,10 @@ class StepMeasure:
         """draw(k): the list [self.sample(rng) for _ in range(k)], in one call.
 
         Same generator calls and float arithmetic as single draws; the
-        bisection over cum[1:K] stands in for clamping the cell to K - 1,
-        and with one cell cum[0] is 0.0, so u - cum[0] is u.
+        bisection over cum[1:K] stands in for clamping the cell to K - 1.
         """
         cum, lefts, dens = self._sampler_table
         random_ = rng.random
-        if len(lefts) == 1:
-            left, den = lefts[0], dens[0]
-            return lambda k: [left + random_() / den for _ in range(k)]
         cells = list(zip(lefts, cum, dens))
         bisect_right, hi = bisect.bisect_right, len(lefts)
 
@@ -394,10 +390,9 @@ def interleave_pattern(xs, ys) -> str:
     """
     tagged = [(x, "a") for x in xs] + [(y, "b") for y in ys]
     tagged.sort()
-    for (v1, _), (v2, _) in zip(tagged, tagged[1:]):
-        if v1 == v2:
-            raise ValueError("tied values have no interleaving pattern")
-    return "".join(t for _, t in tagged)
+    if len({v for v, _ in tagged}) < len(tagged):
+        raise ValueError("tied values have no interleaving pattern")
+    return "".join([t for _, t in tagged])
 
 
 def _integer_masses(pair: CanonicalPair) -> tuple[int, list[int], list[int]]:
@@ -554,14 +549,12 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     """
     m = word_size(w)
     draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
-    target = [letter == "b" for letter in w]
     out = []
     for _ in range(trials):
-        tagged = [(x, False) for x in draw_mu(m)] + [(y, True) for y in draw_nu(m)]
-        tagged.sort()
-        out.append(
-            [tag for _, tag in tagged] == target and len({v for v, _ in tagged}) == 2 * m
-        )
+        try:
+            out.append(interleave_pattern(draw_mu(m), draw_nu(m)) == w)
+        except ValueError:
+            out.append(False)
     return out
 
 

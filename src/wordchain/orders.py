@@ -142,7 +142,7 @@ class OrderRun:
         return len(self.values_a)
 
     def value(self, letter: LabeledLetter) -> float:
-        return _value(self.values_a, self.values_b, letter)
+        return (self.values_a if letter.kind == "a" else self.values_b)[letter.index - 1]
 
     def prefix(self, n: int | None = None) -> OrderPrefix:
         n = self.depth if n is None else n
@@ -153,39 +153,28 @@ class OrderRun:
 
     def d_hat(self, x: LabeledLetter, y: LabeledLetter) -> float:
         """Fraction of letters strictly between x and y (symmetrized)."""
-        return _d_hat(self.values_a, self.values_b, x, y)
+        lo, hi = sorted((self.value(x), self.value(y)))
+        return self._share_between(lo, hi)
 
     def f_hat(self, x: LabeledLetter) -> float:
         """Fraction of letters strictly below x."""
-        return _f_hat(self.values_a, self.values_b, x)
+        return self._share_between(-math.inf, self.value(x))
 
-
-def _value(values_a, values_b, letter: LabeledLetter) -> float:
-    return (values_a if letter.kind == "a" else values_b)[letter.index - 1]
-
-
-def _share_between(values_a, values_b, lo: float, hi: float) -> float:
-    """Fraction of a run's letters whose values lie strictly between lo and hi."""
-    inside = len([v for v in values_a if lo < v < hi]) + len([v for v in values_b if lo < v < hi])
-    return inside / (2 * len(values_a))
-
-
-def _d_hat(values_a, values_b, x: LabeledLetter, y: LabeledLetter) -> float:
-    lo, hi = sorted((_value(values_a, values_b, x), _value(values_a, values_b, y)))
-    return _share_between(values_a, values_b, lo, hi)
-
-
-def _f_hat(values_a, values_b, x: LabeledLetter) -> float:
-    return _share_between(values_a, values_b, -math.inf, _value(values_a, values_b, x))
+    def _share_between(self, lo: float, hi: float) -> float:
+        """Fraction of the run's letters whose values lie strictly between lo and hi."""
+        inside = len([v for v in self.values_a if lo < v < hi])
+        inside += len([v for v in self.values_b if lo < v < hi])
+        return inside / (2 * self.depth)
 
 
 def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
     """``depth`` values not in ``seen``: the batch ``values``, then further draws.
 
     This is the rule of one draw at a time: a value already seen is
-    skipped and drawn again, and each kept value joins ``seen``.  While k values are missing that rule makes at
-    least k more draws, so the batch draw(k) holds exactly its next k
-    draws, and the generator ends where single draws leave it.
+    skipped and drawn again, and each kept value joins ``seen``.  While k
+    values are missing that rule makes at least k more draws, so the batch
+    draw(k) holds exactly its next k draws, and the generator ends where
+    single draws leave it.
     """
     kept: list[float] = []
     while values:
@@ -265,8 +254,8 @@ def d_samples(
     if x == y:
         return [0.0] * trials
     _require_depth(depth, x, y)
-    values = sampler._values
-    return [_d_hat(*values(depth), x, y) for _ in range(trials)]
+    run = sampler.run
+    return [run(depth).d_hat(x, y) for _ in range(trials)]
 
 
 def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> list[float]:
@@ -274,8 +263,8 @@ def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) 
     `depth` letters of each kind lying strictly below x.
     """
     _require_depth(depth, x)
-    values = sampler._values
-    return [_f_hat(*values(depth), x) for _ in range(trials)]
+    run = sampler.run
+    return [run(depth).f_hat(x) for _ in range(trials)]
 
 
 def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[float, float]]:
