@@ -9,7 +9,7 @@ exchangeable-order statistics that parameterize the boundary, and ships the
 closed-form exponential-rates special case.
 """
 
-from .boundary import ConvergenceReport, ReportConfig, convergence_report, kernel_ratio
+from .boundary import ConvergenceReport, convergence_report, kernel_ratio
 from .bridges import (
     InfiniteBridge,
     harmonic_h,
@@ -21,7 +21,6 @@ from .errors import CapExceededError, SizeMismatchError, WordchainError, ZeroMas
 from .kernels import (
     backward_prob,
     dm_kernel,
-    kernel_table,
     multi_step_prob,
     one_step_prob,
 )

@@ -407,7 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WordchainError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+    # _read_file wraps file errors in WordchainError; library validation still
+    # raises plain ValueError, so that stays caught too
+    except (WordchainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

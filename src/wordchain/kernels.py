@@ -10,13 +10,10 @@ slots) uniformly at random, so every one-step probability has denominator
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import SizeMismatchError
-from .words import enumerate_balanced, subword_count, word_size
+from .words import subword_count, word_size
 
 
 def _sizes(v: str, w: str) -> tuple[int, int]:
@@ -76,21 +73,3 @@ def backward_prob(u: str, v: str) -> Fraction:
     if k != m + 1:
         raise SizeMismatchError(f"backward step needs sizes (m, m+1), got ({m}, {k})")
     return Fraction(subword_count(v, u), (m + 1) ** 2)
-
-
-@lru_cache(maxsize=64)
-def kernel_table(m: int, n: int) -> Mapping[str, Mapping[str, Fraction]]:
-    """Multi-step transition table from size m to size m+n, memoized.
-
-    Rows are source words, columns target words; every row sums to exactly
-    1.  Built lazily because full tables grow quickly with m+n.  Every
-    caller shares the cached table, so it and its rows are read-only views.
-    """
-    targets = enumerate_balanced(m + n)
-    return MappingProxyType(
-        {
-            v: MappingProxyType({w: multi_step_prob(v, w) for w in targets})
-            for v in enumerate_balanced(m)
-        }
-    )
-

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure
+from .words import word_size
 
 MOMENT_ORDER_CAP = 4
 
@@ -55,8 +56,8 @@ class OrderPrefix:
         if len(self.letters) % 2:
             raise ValueError("an order prefix has even length")
         n = len(self.letters) // 2
-        expected = {LabeledLetter(k, i) for k in "ab" for i in range(1, n + 1)}
-        if set(self.letters) != expected:
+        labels = sorted((letter.kind, letter.index) for letter in self.letters)
+        if labels != [(k, i) for k in "ab" for i in range(1, n + 1)]:
             raise ValueError(f"prefix must use each of a1..a{n}, b1..b{n} exactly once")
 
     @property
@@ -111,13 +112,17 @@ def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     The resulting prefixes unlabel to the path states, and removing a_k and
     b_k from the level-k prefix gives the level-(k-1) prefix exactly.
     """
-    from .bridges import check_bridge_path
-
-    check_bridge_path(path)
+    if not path or path[0] != "":
+        raise ValueError("a bridge path must start at the empty word")
+    for k, w in enumerate(path):
+        if word_size(w) != k:
+            raise ValueError(f"path state {k} has size {word_size(w)}, expected {k}")
     prefixes = [OrderPrefix(())]
     tokens: list[LabeledLetter] = []
     for k, (prev, cur) in enumerate(zip(path, path[1:]), start=1):
         pairs = _insertion_pairs(prev, cur)
+        if not pairs:
+            raise ValueError(f"{prev!r} is not a subword of its successor {cur!r}")
         a_pos, b_pos = pairs[rng.randrange(len(pairs))]
         for pos in sorted((a_pos, b_pos)):
             tokens.insert(pos, LabeledLetter(cur[pos], k))

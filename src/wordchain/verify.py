@@ -41,23 +41,11 @@ class CheckResult:
         return not self.failures
 
     def fail(self, message: str) -> None:
-        if len(self.failures) < 20:  # keep reports readable
+        """Record a failure; past 20 (to keep reports readable), one suppressed line."""
+        if len(self.failures) < 20:
             self.failures.append(message)
-        else:
+        elif len(self.failures) == 20:
             self.failures.append("... further failures suppressed")
-            raise _TooManyFailures
-
-
-class _TooManyFailures(Exception):
-    pass
-
-
-def _guard(fn, result: CheckResult) -> CheckResult:
-    try:
-        fn(result)
-    except _TooManyFailures:
-        pass
-    return result
 
 
 def bridge_conditional_check(w: str) -> CheckResult:
@@ -73,20 +61,19 @@ def bridge_conditional_check(w: str) -> CheckResult:
     if size > BRIDGE_CHECK_CAP:
         raise CapExceededError(f"word size {size} exceeds bridge check cap {BRIDGE_CHECK_CAP}")
 
-    def run(res: CheckResult) -> None:
-        for m in range(size):
-            for v in enumerate_balanced(m + 1):
-                if multi_step_prob(v, w) == 0:
-                    continue  # conditioning event has zero probability
-                for u in enumerate_balanced(m):
-                    lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
-                    lhs = lhs_num / multi_step_prob("", v)
-                    rhs = backward_prob(u, v)
-                    res.checked += 1
-                    if lhs != rhs:
-                        res.fail(f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}")
-
-    return _guard(run, CheckResult(f"bridge conditionals to {w!r}"))
+    res = CheckResult(f"bridge conditionals to {w!r}")
+    for m in range(size):
+        for v in enumerate_balanced(m + 1):
+            if multi_step_prob(v, w) == 0:
+                continue  # conditioning event has zero probability
+            for u in enumerate_balanced(m):
+                lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
+                lhs = lhs_num / multi_step_prob("", v)
+                rhs = backward_prob(u, v)
+                res.checked += 1
+                if lhs != rhs:
+                    res.fail(f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}")
+    return res
 
 
 def _atomic_pattern_counts(y: str, m: int) -> dict[str, int]:
@@ -118,70 +105,66 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
     if m > n:
         raise SizeMismatchError(f"pattern size {m} exceeds word size {n}")
 
-    def run(res: CheckResult) -> None:
-        pair = empirical_pair(y)
-        counts = _atomic_pattern_counts(y, m)
-        mass = Fraction(math.factorial(m) ** 2, n ** (2 * m))
-        for w in enumerate_balanced(m):
-            served = pattern_prob_exact(pair, w)
-            enumerated = counts.get(w, 0) * mass
-            res.checked += 1
-            if served != enumerated:
-                res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
+    res = CheckResult(f"empirical identity y={y!r} m={m}")
+    pair = empirical_pair(y)
+    counts = _atomic_pattern_counts(y, m)
+    mass = Fraction(math.factorial(m) ** 2, n ** (2 * m))
+    for w in enumerate_balanced(m):
+        served = pattern_prob_exact(pair, w)
+        enumerated = counts.get(w, 0) * mass
+        res.checked += 1
+        if served != enumerated:
+            res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
+    return res
 
-    return _guard(run, CheckResult(f"empirical identity y={y!r} m={m}"))
 
-
-def check_recurrence_closure(max_len: int = 8) -> CheckResult:
-    """The three defining properties of the subword coefficient."""
-
-    def run(res: CheckResult) -> None:
-        words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
-        all_words = [w for ws in words_by_len for w in ws]
-        for w in all_words:
-            res.checked += 1
-            if subword_count(w, "") != 1:
-                res.fail(f"binom({w!r}, empty) != 1")
-        for w in all_words:
-            for extra in range(1, 3):
-                if len(w) + extra > max_len:
-                    continue
-                for v in words_by_len[len(w) + extra]:
+def check_recurrence_closure() -> CheckResult:
+    """The three defining properties of the subword coefficient, on words of length <= 8."""
+    res = CheckResult("subword recurrence closure")
+    max_len = 8
+    words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
+    all_words = [w for ws in words_by_len for w in ws]
+    for w in all_words:
+        res.checked += 1
+        if subword_count(w, "") != 1:
+            res.fail(f"binom({w!r}, empty) != 1")
+    for w in all_words:
+        for extra in range(1, 3):
+            if len(w) + extra > max_len:
+                continue
+            for v in words_by_len[len(w) + extra]:
+                res.checked += 1
+                if subword_count(w, v) != 0:
+                    res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
+    for w in (w for ws in words_by_len[: max_len] for w in ws):
+        for v in (v for k in range(len(w) + 1) for v in words_by_len[k]):
+            base = subword_count(w, v)
+            for x in "ab":
+                ext = subword_count(w, v + x)
+                for y in "ab":
                     res.checked += 1
-                    if subword_count(w, v) != 0:
-                        res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
-        for w in (w for ws in words_by_len[: max_len] for w in ws):
-            for v in (v for k in range(len(w) + 1) for v in words_by_len[k]):
-                base = subword_count(w, v)
-                for x in "ab":
-                    ext = subword_count(w, v + x)
-                    for y in "ab":
-                        res.checked += 1
-                        lhs = subword_count(w + y, v + x)
-                        rhs = ext + (base if x == y else 0)
-                        if lhs != rhs:
-                            res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
-
-    return _guard(run, CheckResult("subword recurrence closure"))
+                    lhs = subword_count(w + y, v + x)
+                    rhs = ext + (base if x == y else 0)
+                    if lhs != rhs:
+                        res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
+    return res
 
 
-def check_convolution_identity(limit: int = 4) -> CheckResult:
-    """sum_v binom(v,u) binom(w,v) = binom(w,u) (n+1)^2 over middle layers."""
-
-    def run(res: CheckResult) -> None:
-        for m in range(limit):
-            for total in range(m + 1, limit + 1):
-                n = total - m - 1
-                mids = enumerate_balanced(m + 1)
-                for u in enumerate_balanced(m):
-                    for w in enumerate_balanced(total):
-                        lhs = sum(subword_count(v, u) * subword_count(w, v) for v in mids)
-                        rhs = subword_count(w, u) * (n + 1) ** 2
-                        res.checked += 1
-                        if lhs != rhs:
-                            res.fail(f"convolution broken at u={u!r} w={w!r}")
-
-    return _guard(run, CheckResult("subword convolution identity"))
+def check_convolution_identity() -> CheckResult:
+    """sum_v binom(v,u) binom(w,v) = binom(w,u) (n+1)^2 over middle layers, sizes <= 4."""
+    res = CheckResult("subword convolution identity")
+    for m in range(4):
+        for total in range(m + 1, 5):
+            n = total - m - 1
+            mids = enumerate_balanced(m + 1)
+            for u in enumerate_balanced(m):
+                for w in enumerate_balanced(total):
+                    lhs = sum(subword_count(v, u) * subword_count(w, v) for v in mids)
+                    rhs = subword_count(w, u) * (n + 1) ** 2
+                    res.checked += 1
+                    if lhs != rhs:
+                        res.fail(f"convolution broken at u={u!r} w={w!r}")
+    return res
 
 
 def _count_matrices(max_len: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
@@ -238,173 +221,158 @@ def _matrix_exp_nilpotent(h: list[list[int]]) -> list[list[Fraction]]:
     return acc
 
 
-def check_matrix_exponential(max_len: int = 5) -> CheckResult:
+def check_matrix_exponential() -> CheckResult:
     """exp of the one-step count matrix equals the full count matrix."""
-
-    def run(res: CheckResult) -> None:
-        index, p, h = _count_matrices(max_len)
-        size = len(index)
-        for i in range(size):
-            if p[i][i] != 1:
-                res.fail(f"P diagonal at {index[i]!r} is not 1")
-            if h[i][i] != 0:
-                res.fail(f"H diagonal at {index[i]!r} is not 0")
-        exp_h = _matrix_exp_nilpotent(h)
-        for i in range(size):
-            for j in range(size):
-                res.checked += 1
-                if exp_h[i][j] != p[i][j]:
-                    res.fail(f"exp(H) != P at ({index[i]!r}, {index[j]!r})")
-
-    return _guard(run, CheckResult(f"exp(H) = P on words of length <= {max_len}"))
+    res = CheckResult("exp(H) = P on words of length <= 5")
+    index, p, h = _count_matrices(5)
+    size = len(index)
+    for i in range(size):
+        if p[i][i] != 1:
+            res.fail(f"P diagonal at {index[i]!r} is not 1")
+        if h[i][i] != 0:
+            res.fail(f"H diagonal at {index[i]!r} is not 0")
+    exp_h = _matrix_exp_nilpotent(h)
+    for i in range(size):
+        for j in range(size):
+            res.checked += 1
+            if exp_h[i][j] != p[i][j]:
+                res.fail(f"exp(H) != P at ({index[i]!r}, {index[j]!r})")
+    return res
 
 
-def check_chapman_kolmogorov(limit: int = 4) -> CheckResult:
-    """Composing one-step kernels reproduces the multi-step formula."""
-
-    def run(res: CheckResult) -> None:
-        for m in range(limit):
-            for total in range(m + 1, limit + 1):
-                for v in enumerate_balanced(m):
-                    composed = {v: Fraction(1)}
-                    for _ in range(total - m):
-                        nxt: dict[str, Fraction] = {}
-                        for u, p_u in composed.items():
-                            for w in successors(u):
-                                nxt[w] = nxt.get(w, Fraction(0)) + p_u * one_step_prob(u, w)
-                        composed = nxt
-                    for w in enumerate_balanced(total):
-                        res.checked += 1
-                        if composed.get(w, Fraction(0)) != multi_step_prob(v, w):
-                            res.fail(f"composition != closed form at v={v!r} w={w!r}")
-
-    return _guard(run, CheckResult("Chapman-Kolmogorov composition"))
+def check_chapman_kolmogorov() -> CheckResult:
+    """Composing one-step kernels reproduces the multi-step formula, sizes <= 4."""
+    res = CheckResult("Chapman-Kolmogorov composition")
+    for m in range(4):
+        for total in range(m + 1, 5):
+            for v in enumerate_balanced(m):
+                composed = {v: Fraction(1)}
+                for _ in range(total - m):
+                    nxt: dict[str, Fraction] = {}
+                    for u, p_u in composed.items():
+                        for w in successors(u):
+                            nxt[w] = nxt.get(w, Fraction(0)) + p_u * one_step_prob(u, w)
+                    composed = nxt
+                for w in enumerate_balanced(total):
+                    res.checked += 1
+                    if composed.get(w, Fraction(0)) != multi_step_prob(v, w):
+                        res.fail(f"composition != closed form at v={v!r} w={w!r}")
+    return res
 
 
-def check_kernel_ratio_law(limit: int = 4) -> CheckResult:
-    """dm_kernel equals the ratio of hitting probabilities, plus its bound."""
-
-    def run(res: CheckResult) -> None:
-        for m in range(limit + 1):
-            for total in range(m, limit + 1):
-                for v in enumerate_balanced(m):
-                    bound = Fraction(1) / multi_step_prob("", v)
-                    for w in enumerate_balanced(total):
-                        res.checked += 1
-                        k = dm_kernel(v, w)
-                        ratio = multi_step_prob(v, w) / multi_step_prob("", w)
-                        if k != ratio or k > bound:
-                            res.fail(f"kernel law broken at v={v!r} w={w!r}")
-
-    return _guard(run, CheckResult("Doob-Martin kernel ratio law"))
+def check_kernel_ratio_law() -> CheckResult:
+    """dm_kernel equals the ratio of hitting probabilities, plus its bound, sizes <= 4."""
+    res = CheckResult("Doob-Martin kernel ratio law")
+    for m in range(5):
+        for total in range(m, 5):
+            for v in enumerate_balanced(m):
+                bound = Fraction(1) / multi_step_prob("", v)
+                for w in enumerate_balanced(total):
+                    res.checked += 1
+                    k = dm_kernel(v, w)
+                    ratio = multi_step_prob(v, w) / multi_step_prob("", w)
+                    if k != ratio or k > bound:
+                        res.fail(f"kernel law broken at v={v!r} w={w!r}")
+    return res
 
 
-def check_backward_normalization(limit: int = 4) -> CheckResult:
-    """Backward deletion probabilities from any word sum to 1."""
-
-    def run(res: CheckResult) -> None:
-        for size in range(1, limit + 1):
-            smaller = enumerate_balanced(size - 1)
-            for v in enumerate_balanced(size):
-                res.checked += 1
-                total = sum(backward_prob(u, v) for u in smaller)
-                if total != 1:
-                    res.fail(f"backward row from {v!r} sums to {total}")
-
-    return _guard(run, CheckResult("backward kernel normalization"))
+def check_backward_normalization() -> CheckResult:
+    """Backward deletion probabilities from any word of size 1 to 4 sum to 1."""
+    res = CheckResult("backward kernel normalization")
+    for size in range(1, 5):
+        smaller = enumerate_balanced(size - 1)
+        for v in enumerate_balanced(size):
+            res.checked += 1
+            total = sum(backward_prob(u, v) for u in smaller)
+            if total != 1:
+                res.fail(f"backward row from {v!r} sums to {total}")
+    return res
 
 
-def check_bridge_conditionals(limit: int = 4) -> CheckResult:
-    """Bridge conditionals equal the universal deletion dynamics."""
+def check_bridge_conditionals() -> CheckResult:
+    """Bridge conditionals equal the universal deletion dynamics, targets of size 1 to 4."""
+    res = CheckResult("bridge conditional = deletion dynamics")
+    for size in range(1, 5):
+        for w in enumerate_balanced(size):
+            report = bridge_conditional_check(w)
+            res.checked += report.checked
+            for failure in report.failures:
+                res.fail(f"target {w!r}: {failure}")
+    return res
 
-    def run(res: CheckResult) -> None:
-        for size in range(1, limit + 1):
-            for w in enumerate_balanced(size):
-                report = bridge_conditional_check(w)
+
+def check_pattern_normalization() -> CheckResult:
+    """Pattern probabilities of each fixture pair form a distribution, sizes 1 to 3."""
+    res = CheckResult("pattern probability normalization")
+    for name, pair in fixture_pairs().items():
+        for m in range(1, 4):
+            res.checked += 1
+            total = sum(pattern_distribution(pair, m).values())
+            if total != 1:
+                res.fail(f"pair {name}: patterns of size {m} sum to {total}")
+    return res
+
+
+def check_empirical_identity() -> CheckResult:
+    """Empirical-pair pattern probabilities match subword counts exactly.
+
+    Swept over words y of size 1 to 6 and patterns of size 1 to 2.
+    """
+    res = CheckResult("empirical pattern identity")
+    for size in range(1, 7):
+        for y in enumerate_balanced(size):
+            for m in range(1, min(2, size) + 1):
+                report = empirical_identity_check(y, m)
                 res.checked += report.checked
                 for failure in report.failures:
-                    res.fail(f"target {w!r}: {failure}")
+                    res.fail(f"y={y!r} m={m}: {failure}")
+    return res
 
-    return _guard(run, CheckResult("bridge conditional = deletion dynamics"))
 
-
-def check_pattern_normalization(m_max: int = 3) -> CheckResult:
-    """Pattern probabilities of each fixture pair form a distribution."""
-
-    def run(res: CheckResult) -> None:
-        for name, pair in fixture_pairs().items():
-            for m in range(1, m_max + 1):
+def check_plackett_luce() -> CheckResult:
+    """Exponential-pair closed forms: normalization, harmonicity, h-triangle, sizes <= 3."""
+    res = CheckResult("Plackett-Luce closed forms")
+    for rates in PL_RATE_FIXTURES:
+        for n in range(4):
+            res.checked += 1
+            total = sum(pl_word_prob(rates, u) for u in enumerate_balanced(n))
+            if total != 1:
+                res.fail(f"rates {rates}: pmf over W_{n} sums to {total}")
+            for u in enumerate_balanced(n):
                 res.checked += 1
-                total = sum(pattern_distribution(pair, m).values())
-                if total != 1:
-                    res.fail(f"pair {name}: patterns of size {m} sum to {total}")
-
-    return _guard(run, CheckResult("pattern probability normalization"))
-
-
-def check_empirical_identity(size_max: int = 6, m_max: int = 2) -> CheckResult:
-    """Empirical-pair pattern probabilities match subword counts exactly."""
-
-    def run(res: CheckResult) -> None:
-        for size in range(1, size_max + 1):
-            for y in enumerate_balanced(size):
-                for m in range(1, min(m_max, size) + 1):
-                    report = empirical_identity_check(y, m)
-                    res.checked += report.checked
-                    for failure in report.failures:
-                        res.fail(f"y={y!r} m={m}: {failure}")
-
-    return _guard(run, CheckResult("empirical pattern identity"))
+                row = Fraction(0)
+                for v in successors(u):
+                    p = pl_transition(rates, u, v)
+                    expected = (
+                        one_step_prob(u, v)
+                        * pl_harmonic(rates, v)
+                        / pl_harmonic(rates, u)
+                    )
+                    if p != expected:
+                        res.fail(f"rates {rates}: transition triangle broken at {u!r}->{v!r}")
+                    row += p
+                if row != 1:
+                    res.fail(f"rates {rates}: transition row from {u!r} sums to {row}")
+    return res
 
 
-def check_plackett_luce(limit: int = 3) -> CheckResult:
-    """Exponential-pair closed forms: normalization, harmonicity, h-triangle."""
-
-    def run(res: CheckResult) -> None:
-        for rates in PL_RATE_FIXTURES:
-            for n in range(limit + 1):
+def check_harmonicity() -> CheckResult:
+    """sum_v P(u,v) h(v) = h(u) for three fixture boundary points, sizes <= 3."""
+    res = CheckResult("harmonicity of fixture boundary functions")
+    pairs = fixture_pairs()
+    for name in ("lebesgue", "separated", "three-cell"):
+        pair = pairs[name]
+        # h on every word the sweep reaches: each of size n + 1 succeeds one of size n
+        h = {v: harmonic_h(pair, v) for n in range(5) for v in enumerate_balanced(n)}
+        for size in range(4):
+            for u in enumerate_balanced(size):
                 res.checked += 1
-                total = sum(pl_word_prob(rates, u) for u in enumerate_balanced(n))
-                if total != 1:
-                    res.fail(f"rates {rates}: pmf over W_{n} sums to {total}")
-                for u in enumerate_balanced(n):
-                    res.checked += 1
-                    row = Fraction(0)
-                    for v in successors(u):
-                        p = pl_transition(rates, u, v)
-                        expected = (
-                            one_step_prob(u, v)
-                            * pl_harmonic(rates, v)
-                            / pl_harmonic(rates, u)
-                        )
-                        if p != expected:
-                            res.fail(f"rates {rates}: transition triangle broken at {u!r}->{v!r}")
-                        row += p
-                    if row != 1:
-                        res.fail(f"rates {rates}: transition row from {u!r} sums to {row}")
-
-    return _guard(run, CheckResult("Plackett-Luce closed forms"))
-
-
-def check_harmonicity(size_max: int = 3, pair_names: tuple[str, ...] = ("lebesgue", "separated", "three-cell")) -> CheckResult:
-    """sum_v P(u,v) h(v) = h(u) for the fixture boundary points."""
-
-    def run(res: CheckResult) -> None:
-        pairs = fixture_pairs()
-        for name in pair_names:
-            pair = pairs[name]
-            # h on every word the sweep reaches: each of size n + 1 succeeds one of size n
-            h = {v: harmonic_h(pair, v) for n in range(size_max + 2) for v in enumerate_balanced(n)}
-            for size in range(size_max + 1):
-                for u in enumerate_balanced(size):
-                    res.checked += 1
-                    total = sum(one_step_prob(u, v) * h[v] for v in successors(u))
-                    if total != h[u]:
-                        res.fail(f"pair {name}: harmonicity broken at {u!r}")
-                    if name == "lebesgue" and h[u] != 1:
-                        res.fail(f"lebesgue pair: h({u!r}) = {h[u]} != 1")
-
-    return _guard(run, CheckResult("harmonicity of fixture boundary functions"))
+                total = sum(one_step_prob(u, v) * h[v] for v in successors(u))
+                if total != h[u]:
+                    res.fail(f"pair {name}: harmonicity broken at {u!r}")
+                if name == "lebesgue" and h[u] != 1:
+                    res.fail(f"lebesgue pair: h({u!r}) = {h[u]} != 1")
+    return res
 
 
 def run_verification() -> list[CheckResult]:

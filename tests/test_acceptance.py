@@ -44,7 +44,7 @@ def passline(number: int, text: str) -> None:
 
 def test_criterion_1_convolution_identity():
     start = time.monotonic()
-    result = check_convolution_identity(limit=4)
+    result = check_convolution_identity()
     elapsed = time.monotonic() - start
     assert result.ok, result.failures
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
@@ -54,7 +54,7 @@ def test_criterion_1_convolution_identity():
 
 def test_criterion_2_matrix_exponential():
     start = time.monotonic()
-    result = check_matrix_exponential(max_len=5)
+    result = check_matrix_exponential()
     elapsed = time.monotonic() - start
     assert result.ok, result.failures
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
@@ -63,14 +63,14 @@ def test_criterion_2_matrix_exponential():
 
 
 def test_criterion_3_dm_kernel_ratio():
-    result = check_kernel_ratio_law(limit=4)
+    result = check_kernel_ratio_law()
     assert result.ok, result.failures
     passline(3, f"Doob-Martin closed form equals the probability ratio on "
                 f"{result.checked} pairs, exactly")
 
 
 def test_criterion_4_bridge_backward_law():
-    result = check_bridge_conditionals(limit=4)
+    result = check_bridge_conditionals()
     assert result.ok, result.failures
     passline(4, f"bridge conditionals equal subword_count(v,u)/(m+1)^2 on "
                 f"{result.checked} conditionals, exactly")
@@ -133,7 +133,7 @@ def test_criterion_7_harmonicity():
 
 
 def test_criterion_8_empirical_identity():
-    result = check_empirical_identity(size_max=6, m_max=2)
+    result = check_empirical_identity()
     assert result.ok, result.failures
     passline(8, f"(N^m)^2 * empirical pattern = (m!)^2 * subword count on "
                 f"{result.checked} (y, w) pairs, exactly")

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from wordchain.boundary import (
-    ReportConfig,
     check_word_sequence,
     convergence_report,
     kernel_ratio,
@@ -166,9 +165,8 @@ class TestConvergenceReport:
         assert data["config"] == {"distance_tol": 0.15, "ratio_tol": 0.1}
 
     def test_custom_config(self):
-        seq = ["ab", "abab"]
-        report = convergence_report(
-            seq, CanonicalPair.lebesgue(), 1, config=ReportConfig(distance_tol=0.01)
-        )
-        assert report.config.distance_tol == 0.01
+        # the final distances exceed the fixed distance tolerance 0.15
+        report = convergence_report(["ab", "abab"], CanonicalPair.lebesgue(), 1)
+        assert (report.mu_distances[-1], report.nu_distances[-1]) == (0.25, 0.5)
         assert not report.verdict
+        assert "exceed 0.15" in report.verdict_reason

@@ -89,8 +89,12 @@ class TestLabelUniformly:
             assert abs(counts[labeling] / runs - 0.25) < 3 * sigma
 
     def test_rejects_invalid_path(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start at the empty word"):
             label_uniformly(["ab"], rng)
+        with pytest.raises(ValueError, match="'ab' is not a subword of its successor 'bbaa'"):
+            label_uniformly(["", "ab", "bbaa"], rng)
+        with pytest.raises(ValueError, match="path state 2 has size 1, expected 2"):
+            label_uniformly(["", "ab", "ab"], rng)
 
 
 class TestParametricOrders:
