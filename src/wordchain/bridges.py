@@ -22,26 +22,7 @@ from itertools import compress
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
 from .measures import CanonicalPair, pattern_prob_exact
-from .words import (
-    check_balanced,
-    delete_pair,
-    subword_count,
-    successors,
-    word_size,
-)
-
-
-def check_bridge_path(path: list[str]) -> list[str]:
-    """Validate the grading and subword-of-successor invariants."""
-    if not path or path[0] != "":
-        raise ValueError("a bridge path must start at the empty word")
-    for k, w in enumerate(path):
-        if word_size(w) != k:
-            raise ValueError(f"path state {k} has size {word_size(w)}, expected {k}")
-    for v, w in zip(path, path[1:]):
-        if subword_count(w, v) == 0:
-            raise ValueError(f"{v!r} is not a subword of its successor {w!r}")
-    return path
+from .words import check_balanced, delete_pair, successors, word_size
 
 
 def simulate_forward(n: int, rng: random.Random) -> list[str]:
@@ -103,6 +84,8 @@ class InfiniteBridge:
             raise TypeError("infinite bridges are driven by diffuse canonical pairs")
         self.pair = pair
         self.rng = rng
+        self._draw_x = pair.mu.drawer(rng)
+        self._draw_y = pair.nu.drawer(rng)
         self.x_samples: list[float] = []
         self.y_samples: list[float] = []
         self._seen: set[float] = set()
@@ -136,9 +119,9 @@ class InfiniteBridge:
             path.append(word)
         return path
 
-    def _draw_distinct(self, measure) -> float:
+    def _draw_distinct(self, draw) -> float:
         while True:
-            v = measure.sample(self.rng)
+            (v,) = draw(1)
             if v not in self._seen:
                 self._seen.add(v)
                 return v
@@ -156,8 +139,8 @@ class InfiniteBridge:
     def extend_to(self, n: int) -> str:
         while self.step < n:
             # x joins the seen set before y is drawn
-            x = self._draw_distinct(self.pair.mu)
-            y = self._draw_distinct(self.pair.nu)
+            x = self._draw_distinct(self._draw_x)
+            y = self._draw_distinct(self._draw_y)
             self.x_samples.append(x)
             self.y_samples.append(y)
             self._insert(x, "a")

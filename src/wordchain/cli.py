@@ -192,12 +192,14 @@ def _cmd_pattern_prob(args) -> int:
 def _cmd_orders(args) -> int:
     sources = _order_sources(args)
     x = orders.LabeledLetter.parse(args.x)
-    y = orders.LabeledLetter.parse(args.y) if args.y else None
     if args.stat == "d":
-        if y is None:
+        if not args.y:
             raise WordchainError("--stat d needs both --x and --y")
+        y = orders.LabeledLetter.parse(args.y)
         task = partial(_order_task, orders.d_samples, sources, (x, y, args.depth))
     else:
+        if args.y is not None:
+            raise WordchainError("--y belongs to --stat d only")
         task = partial(_order_task, orders.f_samples, sources, (x, args.depth))
     estimate = MCEstimate.from_samples(
         _replicate(task, args.trials, args.seed, "orders", args.jobs)
@@ -210,7 +212,7 @@ def _cmd_orders(args) -> int:
         "depth": args.depth,
         "trials": args.trials,
     }
-    if y is not None:
+    if args.stat == "d":
         payload["y"] = str(y)
     _emit_json(args, payload)
     return 0

@@ -20,6 +20,7 @@ import bisect
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -147,40 +148,26 @@ class StepMeasure:
             dens.append(self.densities[k])
         return StepMeasure(tuple(bps), tuple(dens))
 
-    @cached_property
-    def _sampler_table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """Float (cumulative mass, left breakpoint, density) per positive cell."""
-        den, cum, dens = self._cdf_table
-        cells = [k for k, d in enumerate(dens) if d]
-        return (
-            (0.0, *(cum[k + 1] / den for k in cells)),
-            tuple(float(self.breakpoints[k]) for k in cells),
-            tuple(dens[k] / den for k in cells),
-        )
-
-    def sample(self, rng: random.Random) -> float:
-        """Inverse-CDF draw; distributed per the measure."""
-        u = rng.random()
-        cum, lefts, dens = self._sampler_table
-        k = min(bisect.bisect_right(cum, u) - 1, len(lefts) - 1)
-        return lefts[k] + (u - cum[k]) / dens[k]
-
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
-        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call.
+        """draw(k): k inverse-CDF draws, one rng.random() each, in one call.
 
-        Same generator calls and float arithmetic as single draws; the
-        bisection over cum[1:K] stands in for clamping the cell to K - 1.
+        A draw u falls in the last positive-density cell whose float CDF at
+        its left end is at most u, and maps linearly into that cell.  The
+        bisection skips the first cell's start, so u = 0 lands in the first
+        cell, and a u past the float total mass stays in the last one.
         """
-        cum, lefts, dens = self._sampler_table
-        random_ = rng.random
-        cells = list(zip(lefts, cum, dens))
-        bisect_right, hi = bisect.bisect_right, len(lefts)
+        den, cum, dens = self._cdf_table
+        cells = [
+            (float(self.breakpoints[k]), cum[k] / den, d / den) for k, d in enumerate(dens) if d
+        ]
+        starts = [c for _, c, _ in cells]
+        random_, bisect_right, hi = rng.random, bisect.bisect_right, len(cells)
 
         def draw(k: int) -> list[float]:
             return [
-                left + (u - c) / den
+                left + (u - c) / d
                 for u in [random_() for _ in range(k)]
-                for left, c, den in (cells[bisect_right(cum, u, 1, hi) - 1],)
+                for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
             ]
 
         return draw
@@ -210,19 +197,19 @@ class Exponential:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not sys.float_info.min <= self.rate <= sys.float_info.max:
+            raise ValueError(
+                f"rate must lie in the normal float range "
+                f"[{sys.float_info.min:.2g}, {sys.float_info.max:.2g}]"
+            )
 
     def cdf_float(self, x: float) -> float:
         if x <= 0:
             return 0.0
         return -math.expm1(-float(self.rate) * x)
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(float(self.rate))
-
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
-        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call."""
+        """draw(k): k calls of rng.expovariate(float(rate)), in one call."""
         expovariate, rate = rng.expovariate, float(self.rate)
         return lambda k: [expovariate(rate) for _ in range(k)]
 
@@ -258,22 +245,18 @@ class AtomicMeasure:
         den = math.lcm(*(m.denominator for m in masses))
         return den, list(itertools.accumulate(_scaled(masses, den), initial=0))
 
-    @cached_property
-    def _cumulative(self) -> tuple[float, ...]:
-        den, cum = self._cdf_table
-        return tuple(c / den for c in cum[1:])
-
-    def sample(self, rng: random.Random) -> Fraction:
-        u = rng.random()
-        k = min(bisect.bisect_right(self._cumulative, u), len(self.atoms) - 1)
-        return self.atoms[k][0]
-
     def drawer(self, rng: random.Random) -> Callable[[int], list[Fraction]]:
-        """draw(k): the list [self.sample(rng) for _ in range(k)], in one call."""
-        cum, random_ = self._cumulative, rng.random
+        """draw(k): k draws, one rng.random() each, in one call.
+
+        A draw u picks the first atom whose float CDF exceeds u; the
+        bisection stops at the last atom, so a u past the float total mass
+        picks it.
+        """
+        den, cum = self._cdf_table
+        ends = [c / den for c in cum[1:]]
         locations = [x for x, _ in self.atoms]
-        bisect_right, hi = bisect.bisect_right, len(locations) - 1
-        return lambda k: [locations[bisect_right(cum, random_(), 0, hi)] for _ in range(k)]
+        random_, bisect_right, hi = rng.random, bisect.bisect_right, len(locations) - 1
+        return lambda k: [locations[bisect_right(ends, random_(), 0, hi)] for _ in range(k)]
 
 
 @dataclass(frozen=True)
@@ -478,6 +461,12 @@ def _check_step_cap(m: int) -> None:
         raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
 
 
+def _check_atom_count(pair: MeasurePair, m: int) -> None:
+    """An atomic pair of a word of size N has N atoms a side, too few for m > N distinct draws."""
+    if isinstance(pair, AtomicPair) and m > pair.size:
+        raise SizeMismatchError(f"cannot select {m} atoms from measures of {pair.size} atoms each")
+
+
 def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     """P{m draws from mu and m draws from nu interleave as w}, exactly.
 
@@ -489,13 +478,12 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     and binom(y, w) selections read as w.
     """
     m = word_size(w)
+    _check_atom_count(pair, m)
     if isinstance(pair, CanonicalPair):
         _check_step_cap(m)
         return _StepTrie(pair, m).word_prob(w)
     if isinstance(pair, AtomicPair):
-        n = pair.size  # mu and nu each have one atom per letter of their kind
-        if m > n:
-            raise SizeMismatchError(f"cannot select {m} atoms from measures of {n} atoms each")
+        n = pair.size
         return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), n ** (2 * m))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
@@ -545,9 +533,11 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     """Per-trial outcomes of the Monte Carlo pattern experiment.
 
     Each trial draws m points from mu and m from nu and records whether the
-    sorted interleaving reads w; tied draws match no pattern.
+    sorted interleaving reads w; tied draws match no pattern.  An atomic
+    pair takes no word larger than its own, as in pattern_prob_exact.
     """
     m = word_size(w)
+    _check_atom_count(pair, m)
     draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
     out = []
     for _ in range(trials):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeMismatchError
-from .measures import interleave_pattern
+from .measures import Exponential, interleave_pattern
 from .words import check_balanced, subword_count, word_size
 
 
@@ -109,12 +109,10 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     if n < 0:
         raise ValueError(f"word size must be nonnegative, got {n}")
     if method == "sort":
-        alpha, beta = float(rates.alpha), float(rates.beta)
+        draw_x, draw_y = Exponential(rates.alpha).drawer(rng), Exponential(rates.beta).drawer(rng)
         while True:
-            xs = [rng.expovariate(alpha) for _ in range(n)]
-            ys = [rng.expovariate(beta) for _ in range(n)]
             try:
-                return interleave_pattern(xs, ys)
+                return interleave_pattern(draw_x(n), draw_y(n))
             except ValueError:
                 continue  # float tie; redraw
     if method != "sequential":

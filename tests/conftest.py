@@ -1,6 +1,7 @@
 """Shared helpers: chi-square criticals, random canonical pairs, oracles."""
 
 import bisect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-from wordchain.measures import AtomicMeasure, CanonicalPair, StepMeasure
-from wordchain.words import word_size
+from wordchain.measures import AtomicMeasure, CanonicalPair, Exponential, StepMeasure
+from wordchain.words import subword_count, word_size
 
 
 def chi2_critical(cells: int, level: float = 0.01) -> float:
@@ -123,6 +124,42 @@ def weak_distance_oracle(p, q) -> Fraction:
         fp, fq = cdf_p(x), cdf_q(x)
         best = max(best, abs(fp - fq), abs((fp - jump_p(x)) - (fq - jump_q(x))))
     return best
+
+
+def single_draw(source, rng: random.Random):
+    """One draw from a step, exponential or atomic measure, one generator call each.
+
+    The oracle for ``drawer(rng)``: inverse-CDF formulas read off the exact
+    masses, with the float CDF of each cell or atom rounded once.  A step
+    draw past the float total mass is clamped to the last positive cell; an
+    atomic draw past it picks the last atom.
+    """
+    if isinstance(source, Exponential):
+        return rng.expovariate(float(source.rate))
+    u = rng.random()
+    if isinstance(source, StepMeasure):
+        ends = list(itertools.accumulate(source.cell_masses()))
+        cells = [k for k, d in enumerate(source.densities) if d]
+        cum = [0.0, *(float(ends[k]) for k in cells)]
+        i = min(bisect.bisect_right(cum, u) - 1, len(cells) - 1)
+        k = cells[i]
+        return float(source.breakpoints[k]) + (u - cum[i]) / float(source.densities[k])
+    assert isinstance(source, AtomicMeasure)
+    cum = [float(c) for c in itertools.accumulate(m for _, m in source.atoms)]
+    return source.atoms[min(bisect.bisect_right(cum, u), len(source.atoms) - 1)][0]
+
+
+def check_bridge_path(path: list[str]) -> list[str]:
+    """Validate the grading and subword-of-successor invariants of a bridge path."""
+    if not path or path[0] != "":
+        raise ValueError("a bridge path must start at the empty word")
+    for k, w in enumerate(path):
+        if word_size(w) != k:
+            raise ValueError(f"path state {k} has size {word_size(w)}, expected {k}")
+    for v, w in zip(path, path[1:]):
+        if subword_count(w, v) == 0:
+            raise ValueError(f"{v!r} is not a subword of its successor {w!r}")
+    return path
 
 
 class ScriptedRandom(random.Random):

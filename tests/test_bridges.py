@@ -7,10 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chi2_critical, chi2_statistic, random_canonical_pair
+from conftest import (
+    ScriptedRandom,
+    check_bridge_path,
+    chi2_critical,
+    chi2_statistic,
+    random_canonical_pair,
+    single_draw,
+)
 from wordchain.bridges import (
     InfiniteBridge,
-    check_bridge_path,
     harmonic_h,
     htransform_row,
     htransform_step_prob,
@@ -144,24 +150,35 @@ class TestInfiniteBridge:
                 bridge.word(301)
 
     def test_redraws_keep_points_distinct(self):
-        class ScriptedRandom:
-            """random() replays a fixed list; under Lebesgue each draw is that value."""
-
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self):
-                return self.values.pop(0)
-
-        # step 2: x repeats an x, then hits a y; y then hits the x just drawn
-        script = ScriptedRandom([0.5, 0.25, 0.5, 0.25, 0.75, 0.75, 0.125])
-        bridge = InfiniteBridge(CanonicalPair.lebesgue(), script)
+        # under Lebesgue each draw is the scripted random() value; step 2: x
+        # repeats an x, then hits a y; y then hits the x just drawn
+        rng = ScriptedRandom(109, [0.5, 0.25, 0.5, 0.25, 0.75, 0.75, 0.125])
+        bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
         assert bridge.extend() == "ba"
         assert bridge.extend() == "bbaa"
-        assert script.values == []
+        assert rng.script == []
         assert bridge.x_samples == [0.5, 0.75]
         assert bridge.y_samples == [0.25, 0.125]
         assert bridge.words == ["", "ba", "bbaa"]
+
+    @pytest.mark.parametrize("name", list(fixture_pairs()))
+    def test_draws_match_single_draw_replay(self, name):
+        # x then y each step, one draw at a time, skipping values already seen;
+        # "separated" and "three-cell" have zero-density cells
+        pair = fixture_pairs()[name]
+        for seed in range(10):
+            bridge = InfiniteBridge(pair, random.Random(seed))
+            bridge.extend_to(300)
+            replay, seen, draws = random.Random(seed), set(), ([], [])
+            for _ in range(300):
+                for source, out in zip((pair.mu, pair.nu), draws):
+                    v = single_draw(source, replay)
+                    while v in seen:
+                        v = single_draw(source, replay)
+                    seen.add(v)
+                    out.append(v)
+            assert (bridge.x_samples, bridge.y_samples) == draws
+            assert bridge.rng.getstate() == replay.getstate()
 
     def test_backward_frequencies_universal(self):
         # deleting the newest points realizes the deletion dynamics at

@@ -231,6 +231,35 @@ class TestErrorHandling:
             assert main(["orders", "--stat", "f", "--x", "a1", "--depth", "5", "--trials", "5",
                          "--pair", pair_file] + extra) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["plackett-luce", "--alpha", "1e400", "--beta", "1", "sample", "--size", "3",
+         "--method", "sort"],
+        ["orders", "--stat", "f", "--x", "a1", "--depth", "3", "--trials", "3",
+         "--zeta", "exp:1e400", "--eta", "exp:1"],
+        ["moments", "--order", "1", "--trials", "3", "--zeta", "exp:1e-400", "--eta", "exp:1"],
+        # a subnormal rate overflows most draws to inf
+        ["orders", "--stat", "f", "--x", "a1", "--depth", "3", "--trials", "3",
+         "--zeta", "exp:1", "--eta", "exp:1e-310"],
+    ], ids=["pl-sort-overflow", "orders-overflow", "moments-underflow", "orders-subnormal"])
+    def test_rate_outside_float_range(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_oversize_word_pair_with_trials(self, capsys, jobs):
+        argv = ["pattern-prob", "--word-pair", "ab", "--word", "aabb", "--trials", "10",
+                "--jobs", jobs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_y_belongs_to_stat_d(self, capsys):
+        argv = ["orders", "--stat", "f", "--x", "a1", "--y", "b1", "--depth", "3", "--trials", "3",
+                "--zeta", "exp:1", "--eta", "exp:2"]
+        assert main(argv) == 2
+        assert "--stat d" in capsys.readouterr().err
+
     def test_zero_denominator_rate(self, capsys):
         assert main(["plackett-luce", "--alpha", "1/0", "--beta", "1", "prob", "ab"]) == 2
         assert main(["moments", "--order", "1", "--trials", "5",

@@ -25,8 +25,9 @@ WORDS = st.one_of(
 COUNTS = st.integers(min_value=-2, max_value=20).map(str) | st.sampled_from(["x", "1.5"])
 SMALL = st.integers(min_value=-1, max_value=6).map(str)
 LETTERS = st.sampled_from(["a1", "b1", "a2", "b3", "a9", "a0", "c1", "a", "", "bx"])
-RATES = st.sampled_from(["1", "2", "3/2", "0", "-1", "1/0", "x"])
+RATES = st.sampled_from(["1", "2", "3/2", "0", "-1", "1/0", "x", "1e400", "1e-400"])
 SPECS = st.sampled_from(["exp:1", "exp:2", "exp:1/3", "exp:0", "exp:-1", "exp:1/0", "exp:x",
+                         "exp:1e400", "exp:1e-400",
                          "{missing}", "{pair}", "{truncated}", "{not_utf8}"])
 PAIR_FILES = st.sampled_from(["{pair}", "{truncated}", "{not_utf8}", "{missing}"])
 

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ScriptedRandom, random_canonical_pair, step_pattern_oracle, weak_distance_oracle
+from conftest import (
+    ScriptedRandom,
+    random_canonical_pair,
+    single_draw,
+    step_pattern_oracle,
+    weak_distance_oracle,
+)
 from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.measures import (
     AtomicMeasure,
@@ -210,6 +216,10 @@ class TestPatternMC:
         est = pattern_prob_mc(pair, "ab", 50_000, random.Random(10))
         assert abs(est.value - 0.75) <= 3 * est.stderr
 
+    def test_atomic_word_larger_than_pair(self):
+        with pytest.raises(SizeMismatchError):
+            pattern_matches(empirical_pair("ab"), "aabb", 0, random.Random(11))
+
 
 class TestEmpiricalPair:
     def test_abab_atoms(self):
@@ -336,7 +346,7 @@ class TestCanonicalize:
         n = 10_000
         samples = []
         for _ in range(n):
-            z = (zeta if rng.random() < 0.5 else eta).sample(rng)
+            (z,) = (zeta if rng.random() < 0.5 else eta).drawer(rng)(1)
             samples.append(0.5 * (zeta.cdf_float(z) + eta.cdf_float(z)))
         samples.sort()
         ks = max(
@@ -349,7 +359,7 @@ class TestSampling:
     def test_lebesgue_ks(self):
         rng = random.Random(31)
         n = 10_000
-        samples = sorted(StepMeasure.lebesgue().sample(rng) for _ in range(n))
+        samples = sorted(StepMeasure.lebesgue().drawer(rng)(n))
         ks = max(
             max(abs((i + 1) / n - s), abs(s - i / n)) for i, s in enumerate(samples)
         )
@@ -358,24 +368,30 @@ class TestSampling:
     def test_diffuse_samples_distinct(self):
         rng = random.Random(32)
         m = StepMeasure((F(0), F(1, 4), F(1)), (F(2), F(2, 3)))
-        draws = [m.sample(rng) for _ in range(1000)]
+        draws = m.drawer(rng)(1000)
         assert len(set(draws)) == len(draws)
 
     def test_exponential_mean(self):
         rng = random.Random(33)
         n = 100_000
-        mean = sum(Exponential(F(1)).sample(rng) for _ in range(n)) / n
+        mean = sum(Exponential(F(1)).drawer(rng)(n)) / n
         assert abs(mean - 1.0) < 3 / math.sqrt(n)  # Exp(1) has unit variance
+
+    @pytest.mark.parametrize("rate", [F(0), F(10**400), F(1, 10**400), F(1, 10**320)],
+                             ids=["zero", "overflow", "underflow", "subnormal"])
+    def test_exponential_rate_in_normal_float_range(self, rate):
+        with pytest.raises(ValueError):
+            Exponential(rate)
 
     def test_step_sampler_respects_cells(self):
         rng = random.Random(34)
         sep = separated_pair()
-        assert all(sep.mu.sample(rng) < 0.5 for _ in range(500))
+        assert all(v < 0.5 for v in sep.mu.drawer(rng)(500))
 
     def test_atomic_sampler(self):
         rng = random.Random(35)
         atoms = empirical_pair("abab").mu
-        draws = {atoms.sample(rng) for _ in range(200)}
+        draws = set(atoms.drawer(rng)(200))
         assert draws == {F(1, 4), F(3, 4)}
 
     @pytest.mark.parametrize("source", [
@@ -391,7 +407,7 @@ class TestSampling:
             single, batch = random.Random(seed), random.Random(seed)
             k = seed % 13
             draw = source.drawer(batch)
-            assert draw(k) + draw(7) == [source.sample(single) for _ in range(k + 7)]
+            assert draw(k) + draw(7) == [single_draw(source, single) for _ in range(k + 7)]
             assert batch.getstate() == single.getstate()
 
     def test_pattern_match_needs_distinct_atoms(self):

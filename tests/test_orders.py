@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ScriptedRandom, chi2_critical, two_sample_chi2
+from conftest import ScriptedRandom, chi2_critical, single_draw, two_sample_chi2
 from wordchain.bridges import sample_finite_bridge, simulate_forward
 from wordchain.measures import CanonicalPair, Exponential, StepMeasure, fixture_pairs
 from wordchain.orders import (
@@ -326,7 +326,7 @@ class TestSamplerSources:
             for source in (sampler.a_source, sampler.b_source):
                 values = []
                 while len(values) < depth:
-                    v = source.sample(sampler.rng)
+                    v = single_draw(source, sampler.rng)
                     if v not in seen:
                         seen.add(v)
                         values.append(v)

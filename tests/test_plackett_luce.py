@@ -174,6 +174,13 @@ class TestSamplers:
             with pytest.raises(ValueError):
                 pl_sample(TWO_ONE, -1, random.Random(0), method=method)
 
+    def test_sort_rates_in_float_range(self):
+        # only the sort sampler draws float exponentials; sequential stays exact
+        rates = RatePair(F(10**400), F(1))
+        with pytest.raises(ValueError):
+            pl_sample(rates, 3, random.Random(0), method="sort")
+        assert pl_sample(rates, 3, random.Random(0)) == "aaabbb"
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             pl_sample(TWO_ONE, 2, random.Random(0), method="magic")
