@@ -483,8 +483,7 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
         _check_step_cap(m)
         return _StepTrie(pair, m).word_prob(w)
     if isinstance(pair, AtomicPair):
-        n = pair.size
-        return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), n ** (2 * m))
+        return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), pair.size ** (2 * m))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
 

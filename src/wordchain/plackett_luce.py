@@ -103,8 +103,9 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     "sequential": with A a's and B b's left to place, the next letter is a
     with probability A*alpha / (A*alpha + B*beta) — the minimum of the
     remaining competing exponentials.  "sort": draw the n + n exponential
-    values outright and read their interleaving.  The two agree in
-    distribution and serve as mutual oracles.
+    values outright, through Exponential drawers, and read their
+    interleaving; its rates must lie in the normal float range.  The two
+    agree in distribution and serve as mutual oracles.
     """
     if n < 0:
         raise ValueError(f"word size must be nonnegative, got {n}")
