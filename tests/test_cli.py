@@ -64,6 +64,15 @@ class TestExactCommands:
         code, out = run(capsys, args + ["sample", "--size", "3", "--seed", "5"])
         assert code == 0 and sorted(out.strip()) == list("aaabbb")
 
+    @pytest.mark.parametrize("action,words,scale", [
+        ("prob", ["ab"], 1), ("harmonic", ["ab"], 2), ("transition", ["", "ab"], 1),
+    ])
+    def test_plackett_luce_exact_rate_outside_float_range(self, capsys, action, words, scale):
+        # the exact actions take any positive rational rate; only draws need floats
+        big = 10**400
+        argv = ["plackett-luce", "--alpha", "1e400", "--beta", "1", action, *words]
+        assert run(capsys, argv) == (0, f"{scale * big}/{big + 1}\n")
+
 
 class TestStochasticCommands:
     def test_simulate_formats(self, capsys):
