@@ -47,7 +47,7 @@ from .orders import (
     label_uniformly,
     moment_estimate,
 )
-from .plackett_luce import RatePair, pl_harmonic, pl_sample, pl_transition, pl_word_prob
+from .plackett_luce import RatePair, pl_sample, pl_transition, pl_word_prob
 from .rng import derive_rng
 from .verify import bridge_conditional_check, empirical_identity_check
 from .words import enumerate_balanced, random_subword, subword_count, successors, word_size

@@ -3,12 +3,14 @@
 A bridge path is a list of balanced words U_0, ..., U_n with U_k of size k,
 each a subword of the next.  Finite bridges are sampled backward from the
 target by uniform pair deletion, which is exact and needs no kernel
-evaluations.  Infinite bridges are driven by a measure pair: the word at
-step n is the interleaving pattern of n draws from mu and n draws from nu,
-and the latent points are kept so consistency between consecutive words can
-be checked per run.  Step n+1 only inserts its two new points into the
-sorted latent points, so growing a bridge to n steps costs O(n log n)
-comparisons plus list insertions; the words are built only when read.
+evaluations.  Infinite bridges are driven by a diffuse pair, canonical or
+exponential: the word at step n is the interleaving pattern of n draws from
+mu and n draws from nu, and the latent points are kept so consistency
+between consecutive words can be checked per run.  Step n+1 only inserts
+its two new points into the sorted latent points, so growing a bridge to n
+steps costs O(n log n) comparisons plus list insertions; the words are
+built only when read.  h and the h-transform read the pair only through
+``pattern_prob_exact``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import CanonicalPair, pattern_prob_exact
+from .measures import DiffusePair, pattern_prob_exact
 from .words import check_balanced, delete_pair, successors, word_size
 
 
@@ -79,9 +81,8 @@ class InfiniteBridge:
     bisection, and a word is built only when it is read.
     """
 
-    def __init__(self, pair: CanonicalPair, rng: random.Random):
-        if not isinstance(pair, CanonicalPair):
-            raise TypeError("infinite bridges are driven by diffuse canonical pairs")
+    def __init__(self, pair: DiffusePair, rng: random.Random):
+        _check_diffuse(pair)
         self.pair = pair
         self.rng = rng
         self._draw_x = pair.mu.drawer(rng)
@@ -148,39 +149,41 @@ class InfiniteBridge:
         return self.word(n)
 
 
-def harmonic_h(pair: CanonicalPair, w: str) -> Fraction:
+def _check_diffuse(pair: DiffusePair) -> None:
+    # an atomic pair runs out of distinct atoms and indexes no harmonic function
+    if not isinstance(pair, DiffusePair):
+        raise TypeError(f"bridges need a diffuse pair, not {type(pair).__name__}")
+
+
+def harmonic_h(pair: DiffusePair, w: str) -> Fraction:
     """The harmonic function attached to the boundary point (mu, nu).
 
     h(w) = C(2m, m) * P{pattern of m+m draws is w}, normalized so that
-    h of the empty word is 1.  Under the Lebesgue pair the pattern law is
-    uniform on W_m, so h is identically 1.
+    h of the empty word is 1.  Under the Lebesgue pair (or equal rates) the
+    pattern law is uniform on W_m, so h is identically 1.
     """
-    if not isinstance(pair, CanonicalPair):
-        raise TypeError("harmonic functions are indexed by diffuse canonical pairs")
+    _check_diffuse(pair)
     m = word_size(w)
     return math.comb(2 * m, m) * pattern_prob_exact(pair, w)
 
 
-def htransform_step_prob(pair: CanonicalPair, u: str, v: str) -> Fraction:
+def htransform_step_prob(pair: DiffusePair, u: str, v: str) -> Fraction:
     """One-step law of the infinite bridge driven by (mu, nu).
 
     Equal to h(u)^{-1} * P(u, v) * h(v) with the base one-step kernel P;
     rows sum to 1 by harmonicity of h.  Conditioning on a state of zero
     mass under h is ill-posed and raises.
     """
-    n = word_size(u)
-    if word_size(v) != n + 1:
-        # one_step_prob raises the size error with the right message
-        return one_step_prob(u, v)
+    p = one_step_prob(u, v)  # checks the sizes first
     h_u = harmonic_h(pair, u)
     if h_u == 0:
         raise ZeroMassStateError(
             f"state {u!r} has zero mass under the pair; cannot condition on it"
         )
-    return one_step_prob(u, v) * harmonic_h(pair, v) / h_u
+    return p * harmonic_h(pair, v) / h_u
 
 
-def htransform_row(pair: CanonicalPair, u: str) -> dict[str, Fraction]:
+def htransform_row(pair: DiffusePair, u: str) -> dict[str, Fraction]:
     """Transition row of the h-chain from u, over reachable successors.
 
     h is harmonic and nonnegative, so h(v) > 0 for a successor implies

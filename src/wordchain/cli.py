@@ -242,15 +242,13 @@ def _cmd_plackett_luce(args) -> int:
     needed = {"prob": 1, "harmonic": 1, "transition": 2, "sample": 0}[args.action]
     if len(args.words) != needed:
         raise WordchainError(f"{args.action} takes {needed} word argument(s)")
-    if args.action == "prob":
-        _emit(args, format_fraction(plackett_luce.pl_word_prob(rates, args.words[0])))
-    elif args.action == "harmonic":
-        _emit(args, format_fraction(plackett_luce.pl_harmonic(rates, args.words[0])))
-    elif args.action == "transition":
-        _emit(args, format_fraction(plackett_luce.pl_transition(rates, *args.words)))
-    else:
+    if args.action == "sample":
         rng = derive_rng(args.seed, "plackett-luce")
         _emit(args, plackett_luce.pl_sample(rates, args.size, rng, method=args.method))
+        return 0
+    exact = {"prob": pattern_prob_exact, "harmonic": bridges.harmonic_h,
+             "transition": bridges.htransform_step_prob}[args.action]
+    _emit(args, format_fraction(exact(rates, *args.words)))
     return 0
 
 

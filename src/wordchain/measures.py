@@ -10,8 +10,11 @@ Two concrete representations are used throughout:
 
 A ``CanonicalPair`` (mu, nu) of step measures satisfies the constraint that
 the mixture (mu + nu)/2 is Lebesgue measure, i.e. the densities add to 2 on
-every cell.  ``pattern_prob_exact`` computes the probability that m draws
-from mu and m draws from nu interleave as a given balanced word.
+every cell.  A ``RatePair`` is the pair Exp(alpha)/Exp(beta), and an
+``AtomicPair`` the empirical pair of a word.  ``pattern_prob_exact``
+computes the probability that m draws from mu and m draws from nu
+interleave as a given balanced word; it is the only code that reads how a
+pair is stored, and h, the h-transform and the bridges are built on it.
 """
 
 from __future__ import annotations
@@ -358,7 +361,67 @@ class AtomicPair:
         return self._atoms("b")
 
 
-MeasurePair = Union[CanonicalPair, AtomicPair]
+@dataclass(frozen=True)
+class RatePair:
+    """The pair Exp(alpha)/Exp(beta) with positive rational rates.
+
+    Its pattern law ``pl_word_prob`` takes any positive rational rate; mu
+    and nu are built only when read, since draws need normal-range floats.
+    """
+
+    alpha: Fraction
+    beta: Fraction
+    mu = property(lambda self: Exponential(self.alpha))
+    nu = property(lambda self: Exponential(self.beta))
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("rates must be positive")
+
+
+def suffix_counts(u: str) -> list[tuple[int, int]]:
+    """(A_i, B_i) = letters a and b in the suffix u[i-1:], for i = 1..|u|.
+
+    A_1 = B_1 = size(u) for balanced u, and the final entry has A + B = 1.
+    """
+    check_balanced(u)
+    counts = []
+    n_a = n_b = 0
+    for ch in reversed(u):
+        if ch == "a":
+            n_a += 1
+        else:
+            n_b += 1
+        counts.append((n_a, n_b))
+    return counts[::-1]
+
+
+def _scaled_rates(rates: RatePair) -> tuple[int, int]:
+    """(alpha * qs, beta * qs) = (ps, rq) for alpha = p/q and beta = r/s."""
+    p, q = rates.alpha.as_integer_ratio()
+    r, s = rates.beta.as_integer_ratio()
+    return p * s, r * q
+
+
+def _suffix_product(ps: int, rq: int, u: str) -> int:
+    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq."""
+    return math.prod(a * ps + b * rq for a, b in suffix_counts(u))
+
+
+def pl_word_prob(rates: RatePair, u: str) -> Fraction:
+    """P{word at step n equals u} = (n!)^2 alpha^n beta^n / prod_i (A_i alpha + B_i beta).
+
+    Sums to 1 over W_n; for equal rates every word gets 1 / C(2n, n).
+    """
+    n = word_size(u)
+    ps, rq = _scaled_rates(rates)
+    return Fraction(math.factorial(n) ** 2 * (ps * rq) ** n, _suffix_product(ps, rq, u))
+
+
+MeasurePair = Union[CanonicalPair, AtomicPair, RatePair]
+DiffusePair = Union[CanonicalPair, RatePair]
 
 
 def empirical_pair(y: str) -> AtomicPair:
@@ -470,10 +533,11 @@ def _check_atom_count(pair: MeasurePair, m: int) -> None:
 def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     """P{m draws from mu and m draws from nu interleave as w}, exactly.
 
-    For diffuse step pairs the probabilities over all of W_m total 1; for
-    atomic pairs they total the probability that all 2m draws are distinct,
-    which is at most 1.  The empirical pair of a word y of size N serves the
-    closed form (m!)^2 * binom(y, w) / N^(2m): each selection of m a-atoms
+    For diffuse pairs the probabilities over all of W_m total 1: a step
+    pair runs the step DP, an exponential pair the product form
+    ``pl_word_prob``.  For atomic pairs they total the probability that all
+    2m draws are distinct, which is at most 1.  The empirical pair of a
+    word y of size N serves the closed form (m!)^2 * binom(y, w) / N^(2m): each selection of m a-atoms
     and m b-atoms has mass N^(-2m) in each of the m!^2 orders of the draws,
     and binom(y, w) selections read as w.
     """
@@ -482,6 +546,8 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     if isinstance(pair, CanonicalPair):
         _check_step_cap(m)
         return _StepTrie(pair, m).word_prob(w)
+    if isinstance(pair, RatePair):
+        return pl_word_prob(pair, w)
     if isinstance(pair, AtomicPair):
         return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), pair.size ** (2 * m))
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bridges import harmonic_h
+from .bridges import harmonic_h, htransform_step_prob
 from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
-from .plackett_luce import RatePair, pl_harmonic, pl_transition, pl_word_prob
+from .plackett_luce import RatePair, pl_transition, pl_word_prob
 from .words import enumerate_balanced, enumerate_words, subword_count, successors, word_size
 
 BRIDGE_CHECK_CAP = 5
@@ -330,7 +330,7 @@ def check_empirical_identity() -> CheckResult:
 
 
 def check_plackett_luce() -> CheckResult:
-    """Exponential-pair closed forms: normalization, harmonicity, h-triangle, sizes <= 3."""
+    """Exponential pairs, sizes <= 3: pmf sums to 1, h-transform = pl_transition, rows sum to 1."""
     res = CheckResult("Plackett-Luce closed forms")
     for rates in PL_RATE_FIXTURES:
         for n in range(4):
@@ -342,13 +342,8 @@ def check_plackett_luce() -> CheckResult:
                 res.checked += 1
                 row = Fraction(0)
                 for v in successors(u):
-                    p = pl_transition(rates, u, v)
-                    expected = (
-                        one_step_prob(u, v)
-                        * pl_harmonic(rates, v)
-                        / pl_harmonic(rates, u)
-                    )
-                    if p != expected:
+                    p = htransform_step_prob(rates, u, v)
+                    if p != pl_transition(rates, u, v):
                         res.fail(f"rates {rates}: transition triangle broken at {u!r}->{v!r}")
                     row += p
                 if row != 1:

@@ -25,7 +25,7 @@ from wordchain.measures import (
     weak_distance,
 )
 from wordchain.orders import LabeledLetter, OrderSampler, moment_estimate
-from wordchain.plackett_luce import RatePair, pl_harmonic, pl_sample, pl_word_prob
+from wordchain.plackett_luce import RatePair, pl_sample, pl_word_prob
 from wordchain.verify import (
     check_bridge_conditionals,
     check_convolution_identity,
@@ -124,9 +124,9 @@ def test_criterion_7_harmonicity():
         for n in range(4):
             for u in enumerate_balanced(n):
                 total = sum(
-                    one_step_prob(u, v) * pl_harmonic(rates, v) for v in successors(u)
+                    one_step_prob(u, v) * harmonic_h(rates, v) for v in successors(u)
                 )
-                assert total == pl_harmonic(rates, u), (rates, u)
+                assert total == harmonic_h(rates, u), (rates, u)
                 checked += 1
     passline(7, f"harmonicity exact at {checked} states for 5 measure pairs and "
                 f"3 rate pairs; h = 1 identically under the Lebesgue pair")

@@ -285,8 +285,10 @@ class TestHTransform:
 
         with pytest.raises(TypeError):
             InfiniteBridge(empirical_pair("abab"), random.Random(0))
-        with pytest.raises(TypeError):
-            harmonic_h(empirical_pair("abab"), "ab")
+        for fn, args in ((harmonic_h, ("ab",)), (htransform_step_prob, ("", "ab")),
+                         (htransform_row, ("ab",))):
+            with pytest.raises(TypeError):
+                fn(empirical_pair("abab"), *args)
 
     def test_row_helper(self):
         pair = fixture_pairs()["separated"]

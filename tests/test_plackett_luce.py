@@ -8,18 +8,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import chi2_critical, chi2_statistic, two_sample_chi2
+from wordchain.bridges import InfiniteBridge, harmonic_h, htransform_row, htransform_step_prob
 from wordchain.errors import SizeMismatchError
 from wordchain.kernels import one_step_prob
-from wordchain.measures import Exponential, canonicalize, interleave_pattern
-from wordchain.bridges import harmonic_h
-from wordchain.plackett_luce import (
+from wordchain.measures import (
+    Exponential,
     RatePair,
-    pl_harmonic,
-    pl_sample,
-    pl_transition,
+    canonicalize,
+    interleave_pattern,
+    pattern_prob_exact,
     pl_word_prob,
     suffix_counts,
 )
+from wordchain.orders import OrderSampler
+from wordchain.plackett_luce import pl_sample, pl_transition
 from wordchain.words import enumerate_balanced, subword_count, successors
 
 F = Fraction
@@ -77,21 +79,21 @@ class TestHarmonic:
         rates = RatePair(F(4), F(4))
         for n in range(4):
             for w in enumerate_balanced(n):
-                assert pl_harmonic(rates, w) == 1
+                assert harmonic_h(rates, w) == 1
 
     def test_two_one_values(self):
-        assert pl_harmonic(TWO_ONE, "ab") == F(4, 3)
-        assert pl_harmonic(TWO_ONE, "ba") == F(2, 3)
+        assert harmonic_h(TWO_ONE, "ab") == F(4, 3)
+        assert harmonic_h(TWO_ONE, "ba") == F(2, 3)
         # harmonicity at the empty word: (1/2)(4/3) + (1/2)(2/3) = 1
         assert one_step_prob("", "ab") * F(4, 3) + one_step_prob("", "ba") * F(2, 3) == 1
 
     def test_empty_word(self):
         for rates in (TWO_ONE, RatePair(F(3), F(5))):
-            assert pl_harmonic(rates, "") == 1
+            assert harmonic_h(rates, "") == 1
 
     def test_relation_to_word_prob(self):
         for u in enumerate_balanced(3):
-            assert pl_word_prob(TWO_ONE, u) == pl_harmonic(TWO_ONE, u) * F(
+            assert pl_word_prob(TWO_ONE, u) == harmonic_h(TWO_ONE, u) * F(
                 1, math.comb(6, 3)
             )
 
@@ -124,11 +126,11 @@ class TestTransition:
     def test_triangle_identity(self):
         for n in range(4):
             for u in enumerate_balanced(n):
-                h_u = pl_harmonic(TWO_ONE, u)
+                h_u = harmonic_h(TWO_ONE, u)
                 for v in successors(u):
                     assert pl_transition(TWO_ONE, u, v) == one_step_prob(
                         u, v
-                    ) * pl_harmonic(TWO_ONE, v) / h_u
+                    ) * harmonic_h(TWO_ONE, v) / h_u
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
@@ -212,9 +214,64 @@ class TestBridgeBehavior:
         pair = canonicalize(Exponential(F(2)), Exponential(F(1)), resolution=400)
         worst = 0.0
         for w in enumerate_balanced(1) + enumerate_balanced(2):
-            err = abs(float(harmonic_h(pair, w) - pl_harmonic(TWO_ONE, w)))
+            err = abs(float(harmonic_h(pair, w) - harmonic_h(TWO_ONE, w)))
             worst = max(worst, err)
         assert worst < 1e-3, f"resolution-400 mismatch {worst}"
+
+
+class TestSharedPairPath:
+    """An exponential pair runs through the pattern law, h, h-transform and bridges."""
+
+    RATES = (TWO_ONE, RatePair(F(3), F(5)), RatePair(F(1, 3), F(9, 2)), RatePair(10**400, 1))
+
+    def test_pattern_law_is_the_product_form(self):
+        for rates in self.RATES:
+            for n in range(4):
+                for u in enumerate_balanced(n):
+                    assert pattern_prob_exact(rates, u) == pl_word_prob(rates, u)
+
+    def test_htransform_matches_product_formula(self):
+        for rates in self.RATES:
+            for n in range(4):
+                for u in enumerate_balanced(n):
+                    expected = {v: pl_transition(rates, u, v) for v in successors(u)}
+                    assert htransform_row(rates, u) == expected
+                    for v, p in expected.items():
+                        assert htransform_step_prob(rates, u, v) == p
+
+    def test_size_mismatch_names_one_step(self):
+        with pytest.raises(SizeMismatchError, match=r"one-step needs sizes \(m, m\+1\)"):
+            htransform_step_prob(TWO_ONE, "ab", "ab")
+
+    def test_sources_built_when_read(self):
+        assert (TWO_ONE.mu, TWO_ONE.nu) == (Exponential(2), Exponential(1))
+        rates = RatePair(10**400, 1)  # the exact formulas take any positive rate
+        assert harmonic_h(rates, "ab") == F(2 * 10**400, 10**400 + 1)
+        with pytest.raises(ValueError, match="normal float range"):
+            rates.mu
+
+    def test_infinite_bridge_word_law(self):
+        rng = random.Random(308)
+        runs = 20_000
+        counts = {2: Counter(), 3: Counter()}
+        for _ in range(runs):
+            bridge = InfiniteBridge(TWO_ONE, rng)
+            bridge.extend_to(3)
+            for n, c in counts.items():
+                c[bridge.word(n)] += 1
+        for n, c in counts.items():
+            for w in enumerate_balanced(n):
+                p = float(pl_word_prob(TWO_ONE, w))
+                sigma = math.sqrt(p * (1 - p) / runs)
+                assert abs(c[w] / runs - p) <= 3 * sigma, (n, w)
+
+    def test_order_sampler_from_pair(self):
+        for seed in range(5):
+            paired = OrderSampler.from_pair(RatePair(F(3, 2), F(1)), random.Random(seed))
+            direct = OrderSampler(Exponential(F(3, 2)), Exponential(F(1)), random.Random(seed))
+            for depth in (1, 4, 9):
+                assert paired.run(depth) == direct.run(depth)
+            assert paired.rng.getstate() == direct.rng.getstate()
 
 
 def test_rate_validation():

@@ -1,6 +1,7 @@
 """The verify families: their failure reports and the benchmark's call contract."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -41,3 +42,41 @@ def test_families_match_benchmark(monkeypatch):
         assert not inspect.signature(check).parameters, name
         monkeypatch.setattr(verify, f"check_{name}", lambda name=name: verify.CheckResult(name))
     assert [res.name for res in verify.run_verification()] == list(families)
+
+
+
+def _import_from(module: str, name: str):
+    """What `from module import name` binds: a submodule or an attribute (None if neither)."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name, None)
+
+
+def test_benchmark_names_resolve():
+    """Every name perfbench/worker.py imports from, or reads off, a wordchain module exists."""
+    tree = ast.parse(WORKER.read_text())
+    modules = {}  # worker-level name -> the wordchain module it is bound to
+    used = []  # (module, attribute) pairs the worker needs
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                (alias.asname or alias.name, importlib.import_module(alias.name))
+                for alias in node.names if alias.name.split(".")[0] == "wordchain"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "wordchain":
+            for alias in node.names:
+                bound = _import_from(node.module, alias.name)
+                if inspect.ismodule(bound):
+                    modules[alias.asname or alias.name] = bound
+                else:
+                    used.append((importlib.import_module(node.module), alias.name))
+    used += [
+        (modules[node.value.id], node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    missing = sorted(f"{m.__name__}.{name}" for m, name in used if not hasattr(m, name))
+    assert not missing, f"perfbench/worker.py uses names the package lacks: {missing}"
+    # the exact workload times the product formula and the exponential pair's word law
+    assert {"pl_transition", "pl_word_prob", "RatePair"} <= {name for _, name in used}
