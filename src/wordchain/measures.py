@@ -13,8 +13,8 @@ the mixture (mu + nu)/2 is Lebesgue measure, i.e. the densities add to 2 on
 every cell.  A ``RatePair`` is the pair Exp(alpha)/Exp(beta), and an
 ``AtomicPair`` the empirical pair of a word.  ``pattern_prob_exact``
 computes the probability that m draws from mu and m draws from nu
-interleave as a given balanced word; it is the only code that reads how a
-pair is stored, and h, the h-transform and the bridges are built on it.
+interleave as a given balanced word, for each kind of pair; the harmonic
+function and the h-transform read a pair only through it.
 """
 
 from __future__ import annotations
@@ -537,9 +537,9 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
     pair runs the step DP, an exponential pair the product form
     ``pl_word_prob``.  For atomic pairs they total the probability that all
     2m draws are distinct, which is at most 1.  The empirical pair of a
-    word y of size N serves the closed form (m!)^2 * binom(y, w) / N^(2m): each selection of m a-atoms
-    and m b-atoms has mass N^(-2m) in each of the m!^2 orders of the draws,
-    and binom(y, w) selections read as w.
+    word y of size N serves the closed form (m!)^2 * binom(y, w) / N^(2m):
+    each selection of m a-atoms and m b-atoms has mass N^(-2m) in each of
+    the m!^2 orders of the draws, and binom(y, w) selections read as w.
     """
     m = word_size(w)
     _check_atom_count(pair, m)

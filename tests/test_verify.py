@@ -44,7 +44,6 @@ def test_families_match_benchmark(monkeypatch):
     assert [res.name for res in verify.run_verification()] == list(families)
 
 
-
 def _import_from(module: str, name: str):
     """What `from module import name` binds: a submodule or an attribute (None if neither)."""
     try:
@@ -64,7 +63,7 @@ def test_benchmark_names_resolve():
                 (alias.asname or alias.name, importlib.import_module(alias.name))
                 for alias in node.names if alias.name.split(".")[0] == "wordchain"
             )
-        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "wordchain":
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wordchain":
             for alias in node.names:
                 bound = _import_from(node.module, alias.name)
                 if inspect.ismodule(bound):
