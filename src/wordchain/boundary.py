@@ -21,10 +21,10 @@ from .measures import (
     CanonicalPair,
     empirical_pair,
     format_fraction,
-    pattern_prob_exact,
+    pattern_distribution,
     weak_distance,
 )
-from .words import enumerate_balanced, subword_count, word_size
+from .words import subword_count, word_size
 
 
 def kernel_ratio(y: str, w: str) -> Fraction:
@@ -106,8 +106,9 @@ def convergence_report(
     if m_max < 1 or m_max > min_size:
         raise ValueError(f"m_max must be between 1 and the smallest word size {min_size}")
 
-    test_words = [w for m in range(1, m_max + 1) for w in enumerate_balanced(m)]
-    targets = {w: pattern_prob_exact(pair, w) for w in test_words}
+    dists = [pattern_distribution(pair, m) for m in range(1, m_max + 1)]
+    targets = {w: p for dist in dists for w, p in dist.items()}
+    test_words = list(targets)
     ratios = {w: [kernel_ratio(y, w) for y in seq] for w in test_words}
 
     mu_distances, nu_distances = [], []

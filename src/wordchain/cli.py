@@ -402,6 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.seed &= 0xFFFFFFFFFFFFFFFF  # seeds are 64-bit
+    # exact values print in full: lift the int-to-str digit limit (0 means none) for this call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except CapExceededError as exc:
@@ -412,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WordchainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -127,9 +127,6 @@ class StepMeasure:
         k = bisect.bisect_right(bps, x) - 1
         return (cum[k] + dens[k] * (x - bps[k])) / den
 
-    def cdf_float(self, x: float) -> float:
-        return float(self.cdf(x))
-
     def moment(self, n: int) -> Fraction:
         """Exact n-th moment: integral of x^n against the measure."""
         return sum(
@@ -206,18 +203,10 @@ class Exponential:
                 f"[{sys.float_info.min:.2g}, {sys.float_info.max:.2g}]"
             )
 
-    def cdf_float(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-float(self.rate) * x)
-
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
         """draw(k): k calls of rng.expovariate(float(rate)), in one call."""
         expovariate, rate = rng.expovariate, float(self.rate)
         return lambda k: [expovariate(rate) for _ in range(k)]
-
-
-ParametricMeasure = Union[Exponential, StepMeasure]
 
 
 @dataclass(frozen=True)
@@ -267,14 +256,11 @@ class CanonicalPair:
     """Pair (mu, nu) of step measures whose average is Lebesgue on [0,1].
 
     Both components are stored on their common breakpoint refinement; on
-    every cell the two densities add to exactly 2.  ``resolution`` is set
-    when the pair was produced by grid approximation of non-step inputs,
-    and None when it is exact.
+    every cell the two densities add to exactly 2.
     """
 
     mu: StepMeasure
     nu: StepMeasure
-    resolution: int | None = None
 
     def __post_init__(self):
         grid = sorted(set(self.mu.breakpoints) | set(self.nu.breakpoints))
@@ -306,22 +292,16 @@ class CanonicalPair:
         return cls(mu, nu)
 
     def to_json(self) -> dict:
-        data = {"mu": self.mu.to_json(), "nu": self.nu.to_json()}
-        if self.resolution is not None:
-            data["resolution"] = self.resolution
-        return data
+        return {"mu": self.mu.to_json(), "nu": self.nu.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "CanonicalPair":
+        """The pair of an object with keys mu and nu; other keys are ignored."""
         if not isinstance(data, dict):
             raise ValueError("a pair must be an object with keys mu and nu")
-        resolution = data.get("resolution")
-        if resolution is not None and type(resolution) is not int:
-            raise ValueError(f"resolution must be an integer, got {resolution!r}")
         return cls(
             StepMeasure.from_json(data.get("mu"), "mu"),
             StepMeasure.from_json(data.get("nu"), "nu"),
-            resolution,
         )
 
 
@@ -618,40 +598,12 @@ def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     return MCEstimate.binomial(pattern_matches(pair, w, trials, rng))
 
 
-def _mixture_cdf_float(zeta, eta, z: float) -> float:
-    return 0.5 * (zeta.cdf_float(z) + eta.cdf_float(z))
-
-
-def _invert_mixture(zeta, eta, u: float) -> float:
-    """Solve (F_zeta(z) + F_eta(z)) / 2 = u by bisection."""
-    lo = 0.0
-    for meas in (zeta, eta):
-        if isinstance(meas, StepMeasure):
-            lo = min(lo, float(meas.support[0]))
-    hi = max(1.0, lo + 1.0)
-    while _mixture_cdf_float(zeta, eta, hi) < u:
-        hi = lo + 2 * (hi - lo)
-        if hi > 1e12:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _mixture_cdf_float(zeta, eta, mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _canonicalize_steps(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
     """Exact push-forward of a pair of step measures by the mixture CDF."""
     grid = sorted(set(zeta.breakpoints) | set(eta.breakpoints))
     lo, hi = grid[0], grid[-1]
-    z = zeta if zeta.support == (lo, hi) else _extend_support(zeta, lo, hi)
-    e = eta if eta.support == (lo, hi) else _extend_support(eta, lo, hi)
-    z = z.refine(grid)
-    e = e.refine(grid)
+    z = _extend_support(zeta, lo, hi).refine(grid)
+    e = _extend_support(eta, lo, hi).refine(grid)
     mu_bps = [Fraction(0)]
     mu_dens: list[Fraction] = []
     nu_dens: list[Fraction] = []
@@ -681,49 +633,18 @@ def _extend_support(measure: StepMeasure, lo: Fraction, hi: Fraction) -> StepMea
     return StepMeasure(tuple(bps), tuple(dens))
 
 
-def canonicalize(
-    zeta: ParametricMeasure, eta: ParametricMeasure, resolution: int = 256
-) -> CanonicalPair:
-    """Push (zeta, eta) forward by z -> (F_zeta(z) + F_eta(z)) / 2.
+def canonicalize(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
+    """Push (zeta, eta) forward by z -> (F_zeta(z) + F_eta(z)) / 2, exactly.
 
     The push-forwards (mu, nu) average to Lebesgue measure on [0,1] and
-    induce the same interleaving law as the inputs.  Step inputs transform
-    exactly; parametric inputs are approximated on a uniform grid of
-    `resolution` cells whose masses come from the closed-form CDFs, with nu
-    defined cellwise as density 2 minus mu so the canonical constraint holds
-    exactly.  The approximation records its resolution on the result.
+    induce the same interleaving law as the inputs.  Both inputs must be
+    step measures; an exponential pair is served exactly by ``RatePair``.
     """
     for meas in (zeta, eta):
-        if not isinstance(meas, (StepMeasure, Exponential)):
-            raise ValueError(f"{type(meas).__name__} is not a supported diffuse measure")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if isinstance(zeta, StepMeasure) and isinstance(eta, StepMeasure):
-        return _canonicalize_steps(zeta, eta)
-
-    # Cumulative mu-masses at the grid points, snapped to multiples of 1/g.
-    # Snapping the cumulative values (not the cell masses) keeps the total
-    # exactly 1.  One denominator for every value keeps the integers of the
-    # step DP small, and the clamps below, steps of 1/resolution, stay on it.
-    cdf_vals = [0.0]
-    for i in range(1, resolution):
-        z = _invert_mixture(zeta, eta, i / resolution)
-        cdf_vals.append(zeta.cdf_float(z))
-    cdf_vals.append(1.0)
-    g = resolution * 10**9
-    cum = [Fraction(round(c * g), g) for c in cdf_vals]
-    cum[0], cum[-1] = Fraction(0), Fraction(1)
-    cell = Fraction(1, resolution)
-    for i in range(1, resolution + 1):  # clamp into [prev, prev + 2*cell]
-        cum[i] = min(max(cum[i], cum[i - 1]), cum[i - 1] + 2 * cell)
-    for i in range(resolution, 0, -1):  # keep 1 reachable: mass_i <= 2*cell
-        cum[i - 1] = min(max(cum[i - 1], cum[i] - 2 * cell), cum[i])
-    mu = StepMeasure(
-        tuple(Fraction(i, resolution) for i in range(resolution + 1)),
-        tuple((cum[i + 1] - cum[i]) / cell for i in range(resolution)),
-    )
-    pair = CanonicalPair.from_mu(mu)
-    return CanonicalPair(pair.mu, pair.nu, resolution=resolution)
+        if not isinstance(meas, StepMeasure):
+            kind = type(meas).__name__
+            raise ValueError(f"{kind} is not a step measure; exponential laws use RatePair")
+    return _canonicalize_steps(zeta, eta)
 
 
 def fixture_pairs() -> dict[str, CanonicalPair]:

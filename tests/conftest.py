@@ -57,6 +57,22 @@ def random_canonical_pair(rng: random.Random, cells: int = 3) -> CanonicalPair:
     return CanonicalPair.from_mu(mu)
 
 
+def exp_canonical_moment(alpha, beta, n: int) -> Fraction:
+    """The n-th moment of mu for the canonical pair of Exp(alpha)/Exp(beta), exactly.
+
+    mu is the law of F(X) for X ~ Exp(alpha) and the mixture CDF
+    F = 1 - (e^(-alpha x) + e^(-beta x)) / 2; expanding F^n leaves terms
+    E[e^(-c X)] = alpha / (alpha + c).  nu's moment swaps alpha and beta.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    return sum(
+        math.comb(n, i) * math.comb(i, j) * Fraction(-1, 2) ** i
+        * alpha / (alpha + j * alpha + (i - j) * beta)
+        for i in range(n + 1)
+        for j in range(i + 1)
+    )
+
+
 def step_pattern_oracle(pair: CanonicalPair, w: str) -> Fraction:
     """Interleaving probability of w by the Fraction DP over (cell, suffix).
 

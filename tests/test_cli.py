@@ -2,13 +2,21 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wordchain import cli
 from wordchain.cli import main
-from wordchain.measures import CanonicalPair, StepMeasure, fixture_pairs
+from wordchain.kernels import multi_step_prob
+from wordchain.measures import (
+    CanonicalPair,
+    RatePair,
+    StepMeasure,
+    fixture_pairs,
+    pattern_prob_exact,
+)
 from wordchain.words import subword_count
 
 
@@ -72,6 +80,23 @@ class TestExactCommands:
         big = 10**400
         argv = ["plackett-luce", "--alpha", "1e400", "--beta", "1", action, *words]
         assert run(capsys, argv) == (0, f"{scale * big}/{big + 1}\n")
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["kernel", "multi-step", "", "ab" * 8000], lambda: multi_step_prob("", "ab" * 8000)),
+        (["plackett-luce", "--alpha", "1e5000", "--beta", "1", "prob", "ab"],
+         lambda: pattern_prob_exact(RatePair(10**5000, 1), "ab")),
+    ], ids=["multi-step", "plackett-luce"])
+    def test_values_past_the_digit_limit_print_in_full(self, capsys, argv, exact):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, argv)
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        value = exact()
+        assert math.log10(value.denominator) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{value}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestStochasticCommands:
@@ -325,7 +350,6 @@ class TestErrorHandling:
             ({"mu": {"breakpoints": [0, 1], "densities": [1]},
               "nu": {"breakpoints": ["0", "1"], "densities": ["1"]}}, "mu.breakpoints[0]"),
             ([{"breakpoints": ["0", "1"], "densities": ["1"]}], "a pair"),
-            ({**CanonicalPair.lebesgue().to_json(), "resolution": "8"}, "resolution"),
         ],
     )
     def test_pair_file_types_checked(self, capsys, tmp_path, content, field):
@@ -334,6 +358,21 @@ class TestErrorHandling:
         assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
+
+    def test_pair_file_ignores_unknown_keys(self, capsys, tmp_path):
+        # a pair file carrying an extra key, such as "resolution", loads as the same pair
+        pair = fixture_pairs()["three-cell"].to_json()
+        outputs = []
+        for name, content in [("plain", pair), ("extra", {**pair, "resolution": 256})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content))
+            outputs.append([
+                run(capsys, ["pattern-prob", "--pair", str(path), "--word", "abab"]),
+                run(capsys, ["infinite-bridge", "--pair", str(path), "--steps", "20",
+                             "--seed", "1"]),
+            ])
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 and out for code, out in outputs[0])
 
     @pytest.mark.parametrize("flag, content", [
         ("--eta", b'{"breakpoints": ["0", "1"], "dens'),

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ScriptedRandom, chi2_critical, single_draw, two_sample_chi2
+from conftest import (
+    ScriptedRandom,
+    chi2_critical,
+    exp_canonical_moment,
+    single_draw,
+    two_sample_chi2,
+)
 from wordchain.bridges import sample_finite_bridge, simulate_forward
 from wordchain.measures import CanonicalPair, Exponential, StepMeasure, fixture_pairs
 from wordchain.orders import (
@@ -252,14 +258,22 @@ class TestMoments:
         assert abs(nu1.value - float(pair.nu.moment(1))) <= 3 * nu1.stderr
 
     def test_parametric_source_gives_canonical_moments(self):
-        # order events only see the push-forward pair
-        from wordchain.measures import canonicalize
-
+        # order events only see the push-forward pair, whose moments are exact
         zeta, eta = Exponential(F(2)), Exponential(F(1))
-        pair = canonicalize(zeta, eta, resolution=256)
         sampler = OrderSampler(zeta, eta, random.Random(218))
-        mu1, _ = moment_estimate(sampler, 1, 60_000)
-        assert abs(mu1.value - float(pair.mu.moment(1))) <= 3 * mu1.stderr + 1e-2
+        mu1, nu1 = moment_estimate(sampler, 1, 60_000)
+        assert abs(mu1.value - float(exp_canonical_moment(2, 1, 1))) <= 3 * mu1.stderr
+        assert abs(nu1.value - float(exp_canonical_moment(1, 2, 1))) <= 3 * nu1.stderr
+
+    def test_exponential_moment_oracle(self):
+        # equal rates give Lebesgue, and (mu + nu) / 2 is Lebesgue for any rates
+        assert exp_canonical_moment(2, 1, 1) == F(5, 12)
+        assert exp_canonical_moment(1, 2, 1) == F(7, 12)
+        for alpha, beta in [(1, 1), (2, 1), (F(1, 3), F(9, 2)), (7, 5)]:
+            for n in range(6):
+                assert exp_canonical_moment(alpha, alpha, n) == F(1, n + 1)
+                both = exp_canonical_moment(alpha, beta, n) + exp_canonical_moment(beta, alpha, n)
+                assert both / 2 == F(1, n + 1), (alpha, beta, n)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):

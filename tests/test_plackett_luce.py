@@ -14,7 +14,6 @@ from wordchain.kernels import one_step_prob
 from wordchain.measures import (
     Exponential,
     RatePair,
-    canonicalize,
     interleave_pattern,
     pattern_prob_exact,
     pl_word_prob,
@@ -207,16 +206,6 @@ class TestBridgeBehavior:
             p = float(F(subword_count(v, u), 9))
             sigma = math.sqrt(p * (1 - p) / by_v[v])
             assert abs(c / by_v[v] - p) <= 3 * sigma + 1e-9, (u, v)
-
-    def test_canonical_pair_cross_check(self):
-        # the grid-approximated canonical pair reproduces the closed-form h;
-        # the tolerance reflects the finite resolution, not an exact identity
-        pair = canonicalize(Exponential(F(2)), Exponential(F(1)), resolution=400)
-        worst = 0.0
-        for w in enumerate_balanced(1) + enumerate_balanced(2):
-            err = abs(float(harmonic_h(pair, w) - harmonic_h(TWO_ONE, w)))
-            worst = max(worst, err)
-        assert worst < 1e-3, f"resolution-400 mismatch {worst}"
 
 
 class TestSharedPairPath:
