@@ -134,6 +134,10 @@ SERIAL_CASES = {
         ["boundary", "--seq", "{long_seq}", "--pair", "{pair}", "--mmax", "3"],
         "ed4b33921f90cba566035a61303da2b5a4c7b54d38d8ac9a84037c551186a319",
     ),
+    "boundary-long-mmax4": (
+        ["boundary", "--seq", "{long_seq}", "--pair", "{pair}", "--mmax", "4"],
+        "1104c0617e3ba14d06e4ab77ba1632e47ec78d038eca2ca40edf9df139e13d11",
+    ),
     "plackett-luce-transition-600": (
         ["plackett-luce", "--alpha", "3", "--beta", "2", "transition", "{pl_u}", "{pl_v}"],
         "6a1f0ef24057c1a5cdf8a068c53ce618939d24011aa6fc303f4ccb150cf06eed",
