@@ -19,12 +19,11 @@ from fractions import Fraction
 from .errors import SizeMismatchError
 from .measures import (
     CanonicalPair,
-    empirical_pair,
+    empirical_distance,
     format_fraction,
     pattern_distribution,
-    weak_distance,
 )
-from .words import subword_count, word_size
+from .words import subword_count, subword_counts, word_size
 
 
 def kernel_ratio(y: str, w: str) -> Fraction:
@@ -109,13 +108,16 @@ def convergence_report(
     dists = [pattern_distribution(pair, m) for m in range(1, m_max + 1)]
     targets = {w: p for dist in dists for w, p in dist.items()}
     test_words = list(targets)
-    ratios = {w: [kernel_ratio(y, w) for y in seq] for w in test_words}
-
+    ratios = {w: [] for w in test_words}
     mu_distances, nu_distances = [], []
     for y in seq:
-        emp = empirical_pair(y)
-        mu_distances.append(weak_distance(emp.mu, pair.mu))
-        nu_distances.append(weak_distance(emp.nu, pair.nu))
+        # one trie walk counts every test word; the ratios equal kernel_ratio(y, w)
+        counts = subword_counts(y, test_words)
+        selections = [math.comb(word_size(y), m) ** 2 for m in range(m_max + 1)]
+        for w in test_words:
+            ratios[w].append(Fraction(counts[w], selections[len(w) // 2]))
+        mu_distances.append(empirical_distance(y, "a", pair.mu))
+        nu_distances.append(empirical_distance(y, "b", pair.nu))
 
     errors = [
         max(abs(float(ratios[w][k] - targets[w])) for w in test_words) for k in range(len(seq))

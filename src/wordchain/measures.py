@@ -20,8 +20,10 @@ function and the h-transform read a pair only through it.
 from __future__ import annotations
 
 import bisect
+import decimal
 import itertools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -46,7 +48,11 @@ def parse_fraction(text: str, field: str = "value") -> Fraction:
 
 
 def format_fraction(x: Fraction) -> str:
-    return str(Fraction(x))
+    """str(x) in full at any size: Decimal prints an int exactly, without the
+    interpreter's int-to-str digit limit, so no process-wide setting is touched."""
+    x = Fraction(x)
+    text = str(decimal.Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{decimal.Decimal(x.denominator)}"
 
 
 def _as_fraction(x) -> Fraction:
@@ -739,3 +745,35 @@ def weak_distance(p, q) -> float:
         max(abs(fp * sp - fq * sq) for fp, fq in zip(left_p, left_q)),
     )
     return best / den
+
+
+def empirical_distance(y: str, letter: str, q: StepMeasure) -> float:
+    """weak_distance(mu or nu of empirical_pair(y), q), read from the positions of `letter` in y.
+
+    The k-th atom sits at l_k / (2N), and between atoms the empirical CDF
+    is flat while F_q is continuous and nondecreasing, so the supremum is
+    the largest of |k/N - F_q(x_k)| and |(k-1)/N - F_q(x_k)|.  With L the
+    lcm of 2N and the breakpoint denominators, every candidate is an
+    integer over N * E * L; the int/int quotient rounds as weak_distance's.
+    """
+    n = empirical_pair(y).size
+    if letter not in ("a", "b"):
+        raise ValueError(f"letter must be 'a' or 'b', got {letter!r}")
+    knots = _knots(q)
+    den, cum, dens = q._cdf_table
+    grid = math.lcm(2 * n, *(b.denominator for b in knots))
+    step, knots, one = grid // (2 * n), _scaled(knots, grid), grid * den
+    # the 1-based positions l of the atoms l / (2N) = l * step / L
+    pos = [l for l, ch in enumerate(y, 1) if ch == letter]
+    # the atoms ahead of each knot X: l * step < X, that is l < ceil(X / step)
+    cuts = [bisect.bisect_left(pos, -(-x // step)) for x in knots]
+    # N * E * L * F_q at each atom; on cell k, E * L * F_q(x / L) = L * cum[k] + dens[k] * (x - X_k)
+    at = [0] * cuts[0]
+    for k, (i, j) in enumerate(zip(cuts, cuts[1:])):
+        base, slope = n * (grid * cum[k] - dens[k] * knots[k]), n * dens[k] * step
+        at += [base + slope * l for l in pos[i:j]]
+    at += [n * one] * (n - cuts[-1])
+    # max(|a|, |a - c|) = max(a, c - a) for c > 0; the k-th atom reads k/N and (k-1)/N
+    best = max(max(map(operator.sub, range(one, (n + 1) * one, one), at)),
+               max(map(operator.sub, at, range(0, n * one, one))))
+    return best / (n * one)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import CapExceededError
 
@@ -85,6 +87,45 @@ def subword_count(w: str, v: str) -> int:
         for j in holding[ch]:
             dp[j] += dp[j - 1]
     return dp[k]
+
+
+def subword_counts(y: str, words) -> dict[str, int]:
+    """{w: subword_count(y, w)} for every w in `words`, in one walk of their prefix trie.
+
+    For a trie node x ending in letter c, g[t] counts the embeddings of x
+    in y whose last letter lands on the t-th c of y, and count(x) = sum(g).
+    With G the prefix sums of g, a child x + c has g = G[:-1], and a child
+    x + d (d != c) has g[t] = G[number of c's before the t-th d of y]; that
+    index is pos_d[t] - t, tabulated once per y.  Each node costs O(|y|) at
+    C speed.  The walk is depth-first on an explicit stack, so only the
+    vectors of the current path and their siblings are alive.
+    """
+    check_word(y)
+    wanted = {check_word(w) for w in words}
+    prefixes = {w[:i] for w in wanted for i in range(len(w) + 1)}
+    counts = {"": 1} if "" in wanted else {}
+    pick = {}
+    for d in ALPHABET:
+        # the letters other than d ahead of the t-th d of y, for each t
+        before = [i - t for t, i in enumerate(letter_positions(y, d))]
+        # itemgetter of one index returns the item itself, not a 1-tuple
+        pick[d] = (itemgetter(*before) if len(before) > 1
+                   else lambda cum, before=before: [cum[i] for i in before])
+    stack = [(d, [1] * y.count(d)) for d in ALPHABET if d in prefixes]
+    while stack:
+        x, g = stack.pop()
+        children = [x + d for d in ALPHABET if x + d in prefixes]
+        if not children:  # a leaf is a wanted word
+            counts[x] = sum(g)
+            continue
+        cum = list(accumulate(g, initial=0))
+        if x in wanted:
+            counts[x] = cum[-1]
+        stack.extend(
+            (child, cum[:-1] if child[-1] == x[-1] else pick[child[-1]](cum))
+            for child in children
+        )
+    return counts
 
 
 def enumerate_words(length: int) -> list[str]:

@@ -11,6 +11,8 @@ from wordchain.boundary import (
     convergence_report,
     kernel_ratio,
 )
+from conftest import random_canonical_pair
+from wordchain import measures
 from wordchain.bridges import InfiniteBridge, simulate_forward
 from wordchain.errors import SizeMismatchError
 from wordchain.measures import (
@@ -22,7 +24,7 @@ from wordchain.measures import (
     pattern_prob_exact,
     weak_distance,
 )
-from wordchain.words import enumerate_balanced
+from wordchain.words import enumerate_balanced, subword_count
 
 F = Fraction
 
@@ -170,3 +172,67 @@ class TestConvergenceReport:
         assert (report.mu_distances[-1], report.nu_distances[-1]) == (0.25, 0.5)
         assert not report.verdict
         assert "exceed 0.15" in report.verdict_reason
+
+
+def _shuffled(size: int, rng: random.Random) -> str:
+    letters = list("ab" * size)
+    rng.shuffle(letters)
+    return "".join(letters)
+
+
+def assert_report_matches_oracles(seq: list[str], pair: CanonicalPair, m_max: int) -> None:
+    """Ratios equal kernel_ratio and distances weak_distance, exactly."""
+    report = convergence_report(seq, pair, m_max)
+    assert report.test_words == [w for m in range(1, m_max + 1) for w in pattern_distribution(pair, m)]
+    for w in report.test_words:
+        assert report.ratios[w] == [kernel_ratio(y, w) for y in seq], w
+    emps = [empirical_pair(y) for y in seq]
+    assert report.mu_distances == [weak_distance(e.mu, pair.mu) for e in emps]
+    assert report.nu_distances == [weak_distance(e.nu, pair.nu) for e in emps]
+
+
+class TestReportOracles:
+    def test_fixture_pairs(self):
+        seed_rng = random.Random(404)
+        seq = [_shuffled(size, seed_rng) for size in (3, 8, 30, 120)]
+        for pair in fixture_pairs().values():
+            assert_report_matches_oracles(seq, pair, 3)
+
+    def test_random_step_pairs(self):
+        seed_rng = random.Random(405)
+        for cells in (1, 2, 4, 9):
+            pair = random_canonical_pair(seed_rng, cells=cells)
+            seq = sorted((_shuffled(seed_rng.randint(4, 300), seed_rng) for _ in range(4)), key=len)
+            assert_report_matches_oracles(seq, pair, 4)
+
+    def test_size_one_words(self):
+        for pair in fixture_pairs().values():
+            assert_report_matches_oracles(["ab", "ba", "abab"], pair, 1)
+
+    def test_atoms_on_a_breakpoint(self):
+        # the N-th letter sits at 1/2, the breakpoint of separated, for every N
+        seq = ["ab", "abba", "aabb", "aaabbb", "babaabab"]
+        assert_report_matches_oracles(seq, fixture_pairs()["separated"], 1)
+
+    def test_one_word_sequence(self):
+        for pair in fixture_pairs().values():
+            assert_report_matches_oracles(["aababb"], pair, 2)
+
+    def test_mmax_at_smallest_size(self):
+        seq = ["abba", "aabbab", "bbaaabab", "abababbaab"]
+        for name in ("skewed", "three-cell"):
+            assert_report_matches_oracles(seq, fixture_pairs()[name], 2)
+
+
+def test_report_reads_each_word_once(monkeypatch):
+    # no per-(word, test word) subword_count pass and no AtomicMeasure per word
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_report built an AtomicMeasure")
+
+    monkeypatch.setattr(measures, "AtomicMeasure", refuse)
+    seq = [_shuffled(size, random.Random(size)) for size in (20, 40, 80)]
+    info = subword_count.cache_info()
+    report = convergence_report(seq, fixture_pairs()["crossed"], 3)
+    after = subword_count.cache_info()
+    assert (after.hits, after.misses) == (info.hits, info.misses)
+    assert len(report.test_words) == 28

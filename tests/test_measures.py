@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from wordchain.measures import (
     Exponential,
     StepMeasure,
     canonicalize,
+    empirical_distance,
     empirical_pair,
     fixture_pairs,
+    format_fraction,
     pattern_distribution,
     pattern_matches,
     pattern_prob_exact,
@@ -100,6 +103,25 @@ class TestCanonicalPair:
     def test_requires_unit_interval(self):
         with pytest.raises(ValueError):
             CanonicalPair(StepMeasure.uniform_on(0, 2), StepMeasure.uniform_on(0, 2))
+
+    def test_json_past_the_digit_limit(self):
+        # a library caller formats values of any size without lifting the limit
+        tiny = F(1, 10**5000)
+        pair = CanonicalPair.from_mu(StepMeasure((F(0), tiny, F(1)), (F(1), F(1))))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert format_fraction(tiny) == "1/1" + "0" * 5000
+            assert format_fraction(-tiny * 7 / 3) == "-7/3" + "0" * 5000
+            assert format_fraction(1 / tiny) == "1" + "0" * 5000
+            assert pair.to_json()["mu"]["breakpoints"] == ["0", "1/1" + "0" * 5000, "1"]
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_format_matches_str(self):
+        for x in (F(0), F(5), F(-3, 4), F(12, 8), F(10**30, 7)):
+            assert format_fraction(x) == str(x)
 
 
 class TestPatternExact:
@@ -439,3 +461,50 @@ class TestWeakDistance:
                 (uniform_grid(size), pair.nu),
             ):
                 assert weak_distance(p, q) == float(weak_distance_oracle(p, q))
+
+
+class TestEmpiricalDistance:
+    """The integer distance from letter positions equals weak_distance, as floats."""
+
+    @staticmethod
+    def assert_matches(y: str, pair: CanonicalPair) -> None:
+        emp = empirical_pair(y)
+        for letter, atoms in (("a", emp.mu), ("b", emp.nu)):
+            for q in (pair.mu, pair.nu):
+                assert empirical_distance(y, letter, q) == weak_distance(atoms, q)
+
+    def test_all_small_words_on_fixture_pairs(self):
+        for pair in fixture_pairs().values():
+            for size in range(1, 6):
+                for y in enumerate_balanced(size):
+                    self.assert_matches(y, pair)
+
+    def test_random_words_on_random_step_pairs(self):
+        seed_rng = random.Random(64)
+        pairs = [random_canonical_pair(seed_rng, cells=c) for c in (1, 2, 3, 5, 7, 12)]
+        for k in range(30):
+            size = seed_rng.choice([1, 2, 3, 7, 40, 333, 2000])
+            letters = list("ab" * size)
+            seed_rng.shuffle(letters)
+            self.assert_matches("".join(letters), pairs[k % len(pairs)])
+
+    def test_atoms_on_a_breakpoint(self):
+        # the N-th letter of a size-N word sits at 1/2, the breakpoint of separated
+        for y in ("ab", "ba", "aabb", "abab", "bbaa", "aaabbb", "abbaabba"):
+            self.assert_matches(y, separated_pair())
+        assert empirical_distance("aabb", "a", separated_pair().mu) == 0.5
+
+    def test_zero_density_cells(self):
+        # skewed's mu has no mass on [0, 1/4], separated's mu none on [1/2, 1]
+        for name in ("skewed", "separated"):
+            pair = fixture_pairs()[name]
+            for y in ("ab" * 4, "a" * 4 + "b" * 4, "b" * 4 + "a" * 4, "abba" * 3):
+                self.assert_matches(y, pair)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            empirical_distance("", "a", StepMeasure.lebesgue())
+        with pytest.raises(ValueError):
+            empirical_distance("ab", "c", StepMeasure.lebesgue())
+        with pytest.raises(ValueError):
+            empirical_distance("ab", "a", StepMeasure.uniform_on(0, 2))

@@ -20,6 +20,7 @@ from wordchain.words import (
     enumerate_words,
     random_subword,
     subword_count,
+    subword_counts,
     successors,
     word_size,
 )
@@ -123,6 +124,46 @@ class TestSubwordCount:
             assert str(err.value) == f"invalid letter {first!r} in word {w!r}"
         with pytest.raises(TypeError):
             check_word(["a"])
+
+
+class TestSubwordCounts:
+    """One trie walk per word y against the per-word DP subword_count."""
+
+    def test_exhaustive_short_words(self):
+        # every y with |y| <= 8 against every w with |w| <= 6, uncached
+        short = [w for q in range(7) for w in enumerate_words(q)]
+        for p in range(9):
+            for y in enumerate_words(p):
+                expected = dict(zip(short, map(subword_count.__wrapped__, itertools.repeat(y), short)))
+                assert subword_counts(y, short) == expected, y
+
+    def test_long_random_words(self):
+        seed_rng = random.Random(66)
+        tests = [w for m in range(1, 4) for w in enumerate_balanced(m)]
+        tests += ["".join(seed_rng.choice("ab") for _ in range(k)) for k in (1, 5, 9, 12)]
+        for _ in range(3):
+            letters = list("ab" * 2000)
+            seed_rng.shuffle(letters)
+            y = "".join(letters)
+            counts = subword_counts(y, tests)
+            assert counts == {w: subword_count.__wrapped__(y, w) for w in tests}
+
+    def test_letters_missing_or_single(self):
+        # a letter that occurs once or never in y gives a 1- or 0-entry index table
+        tests = [w for q in range(5) for w in enumerate_words(q)]
+        for y in ("", "a", "b", "ab", "ba", "aaab", "bbba", "aaaa", "abbb"):
+            assert subword_counts(y, tests) == {w: subword_count(y, w) for w in tests}, y
+
+    def test_only_the_asked_words(self):
+        assert subword_counts("abab", ["ab", "abb", "ab"]) == {"ab": 3, "abb": 1}
+        assert subword_counts("abab", []) == {}
+        assert subword_counts("abab", [""]) == {"": 1}
+
+    def test_rejects_bad_letters(self):
+        with pytest.raises(ValueError):
+            subword_counts("abc", ["ab"])
+        with pytest.raises(ValueError):
+            subword_counts("ab", ["ax"])
 
 
 class TestEnumeration:
