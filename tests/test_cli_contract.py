@@ -161,7 +161,7 @@ BAD = {
     "pair": {**BAD_FILES, "{seq}": 2, "{measure}": 2},
     "seq": BAD_FILES,
     "spec": {**BAD_FILES, "{pair}": 2, "exp:0": 2, "exp:-1": 2, "exp:1/0": 2, "exp:x": 2,
-             "exp:1e400": 2, "exp:1e-400": 2, "exp:1e-310": 2, "lognormal": 2},
+             "exp:1e400": 2, "exp:1e-400": 2, "exp:1e-310": 2, "exp:nan": 2, "lognormal": 2},
     "word": BAD_WORDS,
     "letters": {"abc": 2, "c": 2},  # subword takes unbalanced words too
     "step_word": {**BAD_WORDS, "ab" * 7: 3},  # exact step pattern: size cap 6
@@ -171,11 +171,13 @@ BAD = {
     "target": {**BAD_WORDS, "": 2},  # beside a source of size >= 1
     "pl_source": {**BAD_WORDS, "aaaabbbb": 2},
     "pl_target": {**BAD_WORDS, "": 2, "aaaabbbb": 2},
-    "letter": {"a0": 2, "c1": 2, "a": 2, "": 2, "bx": 2, "a9": 2},  # depth <= 6
+    # depth <= 6; an index past the int-to-str digit limit still exits 2
+    "letter": {"a0": 2, "c1": 2, "a": 2, "": 2, "bx": 2, "a9": 2, "a" + "1" * 5000: 2},
     "stat_d": {"f": 2, "g": 2},  # --y belongs to --stat d
     "depth": {"0": 2, "-4": 2, "x": 2},
     "order": {"0": 2, "5": 2, "x": 2},
-    "rate": {"0": 2, "-1": 2, "1/0": 2, "x": 2},  # exact actions: any positive rational
+    # exact actions: any positive rational, in Fraction's grammar
+    "rate": {"0": 2, "-1": 2, "1/0": 2, "x": 2, "nan": 2, "inf": 2, "1__0": 2},
     "float_rate": {"0": 2, "1/0": 2, "1e400": 2, "1e-400": 2},  # sort draws floats
     "one_word_action": {"transition": 2, "sample": 2, "frob": 2},
     "method": {"magic": 2, "": 2},
