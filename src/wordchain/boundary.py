@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeMismatchError
+from .errors import SizeMismatchError, WordchainError
 from .measures import (
     CanonicalPair,
     empirical_distance,
@@ -42,10 +42,10 @@ def kernel_ratio(y: str, w: str) -> Fraction:
 def check_word_sequence(seq: list[str]) -> list[str]:
     """Validate nonempty input with nondecreasing word sizes."""
     if not seq:
-        raise ValueError("a word sequence must be nonempty")
+        raise WordchainError("a word sequence must be nonempty")
     sizes = [word_size(y) for y in seq]
     if any(s2 < s1 for s1, s2 in zip(sizes, sizes[1:])):
-        raise ValueError("word sizes must be nondecreasing along the sequence")
+        raise WordchainError("word sizes must be nondecreasing along the sequence")
     return seq
 
 
@@ -103,7 +103,7 @@ def convergence_report(
     check_word_sequence(seq)
     min_size = word_size(seq[0])
     if m_max < 1 or m_max > min_size:
-        raise ValueError(f"m_max must be between 1 and the smallest word size {min_size}")
+        raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {min_size}")
 
     dists = [pattern_distribution(pair, m) for m in range(1, m_max + 1)]
     targets = {w: p for dist in dists for w, p in dist.items()}

@@ -10,6 +10,7 @@ Carlo replicas; the replica split is fixed, so results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -61,33 +62,31 @@ def _format_path(path: list[str], fmt: str, seed: int) -> str:
 
 
 def _read_file(path: str, parse):
-    """parse(fh) on the UTF-8 text file at `path`; a malformed file's error names it.
-
-    Undecodable bytes, bad JSON and bad fields all raise ValueError.
-    """
+    """parse(fh) on the UTF-8 text file at `path`; a malformed file's error names it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
-    except ValueError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, WordchainError) as exc:
         raise WordchainError(f"{path}: {exc}") from None
 
 
-def _load_pair(path: str) -> CanonicalPair:
-    return _read_file(path, lambda fh: CanonicalPair.from_json(json.load(fh)))
+def _read_json(path: str, build):
+    """build(data) for the JSON file at `path`; its integers load as Decimal, at any size."""
+    return _read_file(path, lambda fh: build(json.load(fh, parse_int=decimal.Decimal)))
 
 
 def _parse_measure_spec(spec: str):
     """"exp:RATE" for an exponential law, otherwise a step-measure JSON file."""
     if spec.startswith("exp:"):
         return Exponential(parse_fraction(spec.split(":", 1)[1]))
-    return _read_file(spec, lambda fh: StepMeasure.from_json(json.load(fh)))
+    return _read_json(spec, StepMeasure.from_json)
 
 
 def _order_sources(args):
     if args.pair:
         if args.zeta or args.eta:
             raise WordchainError("--pair excludes --zeta and --eta")
-        pair = _load_pair(args.pair)
+        pair = _read_json(args.pair, CanonicalPair.from_json)
         return pair.mu, pair.nu
     if not (args.zeta and args.eta):
         raise WordchainError("provide either --pair FILE or both --zeta and --eta")
@@ -130,7 +129,7 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
 
 
 def _cmd_subword(args) -> int:
-    _emit(args, str(words.subword_count(args.word, args.subword)))
+    _emit(args, format_fraction(words.subword_count(args.word, args.subword)))
     return 0
 
 
@@ -158,7 +157,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_infinite_bridge(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _read_json(args.pair, CanonicalPair.from_json)
     bridge = bridges.InfiniteBridge(pair, derive_rng(args.seed, "infinite-bridge"))
     bridge.extend_to(args.steps)
     _emit(args, _format_path(bridge.words, args.format, args.seed))
@@ -169,7 +168,7 @@ def _cmd_pattern_prob(args) -> int:
     if args.word_pair is not None:
         pair = empirical_pair(args.word_pair)
     else:
-        pair = _load_pair(args.pair)
+        pair = _read_json(args.pair, CanonicalPair.from_json)
     if not args.trials:
         _emit(args, format_fraction(pattern_prob_exact(pair, args.word)))
         return 0
@@ -254,7 +253,7 @@ def _cmd_plackett_luce(args) -> int:
 
 def _cmd_boundary(args) -> int:
     seq = _read_file(args.seq, lambda fh: [line.strip() for line in fh if line.strip()])
-    pair = _load_pair(args.pair)
+    pair = _read_json(args.pair, CanonicalPair.from_json)
     report = boundary_mod.convergence_report(seq, pair, args.mmax)
     _emit_json(args, report.to_json())
     return 0
@@ -402,23 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.seed &= 0xFFFFFFFFFFFFFFFF  # seeds are 64-bit
-    # exact values print in full: lift the int-to-str digit limit (0 means none) for this call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # _read_file wraps file errors in WordchainError; library validation still
-    # raises plain ValueError, so that stays caught too
-    except (WordchainError, ValueError, OSError) as exc:
+    except (WordchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

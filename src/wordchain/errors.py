@@ -1,8 +1,9 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package: every check on an input raises
+WordchainError or a subclass, so any other exception from inside it is a bug."""
 
 
 class WordchainError(ValueError):
-    """Base class for all errors raised by this package."""
+    """An input the package rejects; a ValueError, so library callers may catch either."""
 
 
 class CapExceededError(WordchainError):

@@ -25,26 +25,32 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence, Union
 
-from .errors import CapExceededError, SizeMismatchError
+from .errors import CapExceededError, SizeMismatchError, WordchainError
 from .words import check_balanced, enumerate_balanced, subword_count, word_size
 
 STEP_PATTERN_CAP = 6
 
 
 def parse_fraction(text: str, field: str = "value") -> Fraction:
-    """Parse "p/q" or "p" into an exact rational; `field` names it in errors."""
+    """Parse "p/q" or "p", in Fraction(str)'s grammar, into an exact rational; `field`
+    names it in errors.  Decimal reads the digits, so no int-to-str digit limit applies."""
     if not isinstance(text, str):
-        raise ValueError(f'{field} must be a string such as "1/2", got {text!r}')
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise WordchainError(f'{field} must be a string such as "1/2", got {text!r}')
+    # "p/q", or a decimal with an optional exponent, with optional _ between digits
+    literal = r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?(e[-+]?\d+(_\d+)*)?)\s*"
+    if not re.fullmatch(literal, text, re.IGNORECASE):
+        raise WordchainError(f"Invalid literal for Fraction: {text!r}")
+    num, _, den = text.partition("/")
+    if den and not decimal.Decimal(den):
+        raise WordchainError(f"zero denominator in {text!r}")
+    return Fraction(decimal.Decimal(num)) / Fraction(decimal.Decimal(den or 1))
 
 
 def format_fraction(x: Fraction) -> str:
@@ -82,14 +88,14 @@ class StepMeasure:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
         if len(bps) < 2 or len(dens) != len(bps) - 1:
-            raise ValueError("need K+1 breakpoints for K densities, K >= 1")
+            raise WordchainError("need K+1 breakpoints for K densities, K >= 1")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise WordchainError("breakpoints must be strictly increasing")
         if any(d < 0 for d in dens):
-            raise ValueError("densities must be nonnegative")
+            raise WordchainError("densities must be nonnegative")
         den, cum, _ = self._cdf_table
         if cum[-1] != den:
-            raise ValueError(f"total mass is {Fraction(cum[-1], den)}, expected 1")
+            raise WordchainError(f"total mass is {format_fraction(Fraction(cum[-1], den))}, expected 1")
 
     @classmethod
     def lebesgue(cls) -> "StepMeasure":
@@ -188,7 +194,7 @@ class StepMeasure:
     def from_json(cls, data: dict, field: str = "measure") -> "StepMeasure":
         keys = ("breakpoints", "densities")
         if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in keys)):
-            raise ValueError(f"{field} must hold lists of breakpoints and densities")
+            raise WordchainError(f"{field} must hold lists of breakpoints and densities")
         return cls(*(
             tuple(parse_fraction(v, f"{field}.{k}[{i}]") for i, v in enumerate(data[k]))
             for k in keys
@@ -204,7 +210,7 @@ class Exponential:
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
         if not sys.float_info.min <= self.rate <= sys.float_info.max:
-            raise ValueError(
+            raise WordchainError(
                 f"rate must lie in the normal float range "
                 f"[{sys.float_info.min:.2g}, {sys.float_info.max:.2g}]"
             )
@@ -225,16 +231,16 @@ class AtomicMeasure:
         atoms = tuple((_as_fraction(x), _as_fraction(m)) for x, m in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
-            raise ValueError("need at least one atom")
+            raise WordchainError("need at least one atom")
         locs = [x for x, _ in atoms]
         grid = _scaled(locs, math.lcm(*(x.denominator for x in locs)))
         if any(x2 <= x1 for x1, x2 in zip(grid, grid[1:])):
-            raise ValueError("atom locations must be strictly increasing")
+            raise WordchainError("atom locations must be strictly increasing")
         if any(m.numerator <= 0 for _, m in atoms):
-            raise ValueError("atom masses must be positive")
+            raise WordchainError("atom masses must be positive")
         den, cum = self._cdf_table
         if cum[-1] != den:
-            raise ValueError("atom masses must total 1")
+            raise WordchainError("atom masses must total 1")
 
     @cached_property
     def _cdf_table(self) -> tuple[int, list[int]]:
@@ -273,13 +279,13 @@ class CanonicalPair:
         mu = self.mu.refine(grid) if self.mu.breakpoints != tuple(grid) else self.mu
         nu = self.nu.refine(grid) if self.nu.breakpoints != tuple(grid) else self.nu
         if mu.breakpoints != nu.breakpoints:
-            raise ValueError("mu and nu must live on a common support")
+            raise WordchainError("mu and nu must live on a common support")
         if mu.support != (Fraction(0), Fraction(1)):
-            raise ValueError("canonical pairs live on [0, 1]")
+            raise WordchainError("canonical pairs live on [0, 1]")
         for k, (dm, dn) in enumerate(zip(mu.densities, nu.densities)):
             if dm + dn != 2:
-                raise ValueError(
-                    f"densities on cell {k} add to {dm + dn}, expected 2 "
+                raise WordchainError(
+                    f"densities on cell {k} add to {format_fraction(dm + dn)}, expected 2 "
                     "(the average of the pair must be Lebesgue measure)"
                 )
         object.__setattr__(self, "mu", mu)
@@ -304,7 +310,7 @@ class CanonicalPair:
     def from_json(cls, data: dict) -> "CanonicalPair":
         """The pair of an object with keys mu and nu; other keys are ignored."""
         if not isinstance(data, dict):
-            raise ValueError("a pair must be an object with keys mu and nu")
+            raise WordchainError("a pair must be an object with keys mu and nu")
         return cls(
             StepMeasure.from_json(data.get("mu"), "mu"),
             StepMeasure.from_json(data.get("nu"), "nu"),
@@ -325,7 +331,7 @@ class AtomicPair:
     def __post_init__(self):
         check_balanced(self.word)
         if not self.word:
-            raise ValueError("the empty word carries no empirical measures")
+            raise WordchainError("the empty word carries no empirical measures")
 
     @property
     def size(self) -> int:
@@ -364,7 +370,7 @@ class RatePair:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("rates must be positive")
+            raise WordchainError("rates must be positive")
 
 
 def suffix_counts(u: str) -> list[tuple[int, int]]:
@@ -415,15 +421,15 @@ def empirical_pair(y: str) -> AtomicPair:
     return AtomicPair(y)
 
 
-def interleave_pattern(xs, ys) -> str:
+def interleave_pattern(xs, ys) -> str | None:
     """Sort the union of xs (a-points) and ys (b-points) and read the letters.
 
-    All values must be distinct; ties make the pattern undefined.
+    Tied values have no pattern, and give None.
     """
     tagged = [(x, "a") for x in xs] + [(y, "b") for y in ys]
     tagged.sort()
     if len({v for v, _ in tagged}) < len(tagged):
-        raise ValueError("tied values have no interleaving pattern")
+        return None
     return "".join([t for _, t in tagged])
 
 
@@ -565,7 +571,7 @@ class MCEstimate:
         """Sample mean with the plug-in standard error sqrt(var / n)."""
         n = len(samples)
         if n < 1:
-            raise ValueError("need at least one sample")
+            raise WordchainError("need at least one sample")
         mean = sum(samples) / n
         var = sum((s - mean) ** 2 for s in samples) / n
         return cls(mean, math.sqrt(var / n), n)
@@ -575,7 +581,7 @@ class MCEstimate:
         """Hit frequency of Bernoulli outcomes with stderr sqrt(p(1-p)/n)."""
         n = len(outcomes)
         if n < 1:
-            raise ValueError("need at least one trial")
+            raise WordchainError("need at least one trial")
         p = sum(outcomes) / n
         return cls(p, math.sqrt(p * (1 - p) / n), n)
 
@@ -590,13 +596,7 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     m = word_size(w)
     _check_atom_count(pair, m)
     draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
-    out = []
-    for _ in range(trials):
-        try:
-            out.append(interleave_pattern(draw_mu(m), draw_nu(m)) == w)
-        except ValueError:
-            out.append(False)
-    return out
+    return [interleave_pattern(draw_mu(m), draw_nu(m)) == w for _ in range(trials)]
 
 
 def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> MCEstimate:
@@ -649,7 +649,7 @@ def canonicalize(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
     for meas in (zeta, eta):
         if not isinstance(meas, StepMeasure):
             kind = type(meas).__name__
-            raise ValueError(f"{kind} is not a step measure; exponential laws use RatePair")
+            raise WordchainError(f"{kind} is not a step measure; exponential laws use RatePair")
     return _canonicalize_steps(zeta, eta)
 
 
@@ -690,7 +690,7 @@ def _knots(measure) -> list[Fraction]:
     else:
         raise TypeError(f"no exact CDF for {type(measure).__name__}")
     if knots[0] < 0 or knots[-1] > 1:
-        raise ValueError("weak_distance expects measures supported in [0,1]")
+        raise WordchainError("weak_distance expects measures supported in [0,1]")
     return knots
 
 
@@ -758,7 +758,7 @@ def empirical_distance(y: str, letter: str, q: StepMeasure) -> float:
     """
     n = empirical_pair(y).size
     if letter not in ("a", "b"):
-        raise ValueError(f"letter must be 'a' or 'b', got {letter!r}")
+        raise WordchainError(f"letter must be 'a' or 'b', got {letter!r}")
     knots = _knots(q)
     den, cum, dens = q._cdf_table
     grid = math.lcm(2 * n, *(b.denominator for b in knots))

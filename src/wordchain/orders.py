@@ -11,11 +11,13 @@ estimated here at finite depth.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass
 
-from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure
+from .errors import SizeMismatchError, WordchainError
+from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure, format_fraction
 from .words import word_size
 
 MOMENT_ORDER_CAP = 4
@@ -30,20 +32,20 @@ class LabeledLetter:
 
     def __post_init__(self):
         if self.kind not in ("a", "b"):
-            raise ValueError(f"kind must be 'a' or 'b', got {self.kind!r}")
+            raise WordchainError(f"kind must be 'a' or 'b', got {self.kind!r}")
         if self.index < 1:
-            raise ValueError("letter indices start at 1")
+            raise WordchainError("letter indices start at 1")
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+        return self.kind + format_fraction(self.index)
 
     @classmethod
     def parse(cls, token: str) -> "LabeledLetter":
         """Parse a token such as "a3" or "b12"."""
         digits = token[1:]
         if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"expected a labeled letter such as a1, got {token!r}")
-        return cls(token[0], int(digits))
+            raise WordchainError(f"expected a labeled letter such as a1, got {token!r}")
+        return cls(token[0], int(decimal.Decimal(digits)))  # exact at any size
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,11 @@ class OrderPrefix:
 
     def __post_init__(self):
         if len(self.letters) % 2:
-            raise ValueError("an order prefix has even length")
+            raise WordchainError("an order prefix has even length")
         n = len(self.letters) // 2
         labels = sorted((letter.kind, letter.index) for letter in self.letters)
         if labels != [(k, i) for k in "ab" for i in range(1, n + 1)]:
-            raise ValueError(f"prefix must use each of a1..a{n}, b1..b{n} exactly once")
+            raise WordchainError(f"prefix must use each of a1..a{n}, b1..b{n} exactly once")
 
     @property
     def depth(self) -> int:
@@ -113,16 +115,16 @@ def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     b_k from the level-k prefix gives the level-(k-1) prefix exactly.
     """
     if not path or path[0] != "":
-        raise ValueError("a bridge path must start at the empty word")
+        raise WordchainError("a bridge path must start at the empty word")
     for k, w in enumerate(path):
         if word_size(w) != k:
-            raise ValueError(f"path state {k} has size {word_size(w)}, expected {k}")
+            raise SizeMismatchError(f"path state {k} has size {word_size(w)}, expected {k}")
     prefixes = [OrderPrefix(())]
     tokens: list[LabeledLetter] = []
     for k, (prev, cur) in enumerate(zip(path, path[1:]), start=1):
         pairs = _insertion_pairs(prev, cur)
         if not pairs:
-            raise ValueError(f"{prev!r} is not a subword of its successor {cur!r}")
+            raise WordchainError(f"{prev!r} is not a subword of its successor {cur!r}")
         a_pos, b_pos = pairs[rng.randrange(len(pairs))]
         for pos in sorted((a_pos, b_pos)):
             tokens.insert(pos, LabeledLetter(cur[pos], k))
@@ -244,7 +246,7 @@ class OrderSampler:
 def _require_depth(depth: int, *letters: LabeledLetter) -> None:
     need = max(letter.index for letter in letters)
     if depth < need:
-        raise ValueError(f"depth {depth} is below the largest letter index {need}")
+        raise WordchainError(f"depth {depth} is below the largest letter index {format_fraction(need)}")
 
 
 def d_samples(
@@ -285,7 +287,7 @@ def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[flo
     (mu, nu) pair per run.
     """
     if not 1 <= n <= MOMENT_ORDER_CAP:
-        raise ValueError(f"moment order must be between 1 and {MOMENT_ORDER_CAP}")
+        raise WordchainError(f"moment order must be between 1 and {MOMENT_ORDER_CAP}")
     half_n = 0.5**n
     # Both products lie in 0..2^n, so the runs share (2^n + 1)^2 value pairs;
     # reusing those tuples keeps each sample at one list slot.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import SizeMismatchError
+from .errors import SizeMismatchError, WordchainError
 from .measures import RatePair, _scaled_rates, _suffix_product, interleave_pattern
 from .measures import pl_word_prob  # noqa: F401  (re-exported beside RatePair)
 from .words import subword_count, word_size
@@ -46,16 +46,15 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     agree in distribution and serve as mutual oracles.
     """
     if n < 0:
-        raise ValueError(f"word size must be nonnegative, got {n}")
+        raise WordchainError(f"word size must be nonnegative, got {n}")
     if method == "sort":
         draw_x, draw_y = rates.mu.drawer(rng), rates.nu.drawer(rng)
-        while True:
-            try:
-                return interleave_pattern(draw_x(n), draw_y(n))
-            except ValueError:
-                continue  # float tie; redraw
+        word = None
+        while word is None:  # a float tie has no pattern; redraw
+            word = interleave_pattern(draw_x(n), draw_y(n))
+        return word
     if method != "sequential":
-        raise ValueError(f"unknown sampling method {method!r}")
+        raise WordchainError(f"unknown sampling method {method!r}")
     out = []
     n_a = n_b = n
     while n_a or n_b:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import CapExceededError
+from .errors import CapExceededError, SizeMismatchError, WordchainError
 
 ALPHABET = "ab"
 
@@ -27,7 +27,7 @@ def check_word(w: str) -> str:
         raise TypeError(f"word must be a str, got {type(w).__name__}")
     if w.strip(ALPHABET):  # a letter outside the alphabet stops the strip
         ch = next(ch for ch in w if ch not in ALPHABET)
-        raise ValueError(f"invalid letter {ch!r} in word {w!r}")
+        raise WordchainError(f"invalid letter {ch!r} in word {w!r}")
     return w
 
 
@@ -36,7 +36,7 @@ def check_balanced(w: str) -> str:
     check_word(w)
     n_a, n_b = w.count("a"), w.count("b")
     if n_a != n_b:
-        raise ValueError(f"word {w!r} is not balanced: {n_a} a's vs {n_b} b's")
+        raise WordchainError(f"word {w!r} is not balanced: {n_a} a's vs {n_b} b's")
     return w
 
 
@@ -139,7 +139,7 @@ def enumerate_words(length: int) -> list[str]:
 def enumerate_balanced(n: int) -> list[str]:
     """All C(2n, n) balanced words of size n, lexicographic, a < b."""
     if n < 0:
-        raise ValueError("size must be nonnegative")
+        raise WordchainError("size must be nonnegative")
     if n > BALANCED_ENUM_CAP:
         raise CapExceededError(f"size {n} exceeds enumeration cap {BALANCED_ENUM_CAP}")
 
@@ -183,9 +183,9 @@ def successors(v: str) -> dict[str, int]:
 def delete_pair(w: str, a_pos: int, b_pos: int) -> str:
     """Word left after removing the a at index `a_pos` and the b at `b_pos`."""
     if not (0 <= a_pos < len(w) and 0 <= b_pos < len(w)):
-        raise ValueError(f"positions ({a_pos}, {b_pos}) lie outside 0..{len(w) - 1} in {w!r}")
+        raise WordchainError(f"positions ({a_pos}, {b_pos}) lie outside 0..{len(w) - 1} in {w!r}")
     if w[a_pos] != "a" or w[b_pos] != "b":
-        raise ValueError(f"positions ({a_pos}, {b_pos}) are not an (a, b) pair in {w!r}")
+        raise WordchainError(f"positions ({a_pos}, {b_pos}) are not an (a, b) pair in {w!r}")
     lo, hi = sorted((a_pos, b_pos))
     return w[:lo] + w[lo + 1:hi] + w[hi + 1:]
 
@@ -202,7 +202,7 @@ def random_subword(w: str, m: int, rng: random.Random) -> str:
     """
     n = word_size(w)
     if m < 0 or m > n:
-        raise ValueError(f"cannot select {m} of each letter from a word of size {n}")
+        raise SizeMismatchError(f"cannot select {m} of each letter from a word of size {n}")
     keep = sorted(
         rng.sample(letter_positions(w, "a"), m) + rng.sample(letter_positions(w, "b"), m)
     )

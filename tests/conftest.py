@@ -1,9 +1,11 @@
 """Shared helpers: chi-square criticals, random canonical pairs, oracles."""
 
 import bisect
+import contextlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,17 @@ from scipy import stats
 
 from wordchain.measures import AtomicMeasure, CanonicalPair, Exponential, StepMeasure
 from wordchain.words import subword_count, word_size
+
+
+@contextlib.contextmanager
+def int_str_digit_limit(digits: int):
+    """Run the block under the int-to-str digit limit `digits`, then restore the old limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def chi2_critical(cells: int, level: float = 0.01) -> float:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import int_str_digit_limit
 from wordchain import cli
 from wordchain.cli import main
 from wordchain.kernels import multi_step_prob
@@ -15,6 +16,7 @@ from wordchain.measures import (
     RatePair,
     StepMeasure,
     fixture_pairs,
+    format_fraction,
     pattern_prob_exact,
 )
 from wordchain.words import subword_count
@@ -97,6 +99,14 @@ class TestExactCommands:
             assert out == f"{value}\n"
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+    def test_subword_count_past_the_digit_limit_prints_in_full(self, capsys):
+        n = 1100
+        with int_str_digit_limit(640):
+            code, out = run(capsys, ["subword", "a" * n + "b" * n, "a" * (n // 2) + "b" * (n // 2)])
+            assert code == 0 and out == format_fraction(math.comb(n, n // 2) ** 2) + "\n"
+            assert len(out) > 641
 
 
 class TestStochasticCommands:
@@ -392,6 +402,32 @@ class TestErrorHandling:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+
+    def test_letter_index_past_the_digit_limit(self, capsys):
+        big = "a" + "1" * 5000
+        argv = ["orders", "--depth", "3", "--trials", "2", "--zeta", "exp:1", "--eta", "exp:2"]
+        with int_str_digit_limit(640):
+            assert main(argv + ["--stat", "f", "--x", big]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.endswith(f"letter index {big[1:]}\n")
+            # d(x, x) needs no depth, so the letter reaches the output
+            code, out = run(capsys, argv + ["--stat", "d", "--x", big, "--y", big])
+            assert code == 0 and json.loads(out)["x"] == big
+
+    def test_pair_file_integer_past_the_digit_limit(self, capsys, tmp_path):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"mu": {"breakpoints": [1' + "0" * 5000 + '], "densities": []}}')
+        with int_str_digit_limit(640):
+            assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and 'mu.breakpoints[0] must be a string such as "1/2"' in err
+
+    def test_plain_value_error_is_a_bug(self, capsys, monkeypatch):
+        # only WordchainError and OSError are usage errors; anything else propagates
+        monkeypatch.setattr(cli, "_cmd_subword", lambda args: int("x"))
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            main(["subword", "ab", "a"])
+        assert capsys.readouterr().err == ""
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -10,12 +10,13 @@ import pytest
 
 from conftest import (
     ScriptedRandom,
+    int_str_digit_limit,
     random_canonical_pair,
     single_draw,
     step_pattern_oracle,
     weak_distance_oracle,
 )
-from wordchain.errors import CapExceededError, SizeMismatchError
+from wordchain.errors import CapExceededError, SizeMismatchError, WordchainError
 from wordchain.measures import (
     AtomicMeasure,
     AtomicPair,
@@ -27,6 +28,8 @@ from wordchain.measures import (
     empirical_pair,
     fixture_pairs,
     format_fraction,
+    interleave_pattern,
+    parse_fraction,
     pattern_distribution,
     pattern_matches,
     pattern_prob_exact,
@@ -54,6 +57,12 @@ class TestStepMeasure:
             StepMeasure((F(1), F(0)), (F(1),))  # decreasing breakpoints
         with pytest.raises(ValueError):
             StepMeasure((F(0), F(1)), (F(-1),))
+
+    def test_mass_error_past_the_digit_limit(self):
+        tiny = F(1, 10**1000)
+        with int_str_digit_limit(640):
+            with pytest.raises(WordchainError, match=r"^total mass is 19{1000}/10{1000}, expected 1$"):
+                StepMeasure((F(0), tiny, F(1)), (F(1), F(2)))
 
     def test_cdf_and_masses(self):
         m = StepMeasure((F(0), F(1, 2), F(1)), (F(3, 2), F(1, 2)))
@@ -118,6 +127,37 @@ class TestCanonicalPair:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_density_error_past_the_digit_limit(self):
+        t = F(1, 10**1000)
+        mu = StepMeasure((F(0), F(1, 2), F(1)), (1 + t, 1 - t))
+        with int_str_digit_limit(640):
+            with pytest.raises(WordchainError, match=r"cell 0 add to 20{999}1/10{1000}, expected 2 "):
+                CanonicalPair(mu, StepMeasure.lebesgue())
+
+    def test_json_round_trip_past_the_digit_limit(self):
+        # parse_fraction reads what to_json writes, without lifting the limit
+        tiny = F(1, 10**5000)
+        pair = CanonicalPair.from_mu(StepMeasure((F(0), tiny, F(1)), (F(1), F(1))))
+        with int_str_digit_limit(4300):
+            assert CanonicalPair.from_json(pair.to_json()) == pair
+            assert sys.get_int_max_str_digits() == 4300
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", " 3/4 ", "1_000", "-7/21", "+.5E-2", "2."])
+    def test_parse_reads_fraction_literals(self, text):
+        assert parse_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1__0", "1 /2", "x", "", "1/-2", "1e"])
+    def test_parse_rejects_what_fraction_rejects(self, text):
+        with pytest.raises(ValueError) as expected:
+            Fraction(text)
+        with pytest.raises(WordchainError) as err:
+            parse_fraction(text)
+        assert str(err.value) == str(expected.value)
+
+    def test_parse_zero_denominator(self):
+        with pytest.raises(WordchainError, match="zero denominator in '3/0'"):
+            parse_fraction("3/0")
 
     def test_format_matches_str(self):
         for x in (F(0), F(5), F(-3, 4), F(12, 8), F(10**30, 7)):
@@ -393,6 +433,11 @@ class TestSampling:
             draw = source.drawer(batch)
             assert draw(k) + draw(7) == [single_draw(source, single) for _ in range(k + 7)]
             assert batch.getstate() == single.getstate()
+
+    def test_tied_values_have_no_pattern(self):
+        assert interleave_pattern([0.5], [0.5]) is None
+        assert interleave_pattern([0.25, 0.25], [0.5, 0.75]) is None
+        assert interleave_pattern([0.5], [0.25]) == "ba"
 
     def test_pattern_match_needs_distinct_atoms(self):
         # mu has atoms 1/4, 1/2 and nu has 3/4, 1, each of mass 1/2; trial 1

@@ -11,10 +11,12 @@ from conftest import (
     ScriptedRandom,
     chi2_critical,
     exp_canonical_moment,
+    int_str_digit_limit,
     single_draw,
     two_sample_chi2,
 )
 from wordchain.bridges import sample_finite_bridge, simulate_forward
+from wordchain.errors import WordchainError
 from wordchain.measures import CanonicalPair, Exponential, StepMeasure, fixture_pairs
 from wordchain.orders import (
     LabeledLetter,
@@ -23,6 +25,7 @@ from wordchain.orders import (
     d_samples,
     estimate_d,
     estimate_f,
+    f_samples,
     label_uniformly,
     moment_estimate,
     moment_samples,
@@ -46,6 +49,15 @@ class TestLabeledWords:
             LabeledLetter("c", 1)
         with pytest.raises(ValueError):
             LabeledLetter("a", 0)
+
+    def test_index_past_the_digit_limit(self):
+        token = "a" + "1" * 5000
+        with int_str_digit_limit(640):
+            letter = LabeledLetter.parse(token)
+            assert str(letter) == token
+            with pytest.raises(WordchainError, match=r"^depth 5 is below the largest letter index 1{5000}$"):
+                f_samples(lebesgue_sampler(0), letter, 5, 1)
+        assert letter.index == (10**5000 - 1) // 9
 
     def test_prefix_roundtrip(self):
         text = "a3 a1 b2 a2 b1 b3"
