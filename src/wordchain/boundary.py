@@ -19,11 +19,12 @@ from fractions import Fraction
 from .errors import SizeMismatchError, WordchainError
 from .measures import (
     CanonicalPair,
+    _check_step_cap,
     empirical_distance,
     format_fraction,
-    pattern_distribution,
+    pattern_probs,
 )
-from .words import subword_count, subword_counts, word_size
+from .words import enumerate_balanced, subword_count, subword_counts, word_size
 
 
 def kernel_ratio(y: str, w: str) -> Fraction:
@@ -105,8 +106,8 @@ def convergence_report(
     if m_max < 1 or m_max > min_size:
         raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {min_size}")
 
-    dists = [pattern_distribution(pair, m) for m in range(1, m_max + 1)]
-    targets = {w: p for dist in dists for w, p in dist.items()}
+    _check_step_cap(m_max)  # before W_1, ..., W_m_max are enumerated
+    targets = pattern_probs(pair, [w for m in range(1, m_max + 1) for w in enumerate_balanced(m)])
     test_words = list(targets)
     ratios = {w: [] for w in test_words}
     mu_distances, nu_distances = [], []

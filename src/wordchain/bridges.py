@@ -10,7 +10,7 @@ between consecutive words can be checked per run.  Step n+1 only inserts
 its two new points into the sorted latent points, so growing a bridge to n
 steps costs O(n log n) comparisons plus list insertions; the words are
 built only when read.  h and the h-transform read the pair only through
-``pattern_prob_exact``.
+one ``pattern_probs`` call each.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import DiffusePair, pattern_prob_exact
-from .words import check_balanced, delete_pair, successors, word_size
+from .measures import DiffusePair, _redraw_repeats, pattern_probs
+from .words import check_balanced, delete_pair, successors
 
 
 def simulate_forward(n: int, rng: random.Random) -> list[str]:
@@ -120,13 +120,6 @@ class InfiniteBridge:
             path.append(word)
         return path
 
-    def _draw_distinct(self, draw) -> float:
-        while True:
-            (v,) = draw(1)
-            if v not in self._seen:
-                self._seen.add(v)
-                return v
-
     def _insert(self, v: float, letter: str) -> None:
         i = bisect.bisect(self._values, v)
         self._values.insert(i, v)
@@ -140,8 +133,8 @@ class InfiniteBridge:
     def extend_to(self, n: int) -> str:
         while self.step < n:
             # x joins the seen set before y is drawn
-            x = self._draw_distinct(self._draw_x)
-            y = self._draw_distinct(self._draw_y)
+            (x,) = _redraw_repeats(self._draw_x, self._draw_x(1), 1, self._seen)
+            (y,) = _redraw_repeats(self._draw_y, self._draw_y(1), 1, self._seen)
             self.x_samples.append(x)
             self.y_samples.append(y)
             self._insert(x, "a")
@@ -155,6 +148,12 @@ def _check_diffuse(pair: DiffusePair) -> None:
         raise TypeError(f"bridges need a diffuse pair, not {type(pair).__name__}")
 
 
+def _h_table(pair: DiffusePair, words) -> dict[str, Fraction]:
+    """h(w) = C(2m, m) * P(w) for each w, from one pattern_probs call."""
+    _check_diffuse(pair)
+    return {w: math.comb(len(w), len(w) // 2) * p for w, p in pattern_probs(pair, words).items()}
+
+
 def harmonic_h(pair: DiffusePair, w: str) -> Fraction:
     """The harmonic function attached to the boundary point (mu, nu).
 
@@ -162,9 +161,7 @@ def harmonic_h(pair: DiffusePair, w: str) -> Fraction:
     h of the empty word is 1.  Under the Lebesgue pair (or equal rates) the
     pattern law is uniform on W_m, so h is identically 1.
     """
-    _check_diffuse(pair)
-    m = word_size(w)
-    return math.comb(2 * m, m) * pattern_prob_exact(pair, w)
+    return _h_table(pair, [w])[w]
 
 
 def htransform_step_prob(pair: DiffusePair, u: str, v: str) -> Fraction:
@@ -175,20 +172,22 @@ def htransform_step_prob(pair: DiffusePair, u: str, v: str) -> Fraction:
     mass under h is ill-posed and raises.
     """
     p = one_step_prob(u, v)  # checks the sizes first
-    h_u = harmonic_h(pair, u)
-    if h_u == 0:
+    h = _h_table(pair, [u, v])
+    if h[u] == 0:
         raise ZeroMassStateError(
             f"state {u!r} has zero mass under the pair; cannot condition on it"
         )
-    return p * harmonic_h(pair, v) / h_u
+    return p * h[v] / h[u]
 
 
 def htransform_row(pair: DiffusePair, u: str) -> dict[str, Fraction]:
     """Transition row of the h-chain from u, over reachable successors.
 
-    h is harmonic and nonnegative, so h(v) > 0 for a successor implies
-    h(u) > 0; a state of zero mass gets an empty row.
+    The numerators P(u, v) are the insertion counts M(u, v) over
+    (2m+2)(2m+1).  h is harmonic and nonnegative, so h(v) > 0 for a
+    successor implies h(u) > 0; a state of zero mass gets an empty row.
     """
-    h_u = harmonic_h(pair, u)
-    h = {v: harmonic_h(pair, v) for v in successors(u)}
-    return {v: one_step_prob(u, v) * h_v / h_u for v, h_v in h.items() if h_v > 0}
+    counts = successors(u)
+    h = _h_table(pair, [u, *counts])
+    den = (len(u) + 2) * (len(u) + 1) * h[u]
+    return {v: c * h[v] / den for v, c in counts.items() if h[v] > 0}

@@ -67,7 +67,9 @@ def _read_file(path: str, parse):
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except (UnicodeDecodeError, json.JSONDecodeError, WordchainError) as exc:
-        raise WordchainError(f"{path}: {exc}") from None
+        # a WordchainError keeps its class, so a size cap inside a file still exits 3
+        cls = type(exc) if isinstance(exc, WordchainError) else WordchainError
+        raise cls(f"{path}: {exc}") from None
 
 
 def _read_json(path: str, build):

@@ -11,10 +11,11 @@ Two concrete representations are used throughout:
 A ``CanonicalPair`` (mu, nu) of step measures satisfies the constraint that
 the mixture (mu + nu)/2 is Lebesgue measure, i.e. the densities add to 2 on
 every cell.  A ``RatePair`` is the pair Exp(alpha)/Exp(beta), and an
-``AtomicPair`` the empirical pair of a word.  ``pattern_prob_exact``
-computes the probability that m draws from mu and m draws from nu
-interleave as a given balanced word, for each kind of pair; the harmonic
-function and the h-transform read a pair only through it.
+``AtomicPair`` the empirical pair of a word.  ``pattern_probs`` computes
+the probability that m draws from mu and m draws from nu interleave as
+each of a list of balanced words, for each kind of pair; the harmonic
+function, the h-transform and the boundary report read a pair only
+through it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import decimal
 import itertools
 import math
 import operator
+import os
 import random
 import re
 import sys
@@ -36,11 +38,13 @@ from .errors import CapExceededError, SizeMismatchError, WordchainError
 from .words import check_balanced, enumerate_balanced, subword_count, word_size
 
 STEP_PATTERN_CAP = 6
+EXPONENT_CAP = 100_000  # 1e100000 reads in ms; the cost grows faster than the exponent
 
 
 def parse_fraction(text: str, field: str = "value") -> Fraction:
     """Parse "p/q" or "p", in Fraction(str)'s grammar, into an exact rational; `field`
-    names it in errors.  Decimal reads the digits, so no int-to-str digit limit applies."""
+    names it in errors.  Decimal reads the digits, so no int-to-str digit limit applies,
+    and a nonzero value's decimal exponent may not pass +-EXPONENT_CAP."""
     if not isinstance(text, str):
         raise WordchainError(f'{field} must be a string such as "1/2", got {text!r}')
     # "p/q", or a decimal with an optional exponent, with optional _ between digits
@@ -48,9 +52,15 @@ def parse_fraction(text: str, field: str = "value") -> Fraction:
     if not re.fullmatch(literal, text, re.IGNORECASE):
         raise WordchainError(f"Invalid literal for Fraction: {text!r}")
     num, _, den = text.partition("/")
+    try:
+        num = decimal.Decimal(num)
+    except decimal.InvalidOperation:  # an exponent past Decimal's own range
+        num = None
+    if num is None or (num and abs(num.as_tuple().exponent) > EXPONENT_CAP):
+        raise CapExceededError(f"{field} {text!r}: decimal exponent exceeds cap {EXPONENT_CAP}")
     if den and not decimal.Decimal(den):
         raise WordchainError(f"zero denominator in {text!r}")
-    return Fraction(decimal.Decimal(num)) / Fraction(decimal.Decimal(den or 1))
+    return Fraction(num) / Fraction(decimal.Decimal(den or 1))
 
 
 def format_fraction(x: Fraction) -> str:
@@ -263,6 +273,26 @@ class AtomicMeasure:
         return lambda k: [locations[bisect_right(ends, random_(), 0, hi)] for _ in range(k)]
 
 
+def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
+    """``depth`` values not in ``seen``: the batch ``values``, then further draws.
+
+    This is the rule of one draw at a time: a value already seen is
+    skipped and drawn again, and each kept value joins ``seen``.  While k
+    values are missing that rule makes at least k more draws, so the batch
+    draw(k) holds exactly its next k draws, and the generator ends where
+    single draws leave it.
+    """
+    kept: list[float] = []
+    while True:
+        for v in values:
+            if v not in seen:
+                seen.add(v)
+                kept.append(v)
+        if len(kept) == depth:
+            return kept
+        values = draw(depth - len(kept))
+
+
 @dataclass(frozen=True)
 class CanonicalPair:
     """Pair (mu, nu) of step measures whose average is Lebesgue on [0,1].
@@ -450,18 +480,18 @@ class _StepTrie:
         P(w) = m!^2 * G_K(w) / ((2m)! * D^(2m)),
         G_k(x) = sum_{s=0}^{|x|} C(|x|, s) * G_{k-1}(x[:s]) * P_k^#a(x[s:]) * Q_k^#b(x[s:]),
 
-    with G_0 the indicator of the empty word.  Every term is an integer.
+    with G_0 the indicator of the empty word.  Every term is an integer, and
+    G does not depend on m, so words of different sizes share one trie.
     ``node`` computes the vector (G_0(x), ..., G_K(x)) from the vectors of
     the proper prefixes of x, summing over s by Horner's rule (one
     multiplication by a single cell mass per prefix), so a walk down the
     trie computes each prefix once for every word below it.
     """
 
-    def __init__(self, pair: CanonicalPair, m: int):
-        self.m = m
+    def __init__(self, pair: CanonicalPair, length: int):
         self.den, p_masses, q_masses = _integer_masses(pair)
         self.masses = [{"a": pk, "b": qk} for pk, qk in zip(p_masses, q_masses)]
-        self.binomials = [[math.comb(n, s) for s in range(n + 1)] for n in range(2 * m + 1)]
+        self.binomials = [[math.comb(n, s) for s in range(n + 1)] for n in range(length + 1)]
         self.root = [1] * (len(self.masses) + 1)
 
     def node(self, path: list[list[int]], x: str) -> list[int]:
@@ -477,37 +507,23 @@ class _StepTrie:
             weights.append(acc + weights[k])  # s = |x|: x itself, one cell earlier
         return weights
 
-    def prob(self, weights: list[int]) -> Fraction:
-        m = self.m
-        return Fraction(
-            math.factorial(m) ** 2 * weights[-1],
-            math.factorial(2 * m) * self.den ** (2 * m),
-        )
+    def probs(self, words) -> dict[str, Fraction]:
+        """P(w) for each of the distinct balanced ``words``, in sorted order.
 
-    def word_prob(self, w: str) -> Fraction:
-        """P(w) along the single trie path of w."""
-        path = [self.root]
-        for size in range(1, len(w) + 1):
-            path.append(self.node(path, w[:size]))
-        return self.prob(path[-1])
-
-    def distribution(self) -> dict[str, Fraction]:
-        """P(w) for every w in W_m, by a depth-first walk of the trie."""
-        m = self.m
+        The walk keeps the path of the longest common prefix with the
+        previous word and computes only the new nodes, so each node of the
+        words' prefix trie is computed once.
+        """
         out: dict[str, Fraction] = {}
-        path = [self.root]
-
-        def walk(x: str, n_a: int, n_b: int) -> None:
-            if n_a == n_b == m:
-                out[x] = self.prob(path[-1])
-                return
-            for child, a, b in ((x + "a", n_a + 1, n_b), (x + "b", n_a, n_b + 1)):
-                if a <= m and b <= m:
-                    path.append(self.node(path, child))
-                    walk(child, a, b)
-                    path.pop()
-
-        walk("", 0, 0)
+        path, prev = [self.root], ""
+        for w in sorted(words):
+            del path[len(os.path.commonprefix((prev, w))) + 1:]
+            for size in range(len(path), len(w) + 1):
+                path.append(self.node(path, w[:size]))
+            m = len(w) // 2
+            scale = math.factorial(2 * m) * self.den ** (2 * m)
+            out[w] = Fraction(math.factorial(m) ** 2 * path[-1][-1], scale)
+            prev = w
         return out
 
 
@@ -522,40 +538,42 @@ def _check_atom_count(pair: MeasurePair, m: int) -> None:
         raise SizeMismatchError(f"cannot select {m} atoms from measures of {pair.size} atoms each")
 
 
-def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
-    """P{m draws from mu and m draws from nu interleave as w}, exactly.
+def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:
+    """P{m draws from mu and m draws from nu interleave as w}, exactly, for each w.
 
+    The words are balanced, of any sizes, and come back in input order.
     For diffuse pairs the probabilities over all of W_m total 1: a step
-    pair runs the step DP, an exponential pair the product form
-    ``pl_word_prob``.  For atomic pairs they total the probability that all
-    2m draws are distinct, which is at most 1.  The empirical pair of a
-    word y of size N serves the closed form (m!)^2 * binom(y, w) / N^(2m):
-    each selection of m a-atoms and m b-atoms has mass N^(-2m) in each of
-    the m!^2 orders of the draws, and binom(y, w) selections read as w.
+    pair runs the step DP once over the prefix trie of all the words, an
+    exponential pair the product form ``pl_word_prob``.  For atomic pairs
+    they total the probability that all 2m draws are distinct, which is at
+    most 1.  The empirical pair of a word y of size N serves the closed form
+    (m!)^2 * binom(y, w) / N^(2m): each selection of m a-atoms and m b-atoms
+    has mass N^(-2m) in each of the m!^2 orders of the draws, and binom(y, w)
+    selections read as w.
     """
-    m = word_size(w)
+    words = dict.fromkeys(words)  # each word once, in input order
+    m = max(map(word_size, words), default=0)
     _check_atom_count(pair, m)
     if isinstance(pair, CanonicalPair):
         _check_step_cap(m)
-        return _StepTrie(pair, m).word_prob(w)
+        probs = _StepTrie(pair, 2 * m).probs(words)
+        return {w: probs[w] for w in words}
     if isinstance(pair, RatePair):
-        return pl_word_prob(pair, w)
+        return {w: pl_word_prob(pair, w) for w in words}
     if isinstance(pair, AtomicPair):
-        return Fraction(math.factorial(m) ** 2 * subword_count(pair.word, w), pair.size ** (2 * m))
+        return {w: Fraction(math.factorial(len(w) // 2) ** 2 * subword_count(pair.word, w),
+                            pair.size ** len(w)) for w in words}
     raise TypeError(f"unsupported measure pair {type(pair).__name__}")
 
 
-def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
-    """pattern_prob_exact over all of W_m, in lexicographic order.
+def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
+    """pattern_probs for the single word w."""
+    return pattern_probs(pair, [w])[w]
 
-    A step pair shares the integer DP across W_m by walking the prefix trie.
-    """
-    words = enumerate_balanced(m)
-    if isinstance(pair, CanonicalPair):
-        _check_step_cap(m)
-        probs = _StepTrie(pair, m).distribution()
-        return {w: probs[w] for w in words}
-    return {w: pattern_prob_exact(pair, w) for w in words}
+
+def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
+    """pattern_probs over all of W_m, in lexicographic order."""
+    return pattern_probs(pair, enumerate_balanced(m))
 
 
 @dataclass(frozen=True)

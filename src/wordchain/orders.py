@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import SizeMismatchError, WordchainError
 from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure, format_fraction
+from .measures import _redraw_repeats
 from .words import word_size
 
 MOMENT_ORDER_CAP = 4
@@ -174,25 +175,6 @@ class OrderRun:
         return inside / (2 * self.depth)
 
 
-def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
-    """``depth`` values not in ``seen``: the batch ``values``, then further draws.
-
-    This is the rule of one draw at a time: a value already seen is
-    skipped and drawn again, and each kept value joins ``seen``.  While k
-    values are missing that rule makes at least k more draws, so the batch
-    draw(k) holds exactly its next k draws, and the generator ends where
-    single draws leave it.
-    """
-    kept: list[float] = []
-    while values:
-        for v in values:
-            if v not in seen:
-                seen.add(v)
-                kept.append(v)
-        values = draw(depth - len(kept))
-    return kept
-
-
 class OrderSampler:
     """Generates independent order runs from a pair of diffuse sources.
 
@@ -214,11 +196,6 @@ class OrderSampler:
     @classmethod
     def from_pair(cls, pair: MeasurePair, rng: random.Random) -> "OrderSampler":
         return cls(pair.mu, pair.nu, rng)
-
-    @classmethod
-    def from_bridge(cls, bridge) -> "OrderSampler":
-        """Reads the measure pair and generator off an infinite bridge."""
-        return cls.from_pair(bridge.pair, bridge.rng)
 
     def _values(self, depth: int) -> tuple[list[float], list[float]]:
         """The a-values and b-values of one run, all distinct.

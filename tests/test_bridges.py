@@ -290,6 +290,20 @@ class TestHTransform:
             with pytest.raises(TypeError):
                 fn(empirical_pair("abab"), *args)
 
+    def test_row_matches_step_prob_on_fixtures(self):
+        # one pattern_probs call per row gives what one call per transition gives
+        for name, pair in fixture_pairs().items():
+            for u in (u for m in range(5) for u in enumerate_balanced(m)):
+                if harmonic_h(pair, u) == 0:
+                    continue
+                row = htransform_row(pair, u)
+                expected = {
+                    v: htransform_step_prob(pair, u, v)
+                    for v in successors(u) if harmonic_h(pair, v) > 0
+                }
+                assert row == expected and list(row) == list(expected), (name, u)
+                assert sum(row.values()) == 1, (name, u)
+
     def test_row_helper(self):
         pair = fixture_pairs()["separated"]
         row = htransform_row(pair, "ab")

@@ -422,6 +422,17 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and 'mu.breakpoints[0] must be a string such as "1/2"' in err
 
+    def test_huge_exponent_in_pair_file_is_a_cap_violation(self, capsys, tmp_path):
+        # the file names itself in the message and keeps the cap's exit code
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({
+            "mu": {"breakpoints": ["0", "1e999999999", "1"], "densities": ["1", "1"]},
+            "nu": {"breakpoints": ["0", "1"], "densities": ["1"]},
+        }))
+        assert main(["pattern-prob", "--pair", str(bad), "--word", "ab"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: mu.breakpoints[1] ")
+
     def test_plain_value_error_is_a_bug(self, capsys, monkeypatch):
         # only WordchainError and OSError are usage errors; anything else propagates
         monkeypatch.setattr(cli, "_cmd_subword", lambda args: int("x"))

@@ -161,7 +161,8 @@ BAD = {
     "pair": {**BAD_FILES, "{seq}": 2, "{measure}": 2},
     "seq": BAD_FILES,
     "spec": {**BAD_FILES, "{pair}": 2, "exp:0": 2, "exp:-1": 2, "exp:1/0": 2, "exp:x": 2,
-             "exp:1e400": 2, "exp:1e-400": 2, "exp:1e-310": 2, "exp:nan": 2, "lognormal": 2},
+             "exp:1e400": 2, "exp:1e-400": 2, "exp:1e-310": 2, "exp:nan": 2, "lognormal": 2,
+             "exp:1e999999999": 3},  # a decimal exponent past the exponent cap
     "word": BAD_WORDS,
     "letters": {"abc": 2, "c": 2},  # subword takes unbalanced words too
     "step_word": {**BAD_WORDS, "ab" * 7: 3},  # exact step pattern: size cap 6
@@ -177,7 +178,8 @@ BAD = {
     "depth": {"0": 2, "-4": 2, "x": 2},
     "order": {"0": 2, "5": 2, "x": 2},
     # exact actions: any positive rational, in Fraction's grammar
-    "rate": {"0": 2, "-1": 2, "1/0": 2, "x": 2, "nan": 2, "inf": 2, "1__0": 2},
+    "rate": {"0": 2, "-1": 2, "1/0": 2, "x": 2, "nan": 2, "inf": 2, "1__0": 2,
+             "1e999999999": 3, "1e99999999999999999999999": 3},  # exponent cap; past Decimal's
     "float_rate": {"0": 2, "1/0": 2, "1e400": 2, "1e-400": 2},  # sort draws floats
     "one_word_action": {"transition": 2, "sample": 2, "frob": 2},
     "method": {"magic": 2, "": 2},

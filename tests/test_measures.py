@@ -18,10 +18,12 @@ from conftest import (
 )
 from wordchain.errors import CapExceededError, SizeMismatchError, WordchainError
 from wordchain.measures import (
+    EXPONENT_CAP,
     AtomicMeasure,
     AtomicPair,
     CanonicalPair,
     Exponential,
+    RatePair,
     StepMeasure,
     canonicalize,
     empirical_distance,
@@ -34,6 +36,8 @@ from wordchain.measures import (
     pattern_matches,
     pattern_prob_exact,
     pattern_prob_mc,
+    pattern_probs,
+    pl_word_prob,
     weak_distance,
 )
 from wordchain.verify import _atomic_pattern_counts, empirical_identity_check
@@ -155,6 +159,21 @@ class TestCanonicalPair:
             parse_fraction(text)
         assert str(err.value) == str(expected.value)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e100000", F(10**100000)), ("-1e-100000", F(-1, 10**100000)),
+        ("0e999999999", F(0)), ("10e99999", F(10**100000)),
+    ])
+    def test_parse_exponent_at_the_cap(self, text, value):
+        assert parse_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e100001", "1e-100001", "1e999999999", "2.5e-999999", "1e99999999999999999999999",
+    ])
+    def test_parse_exponent_past_the_cap(self, text):
+        # reading 1e999999999 exactly would take far longer than any check should
+        with pytest.raises(CapExceededError, match=f"exponent exceeds cap {EXPONENT_CAP}"):
+            parse_fraction(text, "rate")
+
     def test_parse_zero_denominator(self):
         with pytest.raises(WordchainError, match="zero denominator in '3/0'"):
             parse_fraction("3/0")
@@ -215,6 +234,33 @@ class TestPatternExact:
         for pair in pairs:
             for w in seed_rng.sample(words, 4) + ["a" * 6 + "b" * 6, "b" * 6 + "a" * 6]:
                 assert pattern_prob_exact(pair, w) == step_pattern_oracle(pair, w)
+
+    def test_pattern_probs_one_walk_matches_oracle(self):
+        # unsorted, with repeats and sizes 0-6: one trie walk serves them all
+        seed_rng = random.Random(63)
+        pairs = list(fixture_pairs().values())
+        pairs += [random_canonical_pair(seed_rng, cells=c) for c in range(2, 9)]
+        for pair in pairs:
+            words = [w for m in range(7) for w in seed_rng.sample(enumerate_balanced(m), 1 + m)]
+            words += seed_rng.sample(words, 8) + ["ab" * 6, "ab", "abab"]
+            seed_rng.shuffle(words)
+            probs = pattern_probs(pair, words)
+            assert list(probs) == list(dict.fromkeys(words))
+            assert probs == {w: step_pattern_oracle(pair, w) for w in words}
+
+    def test_pattern_probs_closed_forms(self):
+        words = ["baab", "ab", "", "aabbab", "ab", "ba"]
+        rates = RatePair(F(3), F(1, 2))
+        assert pattern_probs(rates, words) == {w: pl_word_prob(rates, w) for w in words}
+        y = "abbaabab"
+        closed = {
+            w: F(math.factorial(len(w) // 2) ** 2 * subword_count(y, w), 4 ** len(w))
+            for w in words
+        }
+        assert pattern_probs(empirical_pair(y), words) == closed
+        for pair in (rates, empirical_pair(y), fixture_pairs()["crossed"]):
+            assert list(pattern_probs(pair, words)) == ["baab", "ab", "", "aabbab", "ba"]
+            assert pattern_probs(pair, []) == {}
 
     def test_atomic_normalization_is_distinctness_probability(self):
         for y in ["abab", "aabbab", "babaab"]:

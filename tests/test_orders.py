@@ -264,7 +264,8 @@ class TestMoments:
         from wordchain.bridges import InfiniteBridge
 
         pair = fixture_pairs()["crossed"]
-        sampler = OrderSampler.from_bridge(InfiniteBridge(pair, random.Random(217)))
+        bridge = InfiniteBridge(pair, random.Random(217))
+        sampler = OrderSampler.from_pair(bridge.pair, bridge.rng)
         mu1, nu1 = moment_estimate(sampler, 1, 60_000)
         assert abs(mu1.value - float(pair.mu.moment(1))) <= 3 * mu1.stderr
         assert abs(nu1.value - float(pair.nu.moment(1))) <= 3 * nu1.stderr
@@ -297,7 +298,7 @@ class TestSamplerSources:
         from wordchain.bridges import InfiniteBridge
 
         bridge = InfiniteBridge(fixture_pairs()["crossed"], random.Random(220))
-        sampler = OrderSampler.from_bridge(bridge)
+        sampler = OrderSampler.from_pair(bridge.pair, bridge.rng)
         run = sampler.run(50)
         assert run.depth == 50
         assert run.prefix(2).depth == 2
