@@ -9,7 +9,7 @@ exchangeable-order statistics that parameterize the boundary, and ships the
 closed-form exponential-rates special case.
 """
 
-from .boundary import ConvergenceReport, convergence_report, kernel_ratio
+from .boundary import ConvergenceReport, convergence_report
 from .bridges import (
     InfiniteBridge,
     harmonic_h,
@@ -25,7 +25,6 @@ from .kernels import (
     one_step_prob,
 )
 from .measures import (
-    AtomicMeasure,
     AtomicPair,
     CanonicalPair,
     Exponential,
@@ -36,7 +35,6 @@ from .measures import (
     fixture_pairs,
     pattern_prob_exact,
     pattern_prob_mc,
-    weak_distance,
 )
 from .orders import (
     LabeledLetter,

@@ -24,20 +24,7 @@ from .measures import (
     format_fraction,
     pattern_probs,
 )
-from .words import enumerate_balanced, subword_count, subword_counts, word_size
-
-
-def kernel_ratio(y: str, w: str) -> Fraction:
-    """P{selecting m a's and m b's of y uniformly, in order, reads w}.
-
-    Equals subword_count(y, w) / C(size(y), m)^2; over all w of size m
-    these ratios form a probability distribution.
-    """
-    n = word_size(y)
-    m = word_size(w)
-    if m > n:
-        raise SizeMismatchError(f"test word size {m} exceeds sequence word size {n}")
-    return Fraction(subword_count(y, w), math.comb(n, m) ** 2)
+from .words import enumerate_balanced, subword_counts, word_size
 
 
 def check_word_sequence(seq: list[str]) -> list[str]:
@@ -112,7 +99,7 @@ def convergence_report(
     ratios = {w: [] for w in test_words}
     mu_distances, nu_distances = [], []
     for y in seq:
-        # one trie walk counts every test word; the ratios equal kernel_ratio(y, w)
+        # one trie walk counts every test word; the ratio of w is binom(y, w) / C(N, m)^2
         counts = subword_counts(y, test_words)
         selections = [math.comb(word_size(y), m) ** 2 for m in range(m_max + 1)]
         for w in test_words:

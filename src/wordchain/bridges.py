@@ -23,7 +23,7 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import DiffusePair, _redraw_repeats, pattern_probs
+from .measures import DiffusePair, _check_diffuse, _redraw_repeats, pattern_probs
 from .words import check_balanced, delete_pair, successors
 
 
@@ -140,12 +140,6 @@ class InfiniteBridge:
             self._insert(x, "a")
             self._insert(y, "b")
         return self.word(n)
-
-
-def _check_diffuse(pair: DiffusePair) -> None:
-    # an atomic pair runs out of distinct atoms and indexes no harmonic function
-    if not isinstance(pair, DiffusePair):
-        raise TypeError(f"bridges need a diffuse pair, not {type(pair).__name__}")
 
 
 def _h_table(pair: DiffusePair, words) -> dict[str, Fraction]:

@@ -1,17 +1,14 @@
 """Probability measures on [0,1] and exact interleaving-pattern probabilities.
 
-Two concrete representations are used throughout:
-
-* ``StepMeasure`` — diffuse, piecewise-constant density with rational
-  breakpoints.  Closed under canonicalization and amenable to exact
-  dynamic programming, which is why it is the primary diffuse form.
-* ``AtomicMeasure`` — finitely many point masses, used for the empirical
-  measures read off a finite word.
+The diffuse measures are ``StepMeasure`` (piecewise-constant density with
+rational breakpoints, closed under canonicalization and amenable to exact
+dynamic programming) and ``Exponential``.
 
 A ``CanonicalPair`` (mu, nu) of step measures satisfies the constraint that
 the mixture (mu + nu)/2 is Lebesgue measure, i.e. the densities add to 2 on
 every cell.  A ``RatePair`` is the pair Exp(alpha)/Exp(beta), and an
-``AtomicPair`` the empirical pair of a word.  ``pattern_probs`` computes
+``AtomicPair`` the empirical pair of a word, stored as the word itself: its
+atoms are the letter positions.  ``pattern_probs`` computes
 the probability that m draws from mu and m draws from nu interleave as
 each of a list of balanced words, for each kind of pair; the harmonic
 function, the h-transform and the boundary report read a pair only
@@ -69,10 +66,6 @@ def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     text = str(decimal.Decimal(x.numerator))
     return text if x.denominator == 1 else f"{text}/{decimal.Decimal(x.denominator)}"
-
-
-def _as_fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _scaled(xs, den: int) -> list[int]:
@@ -231,48 +224,6 @@ class Exponential:
         return lambda k: [expovariate(rate) for _ in range(k)]
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finitely many point masses at strictly increasing rational locations."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]  # (location, mass)
-
-    def __post_init__(self):
-        atoms = tuple((_as_fraction(x), _as_fraction(m)) for x, m in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise WordchainError("need at least one atom")
-        locs = [x for x, _ in atoms]
-        grid = _scaled(locs, math.lcm(*(x.denominator for x in locs)))
-        if any(x2 <= x1 for x1, x2 in zip(grid, grid[1:])):
-            raise WordchainError("atom locations must be strictly increasing")
-        if any(m.numerator <= 0 for _, m in atoms):
-            raise WordchainError("atom masses must be positive")
-        den, cum = self._cdf_table
-        if cum[-1] != den:
-            raise WordchainError("atom masses must total 1")
-
-    @cached_property
-    def _cdf_table(self) -> tuple[int, list[int]]:
-        """(E, cum): the CDF just below atom k is cum[k] / E, and 1 past the last atom."""
-        masses = [m for _, m in self.atoms]
-        den = math.lcm(*(m.denominator for m in masses))
-        return den, list(itertools.accumulate(_scaled(masses, den), initial=0))
-
-    def drawer(self, rng: random.Random) -> Callable[[int], list[Fraction]]:
-        """draw(k): k draws, one rng.random() each, in one call.
-
-        A draw u picks the first atom whose float CDF exceeds u; the
-        bisection stops at the last atom, so a u past the float total mass
-        picks it.
-        """
-        den, cum = self._cdf_table
-        ends = [c / den for c in cum[1:]]
-        locations = [x for x, _ in self.atoms]
-        random_, bisect_right, hi = rng.random, bisect.bisect_right, len(locations) - 1
-        return lambda k: [locations[bisect_right(ends, random_(), 0, hi)] for _ in range(k)]
-
-
 def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
     """``depth`` values not in ``seen``: the batch ``values``, then further draws.
 
@@ -367,20 +318,24 @@ class AtomicPair:
     def size(self) -> int:
         return len(self.word) // 2
 
-    def _atoms(self, letter: str) -> AtomicMeasure:
+    def drawers(self, rng: random.Random) -> tuple[Callable[[int], list[int]], ...]:
+        """(draw_mu, draw_nu): draw(k) gives k draws, one rng.random() each, in one call.
+
+        A draw is the 1-based position l of the atom l/(2N), which orders and
+        ties as the atom does.  The float CDF of the k-th atom of either letter
+        is k / N; a draw u picks the first atom whose CDF exceeds u, and the
+        bisection stops at the last atom, so a u past the float total mass
+        picks it.
+        """
         n = self.size
-        mass = Fraction(1, n)
-        return AtomicMeasure(
-            tuple((Fraction(i + 1, 2 * n), mass) for i, ch in enumerate(self.word) if ch == letter)
-        )
+        ends = [k / n for k in range(1, n + 1)]
+        random_, bisect_right = rng.random, bisect.bisect_right
 
-    @property
-    def mu(self) -> AtomicMeasure:
-        return self._atoms("a")
+        def drawer(letter: str) -> Callable[[int], list[int]]:
+            pos = [l for l, ch in enumerate(self.word, 1) if ch == letter]
+            return lambda k: [pos[bisect_right(ends, random_(), 0, n - 1)] for _ in range(k)]
 
-    @property
-    def nu(self) -> AtomicMeasure:
-        return self._atoms("b")
+        return drawer("a"), drawer("b")
 
 
 @dataclass(frozen=True)
@@ -444,6 +399,12 @@ def pl_word_prob(rates: RatePair, u: str) -> Fraction:
 
 MeasurePair = Union[CanonicalPair, AtomicPair, RatePair]
 DiffusePair = Union[CanonicalPair, RatePair]
+
+
+def _check_diffuse(pair: DiffusePair) -> None:
+    # an atomic pair runs out of distinct atoms and indexes no harmonic function
+    if not isinstance(pair, DiffusePair):
+        raise TypeError(f"need a diffuse pair, not {type(pair).__name__}")
 
 
 def empirical_pair(y: str) -> AtomicPair:
@@ -613,7 +574,10 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     """
     m = word_size(w)
     _check_atom_count(pair, m)
-    draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
+    if isinstance(pair, AtomicPair):
+        draw_mu, draw_nu = pair.drawers(rng)  # atoms as letter positions
+    else:
+        draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
     return [interleave_pattern(draw_mu(m), draw_nu(m)) == w for _ in range(trials)]
 
 
@@ -699,85 +663,24 @@ def fixture_pairs() -> dict[str, CanonicalPair]:
     }
 
 
-def _knots(measure) -> list[Fraction]:
-    """Points where the CDF of a measure on [0, 1] bends or jumps."""
-    if isinstance(measure, StepMeasure):
-        knots = list(measure.breakpoints)
-    elif isinstance(measure, AtomicMeasure):
-        knots = [loc for loc, _ in measure.atoms]
-    else:
-        raise TypeError(f"no exact CDF for {type(measure).__name__}")
-    if knots[0] < 0 or knots[-1] > 1:
-        raise WordchainError("weak_distance expects measures supported in [0,1]")
-    return knots
-
-
-def _grid_cdf(measure, knots: list[int], grid: int, points: list[int]) -> tuple[int, list[int], list[int]]:
-    """(E, right, left): E times the CDF at each point X / grid, and at its left limit.
-
-    ``knots`` are the measure's knots and ``points`` the sorted candidates,
-    both as integers on the grid.
-    """
-    if isinstance(measure, AtomicMeasure):
-        den, cum = measure._cdf_table
-        return (
-            den,
-            [cum[bisect.bisect_right(knots, x)] for x in points],
-            [cum[bisect.bisect_left(knots, x)] for x in points],
-        )
-    # x / grid lies in cell k, so E * grid * F = grid * cum[k] + dens[k] * (x - knots[k])
-    den, cum, dens = measure._cdf_table
-
-    def value(x: int) -> int:
-        if x <= knots[0]:
-            return 0
-        if x >= knots[-1]:
-            return grid * den
-        k = bisect.bisect_right(knots, x) - 1
-        return grid * cum[k] + dens[k] * (x - knots[k])
-
-    right = [value(x) for x in points]
-    return grid * den, right, right
-
-
-def weak_distance(p, q) -> float:
-    """Kolmogorov distance sup_x |F_p(x) - F_q(x)| for measures on [0,1].
-
-    Both CDFs are piecewise linear between breakpoints and atoms, so the
-    supremum is attained at one of those points or at a left limit there.
-    Every candidate point is an integer on the grid 1/L of the common
-    denominator L, and every CDF value there an integer over one
-    denominator, so the candidates are compared exactly in integers and
-    the maximum returned as float.
-    """
-    knots_p, knots_q = _knots(p), _knots(q)
-    grid = math.lcm(*(x.denominator for x in knots_p + knots_q))
-    knots_p, knots_q = _scaled(knots_p, grid), _scaled(knots_q, grid)
-    points = sorted({0, grid, *knots_p, *knots_q})
-    den_p, right_p, left_p = _grid_cdf(p, knots_p, grid, points)
-    den_q, right_q, left_q = _grid_cdf(q, knots_q, grid, points)
-    den = math.lcm(den_p, den_q)
-    sp, sq = den // den_p, den // den_q
-    best = max(
-        max(abs(fp * sp - fq * sq) for fp, fq in zip(right_p, right_q)),
-        max(abs(fp * sp - fq * sq) for fp, fq in zip(left_p, left_q)),
-    )
-    return best / den
-
-
 def empirical_distance(y: str, letter: str, q: StepMeasure) -> float:
-    """weak_distance(mu or nu of empirical_pair(y), q), read from the positions of `letter` in y.
+    """Kolmogorov distance sup_x |F_p(x) - F_q(x)| from the mu (letter a) or nu
+    (letter b) of empirical_pair(y) to a step measure q on [0, 1].
 
     The k-th atom sits at l_k / (2N), and between atoms the empirical CDF
     is flat while F_q is continuous and nondecreasing, so the supremum is
     the largest of |k/N - F_q(x_k)| and |(k-1)/N - F_q(x_k)|.  With L the
     lcm of 2N and the breakpoint denominators, every candidate is an
-    integer over N * E * L; the int/int quotient rounds as weak_distance's.
+    integer over N * E * L, and the int/int quotient rounds the exact
+    distance once.  The tests' oracle is the Fraction sup over every knot,
+    ``conftest.weak_distance_oracle``.
     """
     n = empirical_pair(y).size
     if letter not in ("a", "b"):
         raise WordchainError(f"letter must be 'a' or 'b', got {letter!r}")
-    knots = _knots(q)
+    knots = q.breakpoints
+    if knots[0] < 0 or knots[-1] > 1:
+        raise WordchainError("empirical_distance expects a measure supported in [0, 1]")
     den, cum, dens = q._cdf_table
     grid = math.lcm(2 * n, *(b.denominator for b in knots))
     step, knots, one = grid // (2 * n), _scaled(knots, grid), grid * den

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import SizeMismatchError, WordchainError
-from .measures import Exponential, MCEstimate, MeasurePair, StepMeasure, format_fraction
-from .measures import _redraw_repeats
+from .measures import DiffusePair, Exponential, MCEstimate, StepMeasure, format_fraction
+from .measures import _check_diffuse, _redraw_repeats
 from .words import word_size
 
 MOMENT_ORDER_CAP = 4
@@ -194,7 +194,8 @@ class OrderSampler:
         self._draw_b = b_source.drawer(rng)
 
     @classmethod
-    def from_pair(cls, pair: MeasurePair, rng: random.Random) -> "OrderSampler":
+    def from_pair(cls, pair: DiffusePair, rng: random.Random) -> "OrderSampler":
+        _check_diffuse(pair)
         return cls(pair.mu, pair.nu, rng)
 
     def _values(self, depth: int) -> tuple[list[float], list[float]]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bridges import harmonic_h, htransform_step_prob
+from .bridges import _h_table, htransform_row
 from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
@@ -330,7 +330,7 @@ def check_empirical_identity() -> CheckResult:
 
 
 def check_plackett_luce() -> CheckResult:
-    """Exponential pairs, sizes <= 3: pmf sums to 1, h-transform = pl_transition, rows sum to 1."""
+    """Exponential pairs, sizes <= 3: pmf sums to 1, h-transform rows = pl_transition, sum to 1."""
     res = CheckResult("Plackett-Luce closed forms")
     for rates in PL_RATE_FIXTURES:
         for n in range(4):
@@ -340,14 +340,15 @@ def check_plackett_luce() -> CheckResult:
                 res.fail(f"rates {rates}: pmf over W_{n} sums to {total}")
             for u in enumerate_balanced(n):
                 res.checked += 1
-                row = Fraction(0)
-                for v in successors(u):
-                    p = htransform_step_prob(rates, u, v)
+                row = htransform_row(rates, u)
+                if row.keys() != successors(u).keys():
+                    res.fail(f"rates {rates}: transition row from {u!r} is not over its successors")
+                for v, p in row.items():
                     if p != pl_transition(rates, u, v):
                         res.fail(f"rates {rates}: transition triangle broken at {u!r}->{v!r}")
-                    row += p
-                if row != 1:
-                    res.fail(f"rates {rates}: transition row from {u!r} sums to {row}")
+                total = sum(row.values())
+                if total != 1:
+                    res.fail(f"rates {rates}: transition row from {u!r} sums to {total}")
     return res
 
 
@@ -357,8 +358,8 @@ def check_harmonicity() -> CheckResult:
     pairs = fixture_pairs()
     for name in ("lebesgue", "separated", "three-cell"):
         pair = pairs[name]
-        # h on every word the sweep reaches: each of size n + 1 succeeds one of size n
-        h = {v: harmonic_h(pair, v) for n in range(5) for v in enumerate_balanced(n)}
+        # one table of h on every word the sweep reaches: sizes up to 4, successors included
+        h = _h_table(pair, [v for n in range(5) for v in enumerate_balanced(n)])
         for size in range(4):
             for u in enumerate_balanced(size):
                 res.checked += 1

@@ -2,16 +2,19 @@
 
 import bisect
 import contextlib
+import functools
 import itertools
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from scipy import stats
 
-from wordchain.measures import AtomicMeasure, CanonicalPair, Exponential, StepMeasure
+from wordchain.errors import SizeMismatchError
+from wordchain.measures import CanonicalPair, Exponential, StepMeasure
 from wordchain.words import subword_count, word_size
 
 
@@ -119,49 +122,111 @@ def step_pattern_oracle(pair: CanonicalPair, w: str) -> Fraction:
     return math.factorial(m) ** 2 * state[0]
 
 
+def kernel_ratio(y: str, w: str) -> Fraction:
+    """P{selecting m a's and m b's of y uniformly, in order, reads w}.
+
+    Equals subword_count(y, w) / C(size(y), m)^2; over all w of size m
+    these ratios form a probability distribution.  The oracle of the
+    boundary report's ratios.
+    """
+    n = word_size(y)
+    m = word_size(w)
+    if m > n:
+        raise SizeMismatchError(f"test word size {m} exceeds sequence word size {n}")
+    return Fraction(subword_count(y, w), math.comb(n, m) ** 2)
+
+
+@dataclass(frozen=True)
+class Atoms:
+    """Point masses at strictly increasing rational locations."""
+
+    locations: tuple[Fraction, ...]
+    masses: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def cum(self) -> list[Fraction]:
+        """cum[k]: the mass of the first k atoms."""
+        return list(itertools.accumulate(self.masses, initial=Fraction(0)))
+
+    @functools.cached_property
+    def limits_at_atoms(self) -> dict[Fraction, tuple[Fraction, Fraction]]:
+        """(F(x-), F(x)) at each atom x."""
+        cum = self.cum
+        return {x: (cum[k], cum[k + 1]) for k, x in enumerate(self.locations)}
+
+
+def empirical_atoms(y: str, letter: str) -> Atoms:
+    """mu (letter a) or nu (letter b) of the empirical pair of y: mass 1/N at l/(2N)."""
+    n = word_size(y)
+    locations = tuple(Fraction(l, 2 * n) for l, ch in enumerate(y, 1) if ch == letter)
+    return Atoms(locations, (Fraction(1, n),) * n)
+
+
+@functools.cache
+def _step_limits(measure: StepMeasure):
+    """limits(x) = (F(x-), F(x)) of a step measure in Fractions, memoised per point."""
+    bps, dens = measure.breakpoints, measure.densities
+    cum = list(itertools.accumulate(measure.cell_masses(), initial=Fraction(0)))
+    # on cell k, F(x) = cum[k] + dens[k] * (x - bps[k]) = offsets[k] + dens[k] * x
+    offsets = [c - d * b for c, d, b in zip(cum, dens, bps)]
+    lo, hi, inner = bps[0], bps[-1], bps[1:-1]
+
+    @functools.cache
+    def limits(x: Fraction) -> tuple[Fraction, Fraction]:
+        if x <= lo:
+            f = cum[0]
+        elif x >= hi:
+            f = cum[-1]
+        else:
+            k = bisect.bisect_right(inner, x)
+            f = offsets[k] + dens[k] * x
+        return f, f
+
+    return limits
+
+
 def _fraction_cdf(measure):
-    """(knots, cdf, jump) of a step or atomic measure, all in Fractions."""
+    """(knots, limits) of a step measure or Atoms: limits(x) = (F(x-), F(x)) in Fractions."""
     if isinstance(measure, StepMeasure):
-        bps = measure.breakpoints
-        cum = [Fraction(0)]
-        for mass in measure.cell_masses():
-            cum.append(cum[-1] + mass)
+        return measure.breakpoints, _step_limits(measure)
+    locs, cum, at_atoms = measure.locations, measure.cum, measure.limits_at_atoms
 
-        def cdf(x):
-            if x <= bps[0]:
-                return Fraction(0)
-            if x >= bps[-1]:
-                return Fraction(1)
-            k = bisect.bisect_right(bps, x) - 1
-            return cum[k] + measure.densities[k] * (x - bps[k])
+    def limits(x: Fraction) -> tuple[Fraction, Fraction]:
+        found = at_atoms.get(x)
+        if found:
+            return found
+        f = cum[bisect.bisect_right(locs, x)]  # no atom at x
+        return f, f
 
-        return bps, cdf, lambda x: Fraction(0)
-    assert isinstance(measure, AtomicMeasure)
-    return (
-        [loc for loc, _ in measure.atoms],
-        lambda x: sum((m for loc, m in measure.atoms if loc <= x), Fraction(0)),
-        lambda x: sum((m for loc, m in measure.atoms if loc == x), Fraction(0)),
-    )
+    return locs, limits
 
 
 def weak_distance_oracle(p, q) -> Fraction:
-    """sup |F_p - F_q| over every knot and its left limit, in Fractions."""
-    knots_p, cdf_p, jump_p = _fraction_cdf(p)
-    knots_q, cdf_q, jump_q = _fraction_cdf(q)
+    """sup |F_p - F_q| over 0, 1, every knot and its left limit, in Fractions."""
+    knots_p, limits_p = _fraction_cdf(p)
+    knots_q, limits_q = _fraction_cdf(q)
     best = Fraction(0)
     for x in {Fraction(0), Fraction(1), *knots_p, *knots_q}:
-        fp, fq = cdf_p(x), cdf_q(x)
-        best = max(best, abs(fp - fq), abs((fp - jump_p(x)) - (fq - jump_q(x))))
+        (left_p, right_p), (left_q, right_q) = limits_p(x), limits_q(x)
+        best = max(best, abs(right_p - right_q))
+        if left_p is not right_p or left_q is not right_q:  # a jump at x
+            best = max(best, abs(left_p - left_q))
     return best
 
 
-def single_draw(source, rng: random.Random):
-    """One draw from a step, exponential or atomic measure, one generator call each.
+def empirical_distance_oracle(y: str, letter: str, q) -> Fraction:
+    """weak_distance_oracle from mu (letter a) or nu (letter b) of the empirical pair of y to q."""
+    return weak_distance_oracle(empirical_atoms(y, letter), q)
 
-    The oracle for ``drawer(rng)``: inverse-CDF formulas read off the exact
-    masses, with the float CDF of each cell or atom rounded once.  A step
-    draw past the float total mass is clamped to the last positive cell; an
-    atomic draw past it picks the last atom.
+
+def single_draw(source, rng: random.Random):
+    """One draw from a step or exponential measure or from Atoms, one generator call each.
+
+    The oracle for ``drawer(rng)`` and ``AtomicPair.drawers(rng)``:
+    inverse-CDF formulas read off the exact masses, with the float CDF of
+    each cell or atom rounded once.  A step draw past the float total mass
+    is clamped to the last positive cell; an atomic draw past it picks the
+    last atom.
     """
     if isinstance(source, Exponential):
         return rng.expovariate(float(source.rate))
@@ -173,9 +238,9 @@ def single_draw(source, rng: random.Random):
         i = min(bisect.bisect_right(cum, u) - 1, len(cells) - 1)
         k = cells[i]
         return float(source.breakpoints[k]) + (u - cum[i]) / float(source.densities[k])
-    assert isinstance(source, AtomicMeasure)
-    cum = [float(c) for c in itertools.accumulate(m for _, m in source.atoms)]
-    return source.atoms[min(bisect.bisect_right(cum, u), len(source.atoms) - 1)][0]
+    assert isinstance(source, Atoms)
+    cum = [float(c) for c in source.cum[1:]]
+    return source.locations[min(bisect.bisect_right(cum, u), len(source.locations) - 1)]
 
 
 def check_bridge_path(path: list[str]) -> list[str]:

@@ -17,12 +17,11 @@ from wordchain.kernels import multi_step_prob, one_step_prob
 from wordchain.measures import (
     CanonicalPair,
     StepMeasure,
-    empirical_pair,
+    empirical_distance,
     fixture_pairs,
     pattern_distribution,
     pattern_prob_exact,
     pattern_prob_mc,
-    weak_distance,
 )
 from wordchain.orders import LabeledLetter, OrderSampler, moment_estimate
 from wordchain.plackett_luce import RatePair, pl_sample, pl_word_prob
@@ -191,8 +190,7 @@ def test_criterion_11_boundary_distances():
     for i in range(runs):
         rng = random.Random(1100 + i)
         y = simulate_forward(200, rng)[-1]
-        pair = empirical_pair(y)
-        dist = max(weak_distance(pair.mu, lebesgue), weak_distance(pair.nu, lebesgue))
+        dist = max(empirical_distance(y, "a", lebesgue), empirical_distance(y, "b", lebesgue))
         worst = max(worst, dist)
         good += dist < 0.15
     assert good >= 95, f"only {good}/100 runs below 0.15"

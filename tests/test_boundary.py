@@ -6,25 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from wordchain.boundary import (
-    check_word_sequence,
-    convergence_report,
-    kernel_ratio,
-)
-from conftest import random_canonical_pair
-from wordchain import measures
+from conftest import empirical_distance_oracle, kernel_ratio, random_canonical_pair
+from wordchain.boundary import check_word_sequence, convergence_report
 from wordchain.bridges import InfiniteBridge, simulate_forward
 from wordchain.errors import SizeMismatchError
 from wordchain.measures import (
     AtomicPair,
     CanonicalPair,
+    empirical_distance,
     empirical_pair,
     fixture_pairs,
     pattern_distribution,
     pattern_prob_exact,
-    weak_distance,
 )
-from wordchain.words import enumerate_balanced, subword_count
+from wordchain.words import enumerate_balanced, subword_count, subword_counts, word_size
 
 F = Fraction
 
@@ -122,7 +117,9 @@ class TestConvergenceReport:
         for i in range(runs):
             bridge = InfiniteBridge(pair, random.Random(9000 + i))
             y = bridge.extend_to(300)
-            err = max(abs(float(kernel_ratio(y, w) - t)) for w, t in targets.items())
+            counts = subword_counts(y, list(targets))
+            err = max(abs(float(F(counts[w], math.comb(300, word_size(w)) ** 2) - t))
+                      for w, t in targets.items())
             ok += err < 0.1
         assert ok >= 0.95 * runs
 
@@ -131,13 +128,15 @@ class TestConvergenceReport:
         pair = fixture_pairs()["crossed"]
         bridge = InfiniteBridge(pair, random.Random(402))
         y = bridge.extend_to(300)
-        emp = empirical_pair(y)
-        own = max(weak_distance(emp.mu, pair.mu), weak_distance(emp.nu, pair.nu))
+
+        def distance(q: CanonicalPair) -> float:
+            return max(empirical_distance(y, "a", q.mu), empirical_distance(y, "b", q.nu))
+
+        own = distance(pair)
         for name, other in fixture_pairs().items():
             if name == "crossed":
                 continue
-            dist = max(weak_distance(emp.mu, other.mu), weak_distance(emp.nu, other.nu))
-            assert own <= dist, name
+            assert own <= distance(other), name
 
     def test_diverging_sequence_flagged(self):
         sep = fixture_pairs()["separated"]
@@ -181,14 +180,13 @@ def _shuffled(size: int, rng: random.Random) -> str:
 
 
 def assert_report_matches_oracles(seq: list[str], pair: CanonicalPair, m_max: int) -> None:
-    """Ratios equal kernel_ratio and distances weak_distance, exactly."""
+    """Ratios equal kernel_ratio and distances the Fraction oracle, exactly."""
     report = convergence_report(seq, pair, m_max)
     assert report.test_words == [w for m in range(1, m_max + 1) for w in pattern_distribution(pair, m)]
     for w in report.test_words:
         assert report.ratios[w] == [kernel_ratio(y, w) for y in seq], w
-    emps = [empirical_pair(y) for y in seq]
-    assert report.mu_distances == [weak_distance(e.mu, pair.mu) for e in emps]
-    assert report.nu_distances == [weak_distance(e.nu, pair.nu) for e in emps]
+    assert report.mu_distances == [float(empirical_distance_oracle(y, "a", pair.mu)) for y in seq]
+    assert report.nu_distances == [float(empirical_distance_oracle(y, "b", pair.nu)) for y in seq]
 
 
 class TestReportOracles:
@@ -224,12 +222,8 @@ class TestReportOracles:
             assert_report_matches_oracles(seq, fixture_pairs()[name], 2)
 
 
-def test_report_reads_each_word_once(monkeypatch):
-    # no per-(word, test word) subword_count pass and no AtomicMeasure per word
-    def refuse(*args, **kwargs):
-        raise AssertionError("convergence_report built an AtomicMeasure")
-
-    monkeypatch.setattr(measures, "AtomicMeasure", refuse)
+def test_report_reads_each_word_once():
+    # no per-(word, test word) subword_count pass
     seq = [_shuffled(size, random.Random(size)) for size in (20, 40, 80)]
     info = subword_count.cache_info()
     report = convergence_report(seq, fixture_pairs()["crossed"], 3)

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    Atoms,
     ScriptedRandom,
+    empirical_atoms,
     int_str_digit_limit,
     random_canonical_pair,
     single_draw,
@@ -19,7 +21,6 @@ from conftest import (
 from wordchain.errors import CapExceededError, SizeMismatchError, WordchainError
 from wordchain.measures import (
     EXPONENT_CAP,
-    AtomicMeasure,
     AtomicPair,
     CanonicalPair,
     Exponential,
@@ -38,7 +39,6 @@ from wordchain.measures import (
     pattern_prob_mc,
     pattern_probs,
     pl_word_prob,
-    weak_distance,
 )
 from wordchain.verify import _atomic_pattern_counts, empirical_identity_check
 from wordchain.words import enumerate_balanced, subword_count, word_size
@@ -51,6 +51,19 @@ KS_CRIT_1PCT = 1.6276
 
 def separated_pair() -> CanonicalPair:
     return fixture_pairs()["separated"]
+
+
+def measure_case(source):
+    """(drawer, single) of a step or exponential measure: its drawer and single_draw."""
+    return source.drawer, lambda rng: single_draw(source, rng)
+
+
+def atomic_nu_case(y: str):
+    """(drawer, single) of nu of empirical_pair(y): the pair's b-drawer, and
+    single_draw on the atoms l/(2N) mapped to the positions l."""
+    atoms, scale = empirical_atoms(y, "b"), 2 * word_size(y)
+    return (lambda rng: empirical_pair(y).drawers(rng)[1],
+            lambda rng: int(single_draw(atoms, rng) * scale))
 
 
 class TestStepMeasure:
@@ -330,36 +343,37 @@ class TestPatternMC:
 
 
 class TestEmpiricalPair:
+    """A draw from mu (nu) is the 1-based position l of an a (b), the atom l/(2N)."""
+
+    @staticmethod
+    def draws(y: str, letter: str, script) -> list[int]:
+        """The positions drawn by one drawer of empirical_pair(y) at the u values script."""
+        draw_mu, draw_nu = empirical_pair(y).drawers(ScriptedRandom(0, script))
+        return (draw_mu if letter == "a" else draw_nu)(len(script))
+
     def test_abab_atoms(self):
-        pair = empirical_pair("abab")
-        assert pair.mu.atoms == ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2)))
-        assert pair.nu.atoms == ((F(2, 4), F(1, 2)), (F(1), F(1, 2)))
+        # mass 1/2 at 1/4 and 3/4 for mu, at 2/4 and 1 for nu
+        script = [0.0, 0.49, 0.5, 0.99]
+        assert self.draws("abab", "a", script) == [1, 1, 3, 3]
+        assert self.draws("abab", "b", script) == [2, 2, 4, 4]
 
     def test_aabb_atoms(self):
-        pair = empirical_pair("aabb")
-        assert [loc for loc, _ in pair.mu.atoms] == [F(1, 4), F(2, 4)]
-        assert [loc for loc, _ in pair.nu.atoms] == [F(3, 4), F(1)]
+        assert self.draws("aabb", "a", [0.25, 0.75]) == [1, 2]
+        assert self.draws("aabb", "b", [0.25, 0.75]) == [3, 4]
 
     def test_total_mass(self):
+        # the k-th of the N atoms takes u in [(k-1)/N, k/N): together all of [0, 1)
         for y in ["ab", "abba", "bbaaab"]:
-            pair = empirical_pair(y)
-            assert sum(m for _, m in pair.mu.atoms) == 1
-            assert sum(m for _, m in pair.nu.atoms) == 1
+            n = word_size(y)
+            script = [k / n for k in range(n)] + [(k + 0.5) / n for k in range(n)]
+            script.append(math.nextafter(1.0, 0.0))
+            for letter in "ab":
+                pos = [l for l, ch in enumerate(y, 1) if ch == letter]
+                assert self.draws(y, letter, script) == pos + pos + pos[-1:]
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             empirical_pair("")
-
-    @pytest.mark.parametrize("atoms", [
-        (),
-        ((F(1, 2), F(1, 2)), (F(1, 4), F(1, 2))),  # decreasing locations
-        ((F(0), F(3, 2)), (F(1), F(-1, 2))),  # a negative mass
-        ((F(0), F(1, 2)), (F(1), F(1, 3))),  # mass 5/6
-        ((F(0), F(1, 2)), (F(1), F(2, 3))),  # mass 7/6
-    ])
-    def test_atomic_measure_validation(self, atoms):
-        with pytest.raises(ValueError):
-            AtomicMeasure(atoms)
 
 
 class TestEmpiricalIdentity:
@@ -417,7 +431,7 @@ class TestCanonicalize:
     def test_rejects_atomic(self):
         # only step measures are canonicalized; exponential laws go to RatePair
         for zeta, eta in [
-            (empirical_pair("ab").mu, StepMeasure.lebesgue()),
+            (empirical_atoms("ab", "a"), StepMeasure.lebesgue()),
             (Exponential(F(1)), Exponential(F(2))),
         ]:
             with pytest.raises(ValueError) as exc:
@@ -460,25 +474,31 @@ class TestSampling:
 
     def test_atomic_sampler(self):
         rng = random.Random(35)
-        atoms = empirical_pair("abab").mu
-        draws = set(atoms.drawer(rng)(200))
-        assert draws == {F(1, 4), F(3, 4)}
+        draw_mu, _ = empirical_pair("abab").drawers(rng)
+        assert set(draw_mu(200)) == {1, 3}  # the a-positions, atoms 1/4 and 3/4
 
-    @pytest.mark.parametrize("source", [
-        StepMeasure.uniform_on(F(1, 3), F(2, 3)),
-        fixture_pairs()["separated"].nu,  # zero density on [0, 1/2]
-        fixture_pairs()["three-cell"].nu,  # zero density on the first cell
-        fixture_pairs()["skewed"].mu,
-        Exponential(F(3, 2)),
-        empirical_pair("abbaab").nu,
+    @pytest.mark.parametrize(("drawer", "single"), [
+        measure_case(StepMeasure.uniform_on(F(1, 3), F(2, 3))),
+        measure_case(fixture_pairs()["separated"].nu),  # zero density on [0, 1/2]
+        measure_case(fixture_pairs()["three-cell"].nu),  # zero density on the first cell
+        measure_case(fixture_pairs()["skewed"].mu),
+        measure_case(Exponential(F(3, 2))),
+        atomic_nu_case("abbaab"),
     ], ids=["one-cell", "separated-nu", "three-cell-nu", "skewed-mu", "exp", "atomic"])
-    def test_batch_draw_equals_single_draws(self, source):
+    def test_batch_draw_equals_single_draws(self, drawer, single):
         for seed in range(40):
-            single, batch = random.Random(seed), random.Random(seed)
+            single_rng, batch = random.Random(seed), random.Random(seed)
             k = seed % 13
-            draw = source.drawer(batch)
-            assert draw(k) + draw(7) == [single_draw(source, single) for _ in range(k + 7)]
-            assert batch.getstate() == single.getstate()
+            draw = drawer(batch)
+            assert draw(k) + draw(7) == [single(single_rng) for _ in range(k + 7)]
+            assert batch.getstate() == single_rng.getstate()
+
+    def test_atomic_draw_past_total_mass(self):
+        # the float CDF of the last atom is 3/3 = 1.0; a u at or past it picks that atom
+        drawer, single = atomic_nu_case("abbaab")
+        script = [1.0, 1.5, math.nextafter(1.0, 0.0)]
+        assert drawer(ScriptedRandom(0, script))(3) == [6, 6, 6]
+        assert [single(ScriptedRandom(0, [u])) for u in script] == [6, 6, 6]
 
     def test_tied_values_have_no_pattern(self):
         assert interleave_pattern([0.5], [0.5]) is None
@@ -494,75 +514,59 @@ class TestSampling:
         assert rng.script == []
 
 
-def uniform_grid(n: int) -> AtomicMeasure:
+def uniform_grid(n: int) -> Atoms:
     """(mu + nu)/2 for the empirical pair of a word of size n: mass 1/(2n) at each l/(2n)."""
-    return AtomicMeasure(tuple((F(i, 2 * n), F(1, 2 * n)) for i in range(1, 2 * n + 1)))
+    return Atoms(tuple(F(i, 2 * n) for i in range(1, 2 * n + 1)), (F(1, 2 * n),) * (2 * n))
 
 
 class TestWeakDistance:
+    """The Fraction oracle of the Kolmogorov distance, on step and atomic measures."""
+
     def test_identical(self):
-        assert weak_distance(StepMeasure.lebesgue(), StepMeasure.lebesgue()) == 0.0
+        assert weak_distance_oracle(StepMeasure.lebesgue(), StepMeasure.lebesgue()) == 0
 
     def test_separated_vs_lebesgue(self):
-        assert weak_distance(separated_pair().mu, StepMeasure.lebesgue()) == 0.5
+        assert weak_distance_oracle(separated_pair().mu, StepMeasure.lebesgue()) == F(1, 2)
 
     def test_grid_average_close_to_lebesgue(self):
         for y in ["aabb", "ab" * 3, "ab" * 5]:
-            pair = empirical_pair(y)
-            grid = uniform_grid(pair.size)
-            assert weak_distance(StepMeasure.lebesgue(), grid) <= 1 / (2 * pair.size)
+            n = word_size(y)
+            assert weak_distance_oracle(StepMeasure.lebesgue(), uniform_grid(n)) <= F(1, 2 * n)
 
     def test_metric_axioms_on_random_triples(self):
         seed_rng = random.Random(99)
         for _ in range(5):
-            triple = [random_canonical_pair(seed_rng, cells=4).mu for _ in range(3)]
-            p, q, r = triple
-            assert weak_distance(p, q) == pytest.approx(weak_distance(q, p))
-            assert weak_distance(p, r) <= weak_distance(p, q) + weak_distance(q, r) + 1e-12
+            p, q, r = [random_canonical_pair(seed_rng, cells=4).mu for _ in range(3)]
+            d = weak_distance_oracle
+            assert d(p, q) == d(q, p)
+            assert d(p, r) <= d(p, q) + d(q, r)
 
     def test_rejects_unsupported(self):
+        # support below 0 here; test_rejects_bad_input pins support past 1
         with pytest.raises(ValueError):
-            weak_distance(StepMeasure.uniform_on(0, 2), StepMeasure.lebesgue())
+            empirical_distance("ab", "a", StepMeasure.uniform_on(-1, 1))
 
     def test_atoms_on_a_breakpoint(self):
         # the atoms of ab, ba and aabb sit on 1/2, the breakpoint of separated
         pair = separated_pair()
         expected = {"ab": (1.0, 1.0), "ba": (1.0, 1.0), "aabb": (0.5, 0.5), "abab": (0.5, 0.5)}
         for y, (d_mu, d_nu) in expected.items():
-            emp = empirical_pair(y)
-            for p, q, d in ((emp.mu, pair.mu, d_mu), (emp.nu, pair.nu, d_nu)):
-                assert weak_distance(p, q) == d == float(weak_distance_oracle(p, q))
-                assert weak_distance(q, p) == d
-
-    def test_matches_fraction_oracle(self):
-        seed_rng = random.Random(63)
-        pairs = list(fixture_pairs().values())
-        pairs += [random_canonical_pair(seed_rng, cells=c) for c in (2, 5, 7)]
-        for k in range(40):
-            size = seed_rng.randint(1, 40)
-            letters = list("ab" * size)
-            seed_rng.shuffle(letters)
-            emp = empirical_pair("".join(letters))
-            pair, other = pairs[k % len(pairs)], seed_rng.choice(pairs)
-            for p, q in (
-                (emp.mu, pair.mu),
-                (emp.nu, pair.nu),
-                (emp.mu, emp.nu),
-                (pair.mu, other.nu),
-                (uniform_grid(size), pair.nu),
-            ):
-                assert weak_distance(p, q) == float(weak_distance_oracle(p, q))
+            for letter, q, d in (("a", pair.mu, d_mu), ("b", pair.nu, d_nu)):
+                atoms = empirical_atoms(y, letter)
+                assert empirical_distance(y, letter, q) == d
+                assert float(weak_distance_oracle(atoms, q)) == d
+                assert float(weak_distance_oracle(q, atoms)) == d
 
 
 class TestEmpiricalDistance:
-    """The integer distance from letter positions equals weak_distance, as floats."""
+    """The integer distance from letter positions equals the Fraction oracle, as floats."""
 
     @staticmethod
     def assert_matches(y: str, pair: CanonicalPair) -> None:
-        emp = empirical_pair(y)
-        for letter, atoms in (("a", emp.mu), ("b", emp.nu)):
+        for letter in "ab":
+            atoms = empirical_atoms(y, letter)
             for q in (pair.mu, pair.nu):
-                assert empirical_distance(y, letter, q) == weak_distance(atoms, q)
+                assert empirical_distance(y, letter, q) == float(weak_distance_oracle(atoms, q))
 
     def test_all_small_words_on_fixture_pairs(self):
         for pair in fixture_pairs().values():
@@ -578,6 +582,17 @@ class TestEmpiricalDistance:
             letters = list("ab" * size)
             seed_rng.shuffle(letters)
             self.assert_matches("".join(letters), pairs[k % len(pairs)])
+
+    def test_matches_fraction_oracle(self):
+        seed_rng = random.Random(63)
+        pairs = list(fixture_pairs().values())
+        pairs += [random_canonical_pair(seed_rng, cells=c) for c in (2, 5, 7)]
+        for k in range(40):
+            size = seed_rng.randint(1, 40)
+            letters = list("ab" * size)
+            seed_rng.shuffle(letters)
+            pair = pairs[k % len(pairs)]
+            self.assert_matches("".join(letters), pair)
 
     def test_atoms_on_a_breakpoint(self):
         # the N-th letter of a size-N word sits at 1/2, the breakpoint of separated

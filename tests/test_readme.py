@@ -1,10 +1,15 @@
-"""The README's library tour runs as written and prints what its comments say."""
+"""The README's library tour runs as written and prints what its comments say, and
+every function the README names by module exists."""
 
 import ast
+import importlib
 import io
 import re
 import tokenize
 from pathlib import Path
+
+import conftest
+import wordchain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +32,16 @@ def test_library_tour_comments_hold():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert checked >= 15
+
+
+def test_named_functions_resolve():
+    # a backticked module.name names wordchain.<module>.<name> or conftest.<name>
+    modules = {p.stem for p in Path(wordchain.__file__).parent.glob("*.py")} | {"conftest"}
+    names = re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    named = [(module, name) for module, name in names if module in modules]
+    for module, name in named:
+        owner = conftest if module == "conftest" else importlib.import_module(f"wordchain.{module}")
+        assert hasattr(owner, name), f"README names {module}.{name}, which does not exist"
+    assert {"measures.empirical_distance", "words.subword_counts", "conftest.single_draw"} <= {
+        f"{module}.{name}" for module, name in named
+    }
