@@ -5,6 +5,11 @@ command derives its generators from (--seed, fixed labels), so identical
 invocations produce identical bytes and adding new commands never perturbs
 existing streams.  ``--jobs`` only sets the worker-pool size for Monte
 Carlo replicas; the replica split is fixed, so results do not depend on it.
+
+Each ``_cmd_*`` function returns its output and writes nothing: a string,
+or a dict printed as indented JSON with sorted keys (``verify`` also returns
+its exit code).  ``main`` is the one output path: it writes that text and
+one newline to stdout, or to the ``--out`` file, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -37,19 +42,6 @@ MC_REPLICAS = 8  # fixed fan-out for Monte Carlo commands, independent of --jobs
 
 def _sig6(x: float) -> float:
     return float(f"{x:.6g}")
-
-
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _format_path(path: list[str], fmt: str, seed: int) -> str:
@@ -130,73 +122,65 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
     return [sample for chunk in chunks for sample in chunk]
 
 
-def _cmd_subword(args) -> int:
-    _emit(args, format_fraction(words.subword_count(args.word, args.subword)))
-    return 0
+def _estimate(estimate: MCEstimate, **fields) -> dict:
+    """A Monte Carlo payload: the estimate and its stderr to six digits, plus `fields`."""
+    return {"estimate": _sig6(estimate.value), "stderr": _sig6(estimate.stderr), **fields}
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_subword(args) -> str:
+    return format_fraction(words.subword_count(args.word, args.subword))
+
+
+def _cmd_kernel(args) -> str:
     fns = {
         "one-step": kernels.one_step_prob,
         "multi-step": kernels.multi_step_prob,
         "dm": kernels.dm_kernel,
         "backward": kernels.backward_prob,
     }
-    _emit(args, format_fraction(fns[args.quantity](args.source, args.target)))
-    return 0
+    return format_fraction(fns[args.quantity](args.source, args.target))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     path = bridges.simulate_forward(args.steps, derive_rng(args.seed, "simulate"))
-    _emit(args, _format_path(path, args.format, args.seed))
-    return 0
+    return _format_path(path, args.format, args.seed)
 
 
-def _cmd_bridge(args) -> int:
+def _cmd_bridge(args) -> str:
     path = bridges.sample_finite_bridge(args.target, derive_rng(args.seed, "bridge"))
-    _emit(args, _format_path(path, args.format, args.seed))
-    return 0
+    return _format_path(path, args.format, args.seed)
 
 
-def _cmd_infinite_bridge(args) -> int:
+def _cmd_infinite_bridge(args) -> str:
     pair = _read_json(args.pair, CanonicalPair.from_json)
     bridge = bridges.InfiniteBridge(pair, derive_rng(args.seed, "infinite-bridge"))
     bridge.extend_to(args.steps)
-    _emit(args, _format_path(bridge.words, args.format, args.seed))
-    return 0
+    return _format_path(bridge.words, args.format, args.seed)
 
 
-def _cmd_pattern_prob(args) -> int:
+def _cmd_pattern_prob(args) -> str | dict:
     if args.word_pair is not None:
         pair = empirical_pair(args.word_pair)
     else:
         pair = _read_json(args.pair, CanonicalPair.from_json)
     if not args.trials:
-        _emit(args, format_fraction(pattern_prob_exact(pair, args.word)))
-        return 0
+        return format_fraction(pattern_prob_exact(pair, args.word))
     task = partial(pattern_matches, pair, args.word)
     estimate = MCEstimate.binomial(
         _replicate(task, args.trials, args.seed, "pattern-prob", args.jobs)
     )
-    _emit_json(
-        args,
-        {
-            "word": args.word,
-            "estimate": _sig6(estimate.value),
-            "stderr": _sig6(estimate.stderr),
-            "trials": args.trials,
-        },
-    )
-    return 0
+    return _estimate(estimate, word=args.word, trials=args.trials)
 
 
-def _cmd_orders(args) -> int:
+def _cmd_orders(args) -> dict:
     sources = _order_sources(args)
     x = orders.LabeledLetter.parse(args.x)
+    fields = {"stat": args.stat, "x": str(x), "depth": args.depth, "trials": args.trials}
     if args.stat == "d":
         if not args.y:
             raise WordchainError("--stat d needs both --x and --y")
         y = orders.LabeledLetter.parse(args.y)
+        fields["y"] = str(y)
         task = partial(_order_task, orders.d_samples, sources, (x, y, args.depth))
     else:
         if args.y is not None:
@@ -205,80 +189,51 @@ def _cmd_orders(args) -> int:
     estimate = MCEstimate.from_samples(
         _replicate(task, args.trials, args.seed, "orders", args.jobs)
     )
-    payload = {
-        "stat": args.stat,
-        "x": str(x),
-        "estimate": _sig6(estimate.value),
-        "stderr": _sig6(estimate.stderr),
-        "depth": args.depth,
-        "trials": args.trials,
-    }
-    if args.stat == "d":
-        payload["y"] = str(y)
-    _emit_json(args, payload)
-    return 0
+    return _estimate(estimate, **fields)
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> dict:
     task = partial(_order_task, orders.moment_samples, _order_sources(args), (args.order,))
     samples = _replicate(task, args.trials, args.seed, "moments", args.jobs)
-    mu_est = MCEstimate.from_samples([mu for mu, _ in samples])
-    nu_est = MCEstimate.from_samples([nu for _, nu in samples])
-    _emit_json(
-        args,
-        {
-            "order": args.order,
-            "mu_moment": _sig6(mu_est.value),
-            "mu_stderr": _sig6(mu_est.stderr),
-            "nu_moment": _sig6(nu_est.value),
-            "nu_stderr": _sig6(nu_est.stderr),
-            "trials": args.trials,
-        },
-    )
-    return 0
+    payload = {"order": args.order, "trials": args.trials}
+    for k, side in enumerate(("mu", "nu")):
+        estimate = MCEstimate.from_samples([sample[k] for sample in samples])
+        payload[f"{side}_moment"] = _sig6(estimate.value)
+        payload[f"{side}_stderr"] = _sig6(estimate.stderr)
+    return payload
 
 
-def _cmd_plackett_luce(args) -> int:
+def _cmd_plackett_luce(args) -> str:
     rates = plackett_luce.RatePair(parse_fraction(args.alpha), parse_fraction(args.beta))
     needed = {"prob": 1, "harmonic": 1, "transition": 2, "sample": 0}[args.action]
     if len(args.words) != needed:
         raise WordchainError(f"{args.action} takes {needed} word argument(s)")
     if args.action == "sample":
         rng = derive_rng(args.seed, "plackett-luce")
-        _emit(args, plackett_luce.pl_sample(rates, args.size, rng, method=args.method))
-        return 0
+        return plackett_luce.pl_sample(rates, args.size, rng, method=args.method)
     exact = {"prob": pattern_prob_exact, "harmonic": bridges.harmonic_h,
              "transition": bridges.htransform_step_prob}[args.action]
-    _emit(args, format_fraction(exact(rates, *args.words)))
-    return 0
+    return format_fraction(exact(rates, *args.words))
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> dict:
     seq = _read_file(args.seq, lambda fh: [line.strip() for line in fh if line.strip()])
     pair = _read_json(args.pair, CanonicalPair.from_json)
-    report = boundary_mod.convergence_report(seq, pair, args.mmax)
-    _emit_json(args, report.to_json())
-    return 0
+    return boundary_mod.convergence_report(seq, pair, args.mmax).to_json()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     results = verify.run_verification()
     lines = []
-    failed = 0
-    total = 0
     for res in results:
-        status = "OK" if res.ok else "FAIL"
-        lines.append(f"{res.name}: {res.checked} identities: {status}")
-        total += res.checked
-        if not res.ok:
-            failed += 1
-            lines.extend(f"  {failure}" for failure in res.failures)
+        lines.append(f"{res.name}: {res.checked} identities: {'OK' if res.ok else 'FAIL'}")
+        lines.extend(f"  {failure}" for failure in res.failures)
+    failed = sum(not res.ok for res in results)
     lines.append(
-        f"{len(results)} identity families, {total} identities checked, "
-        f"{failed} families failing"
+        f"{len(results)} identity families, {sum(res.checked for res in results)} "
+        f"identities checked, {failed} families failing"
     )
-    _emit(args, "\n".join(lines))
-    return 1 if failed else 0
+    return "\n".join(lines), 1 if failed else 0
 
 
 def _int_at_least(minimum: int):
@@ -404,7 +359,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.seed &= 0xFFFFFFFFFFFFFFFF  # seeds are 64-bit
     try:
-        return args.fn(args)
+        output = args.fn(args)
+        output, code = output if isinstance(output, tuple) else (output, 0)
+        if isinstance(output, dict):
+            output = json.dumps(output, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        else:
+            sys.stdout.write(output + "\n")
+        return code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

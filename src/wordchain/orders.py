@@ -234,11 +234,11 @@ def d_samples(
 
     In each run, d is the fraction of the first `depth` letters of each
     kind lying strictly between x and y.  d(x, x) is 0 in every run and
-    needs no sampling.
+    needs no sampling, but its depth is checked all the same.
     """
+    _require_depth(depth, x, y)
     if x == y:
         return [0.0] * trials
-    _require_depth(depth, x, y)
     run = sampler.run
     return [run(depth).d_hat(x, y) for _ in range(trials)]
 
@@ -290,8 +290,6 @@ def estimate_d(
     sampler: OrderSampler, x: LabeledLetter, y: LabeledLetter, depth: int, trials: int
 ) -> MCEstimate:
     """Monte Carlo estimate of the order metric d(x, y); d(x, x) is exactly 0."""
-    if x == y:
-        return MCEstimate(0.0, 0.0, 0)
     return MCEstimate.from_samples(d_samples(sampler, x, y, depth, trials))
 
 

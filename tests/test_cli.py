@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line surface."""
 
+import ast
 import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +306,15 @@ class TestErrorHandling:
         assert main(argv) == 2
         assert "--stat d" in capsys.readouterr().err
 
+    def test_same_letter_checks_depth(self, capsys, pair_file):
+        # d(x, x) is 0 without sampling, but its letter still has to fit the depth
+        argv = ["orders", "--stat", "d", "--x", "a9", "--y", "a9", "--depth", "3",
+                "--trials", "5", "--pair", pair_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: depth 3 is below the largest letter index 9")
+
     def test_zero_denominator_rate(self, capsys):
         assert main(["plackett-luce", "--alpha", "1/0", "--beta", "1", "prob", "ab"]) == 2
         assert main(["moments", "--order", "1", "--trials", "5",
@@ -407,12 +418,11 @@ class TestErrorHandling:
         big = "a" + "1" * 5000
         argv = ["orders", "--depth", "3", "--trials", "2", "--zeta", "exp:1", "--eta", "exp:2"]
         with int_str_digit_limit(640):
-            assert main(argv + ["--stat", "f", "--x", big]) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.endswith(f"letter index {big[1:]}\n")
-            # d(x, x) needs no depth, so the letter reaches the output
-            code, out = run(capsys, argv + ["--stat", "d", "--x", big, "--y", big])
-            assert code == 0 and json.loads(out)["x"] == big
+            # d(x, x) needs no sampling, but its depth is checked as for f
+            for stat in (["--stat", "f", "--x", big], ["--stat", "d", "--x", big, "--y", big]):
+                assert main(argv + stat) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and err.endswith(f"letter index {big[1:]}\n")
 
     def test_pair_file_integer_past_the_digit_limit(self, capsys, tmp_path):
         bad = tmp_path / "big.json"
@@ -468,3 +478,23 @@ def test_verify_command(capsys):
     code, out = run(capsys, ["verify"])
     assert code == 0
     assert out == VERIFY_STDOUT
+
+
+def test_commands_return_their_output():
+    # main is the one output path: a command neither prints nor opens or writes a file
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(commands) == 11
+    writes = [
+        f"{command.name}: {ast.unparse(node.func)}"
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Call) and (
+            ast.unparse(node.func) in ("print", "open", "_emit", "_emit_json")
+            or ast.unparse(node.func).endswith(".write")
+        )
+    ]
+    assert writes == []

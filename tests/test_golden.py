@@ -5,6 +5,7 @@ stdout with a recorded digest, so any change to a seeded stream, the
 replica split or the number formatting shows up here.  A digest may change
 only together with a CHANGES.md entry that declares the new stream.  Monte
 Carlo commands run at ``--jobs 1`` and ``--jobs 2`` against the same digest.
+Every case also runs with ``--out``, whose file must hold the stdout bytes.
 """
 
 import hashlib
@@ -215,6 +216,33 @@ def test_golden_serial(name, capsys, files):
 def test_golden_monte_carlo(name, jobs, capsys, files):
     argv, expected = MC_CASES[name]
     assert _digest(capsys, argv + ["--jobs", jobs], files) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_CASES.keys() | MC_CASES.keys()))
+def test_out_file_gets_the_stdout_bytes(name, capsys, files, tmp_path):
+    # --out writes exactly what stdout would get, and stdout then stays empty
+    argv, _ = SERIAL_CASES.get(name) or MC_CASES[name]
+    argv = [token.format(**files) for token in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out_file = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == stdout.encode("utf-8")
+
+
+def test_input_error_writes_no_out_file(capsys, tmp_path):
+    out_file = tmp_path / "out.txt"
+    assert main(["subword", "abc", "ab", "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_unopenable_out_path_exits_two(capsys, tmp_path):
+    assert main(["subword", "ab", "a", "--out", str(tmp_path / "missing" / "out.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_golden_label_uniformly():

@@ -160,7 +160,12 @@ class TestMetricEstimates:
     def test_same_letter_is_zero(self):
         sampler = lebesgue_sampler(204)
         est = estimate_d(sampler, A1, A1, depth=10, trials=5)
-        assert est.value == 0.0 and est.trials == 0
+        assert est.value == 0.0 and est.stderr == 0.0 and est.trials == 5
+
+    def test_same_letter_checks_depth(self):
+        a9 = LabeledLetter("a", 9)
+        with pytest.raises(WordchainError, match="depth 3 is below the largest letter index 9"):
+            d_samples(lebesgue_sampler(204), a9, a9, 3, 5)
 
     def test_depth_validation(self):
         sampler = lebesgue_sampler(205)
