@@ -131,10 +131,17 @@ class InfiniteBridge:
         return self.extend_to(self.step + 1)
 
     def extend_to(self, n: int) -> str:
+        seen, draw_x, draw_y = self._seen, self._draw_x, self._draw_y
         while self.step < n:
-            # x joins the seen set before y is drawn
-            (x,) = _redraw_repeats(self._draw_x, self._draw_x(1), 1, self._seen)
-            (y,) = _redraw_repeats(self._draw_y, self._draw_y(1), 1, self._seen)
+            # x joins the seen set before y is drawn; only a float collision redraws
+            (x,) = draw_x(1)
+            if x in seen:
+                (x,) = _redraw_repeats(draw_x, [x], 1, seen)
+            seen.add(x)
+            (y,) = draw_y(1)
+            if y in seen:
+                (y,) = _redraw_repeats(draw_y, [y], 1, seen)
+            seen.add(y)
             self.x_samples.append(x)
             self.y_samples.append(y)
             self._insert(x, "a")

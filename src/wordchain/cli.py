@@ -196,8 +196,7 @@ def _cmd_moments(args) -> dict:
     task = partial(_order_task, orders.moment_samples, _order_sources(args), (args.order,))
     samples = _replicate(task, args.trials, args.seed, "moments", args.jobs)
     payload = {"order": args.order, "trials": args.trials}
-    for k, side in enumerate(("mu", "nu")):
-        estimate = MCEstimate.from_samples([sample[k] for sample in samples])
+    for side, estimate in zip(("mu", "nu"), orders.split_moments(samples)):
         payload[f"{side}_moment"] = _sig6(estimate.value)
         payload[f"{side}_stderr"] = _sig6(estimate.stderr)
     return payload

@@ -163,11 +163,12 @@ class StepMeasure:
             dens.append(self.densities[k])
         return StepMeasure(tuple(bps), tuple(dens))
 
-    def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
-        """draw(k): k inverse-CDF draws, one rng.random() each, in one call.
+    @property
+    def quantiles(self) -> Callable[[list[float]], list[float]]:
+        """The inverse-CDF map from a list of uniforms to draws, built on each access.
 
-        A draw u falls in the last positive-density cell whose float CDF at
-        its left end is at most u, and maps linearly into that cell.  The
+        A u falls in the last positive-density cell whose float CDF at its
+        left end is at most u, and maps linearly into that cell.  The
         bisection skips the first cell's start, so u = 0 lands in the first
         cell, and a u past the float total mass stays in the last one.
         """
@@ -176,16 +177,16 @@ class StepMeasure:
             (float(self.breakpoints[k]), cum[k] / den, d / den) for k, d in enumerate(dens) if d
         ]
         starts = [c for _, c, _ in cells]
-        random_, bisect_right, hi = rng.random, bisect.bisect_right, len(cells)
+        bisect_right, hi = bisect.bisect_right, len(cells)
+        return lambda us: [
+            left + (u - c) / d
+            for u in us
+            for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
+        ]
 
-        def draw(k: int) -> list[float]:
-            return [
-                left + (u - c) / d
-                for u in [random_() for _ in range(k)]
-                for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
-            ]
-
-        return draw
+    def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
+        """draw(k): k draws, one rng.random() each, in one call."""
+        return _drawer(self.quantiles, rng.random)
 
     def to_json(self) -> dict:
         return {
@@ -218,10 +219,24 @@ class Exponential:
                 f"[{sys.float_info.min:.2g}, {sys.float_info.max:.2g}]"
             )
 
+    @property
+    def quantiles(self) -> Callable[[list[float]], list[float]]:
+        """The map from uniforms to draws of ``rng.expovariate(float(rate))``, whose body it is."""
+        log, rate = math.log, float(self.rate)
+        return lambda us: [-log(1.0 - u) / rate for u in us]
+
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
-        """draw(k): k calls of rng.expovariate(float(rate)), in one call."""
-        expovariate, rate = rng.expovariate, float(self.rate)
-        return lambda k: [expovariate(rate) for _ in range(k)]
+        """draw(k): k draws, one rng.random() each, in one call."""
+        return _drawer(self.quantiles, rng.random)
+
+
+def _drawer(quantiles, random_) -> Callable[[int], list]:
+    """draw(k): the values of k uniforms from random_(), read in order, under ``quantiles``.
+
+    Every draw of the package reads exactly one uniform, so k draws are k
+    calls of random_() whichever way they are grouped.
+    """
+    return lambda k: quantiles([random_() for _ in range(k)])
 
 
 def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
@@ -242,6 +257,61 @@ def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[fl
         if len(kept) == depth:
             return kept
         values = draw(depth - len(kept))
+
+
+def _distinct_run(draw_a, draw_b, depth: int) -> tuple[list[float], list[float]]:
+    """``depth`` a-values, then ``depth`` b-values, all 2 * depth distinct.
+
+    Each side draws its values in one batch; only a batch holding a repeat
+    (for a diffuse source only a float collision) is replayed by
+    `_redraw_repeats`.
+    """
+    values_a = draw_a(depth)
+    seen = set(values_a)
+    if len(seen) < depth:
+        seen = set()
+        values_a = _redraw_repeats(draw_a, values_a, depth, seen)
+    values_b = draw_b(depth)
+    seen.update(values_b)
+    if len(seen) < 2 * depth:
+        values_b = _redraw_repeats(draw_b, values_b, depth, set(values_a))
+    return values_a, values_b
+
+
+_VALUE_BLOCK = 512  # runs per block of uniforms; a block of depth-5 runs holds 5,120 floats
+
+
+def _value_rows(q_a, q_b, rng: random.Random, k: int, trials: int, distinct: bool = False):
+    """Per-run (a-values, b-values) of ``trials`` runs of k >= 1 values a side.
+
+    Run t reads the uniforms that draw_a(k) then draw_b(k) would give it:
+    the runs of a block of _VALUE_BLOCK draw their 2k uniforms each in one
+    call, and the i-th a-values (b-values) of the block are one slice of
+    them under q_a (q_b).  With ``distinct``, the first run of a block
+    holding a repeat and the rest of that block are replayed one run at a
+    time by `_distinct_run`, which reads the block's unused uniforms and
+    then the generator, so the generator ends where runs drawn one at a
+    time leave it.
+    """
+    random_, width = rng.random, 2 * k
+    for start in range(0, trials, _VALUE_BLOCK):
+        size = min(_VALUE_BLOCK, trials - start)
+        us = [random_() for _ in range(width * size)]
+        rows = zip(
+            zip(*[q_a(us[i::width]) for i in range(k)]),
+            zip(*[q_b(us[i::width]) for i in range(k, width)]),
+        )
+        if not distinct:
+            yield from rows
+            continue
+        for t, (xs, ys) in enumerate(rows):
+            if len(set(xs + ys)) < width:
+                uniforms = itertools.chain(us[t * width:], iter(random_, None)).__next__
+                draw_a, draw_b = _drawer(q_a, uniforms), _drawer(q_b, uniforms)
+                for _ in range(t, size):
+                    yield _distinct_run(draw_a, draw_b, k)
+                break
+            yield xs, ys
 
 
 @dataclass(frozen=True)
@@ -318,24 +388,24 @@ class AtomicPair:
     def size(self) -> int:
         return len(self.word) // 2
 
-    def drawers(self, rng: random.Random) -> tuple[Callable[[int], list[int]], ...]:
-        """(draw_mu, draw_nu): draw(k) gives k draws, one rng.random() each, in one call.
+    def quantiles(self, letter: str) -> Callable[[list[float]], list[int]]:
+        """The map from uniforms to draws of mu (letter a) or nu (letter b).
 
         A draw is the 1-based position l of the atom l/(2N), which orders and
         ties as the atom does.  The float CDF of the k-th atom of either letter
-        is k / N; a draw u picks the first atom whose CDF exceeds u, and the
+        is k / N; a u picks the first atom whose CDF exceeds u, and the
         bisection stops at the last atom, so a u past the float total mass
         picks it.
         """
         n = self.size
         ends = [k / n for k in range(1, n + 1)]
-        random_, bisect_right = rng.random, bisect.bisect_right
+        pos = [l for l, ch in enumerate(self.word, 1) if ch == letter]
+        bisect_right = bisect.bisect_right
+        return lambda us: [pos[bisect_right(ends, u, 0, n - 1)] for u in us]
 
-        def drawer(letter: str) -> Callable[[int], list[int]]:
-            pos = [l for l, ch in enumerate(self.word, 1) if ch == letter]
-            return lambda k: [pos[bisect_right(ends, random_(), 0, n - 1)] for _ in range(k)]
-
-        return drawer("a"), drawer("b")
+    def drawers(self, rng: random.Random) -> tuple[Callable[[int], list[int]], ...]:
+        """(draw_mu, draw_nu): draw(k) gives k draws, one rng.random() each, in one call."""
+        return _drawer(self.quantiles("a"), rng.random), _drawer(self.quantiles("b"), rng.random)
 
 
 @dataclass(frozen=True)
@@ -574,11 +644,22 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     """
     m = word_size(w)
     _check_atom_count(pair, m)
+    if not m:
+        return [True] * trials  # the empty pattern needs no draws
     if isinstance(pair, AtomicPair):
-        draw_mu, draw_nu = pair.drawers(rng)  # atoms as letter positions
+        q_mu, q_nu = pair.quantiles("a"), pair.quantiles("b")  # atoms as letter positions
     else:
-        draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
-    return [interleave_pattern(draw_mu(m), draw_nu(m)) == w for _ in range(trials)]
+        q_mu, q_nu = pair.mu.quantiles, pair.nu.quantiles
+    # the sorted a-values, then the sorted b-values, read in the order of w's letters:
+    # w matches exactly when they increase strictly (a tie breaks the chain)
+    ranks = {"a": iter(range(m)), "b": iter(range(m, 2 * m))}
+    slots = operator.itemgetter(*[next(ranks[ch]) for ch in w])
+    lt = operator.lt
+    out = []
+    for xs, ys in _value_rows(q_mu, q_nu, rng, m, trials):
+        chain = slots(sorted(xs) + sorted(ys))
+        out.append(all(map(lt, chain, chain[1:])))
+    return out
 
 
 def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> MCEstimate:

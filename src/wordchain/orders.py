@@ -15,10 +15,11 @@ import decimal
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SizeMismatchError, WordchainError
 from .measures import DiffusePair, Exponential, MCEstimate, StepMeasure, format_fraction
-from .measures import _check_diffuse, _redraw_repeats
+from .measures import _check_diffuse, _distinct_run, _value_rows
 from .words import word_size
 
 MOMENT_ORDER_CAP = 4
@@ -199,22 +200,8 @@ class OrderSampler:
         return cls(pair.mu, pair.nu, rng)
 
     def _values(self, depth: int) -> tuple[list[float], list[float]]:
-        """The a-values and b-values of one run, all distinct.
-
-        Each source draws its values in one batch; only a batch holding a
-        repeat (ties have probability zero, so only a float collision) is
-        replayed by `_redraw_repeats`.
-        """
-        values_a = self._draw_a(depth)
-        seen = set(values_a)
-        if len(seen) < depth:
-            seen = set()
-            values_a = _redraw_repeats(self._draw_a, values_a, depth, seen)
-        values_b = self._draw_b(depth)
-        seen.update(values_b)
-        if len(seen) < 2 * depth:
-            values_b = _redraw_repeats(self._draw_b, values_b, depth, set(values_a))
-        return values_a, values_b
+        """The a-values and b-values of one run, all distinct; see `_distinct_run`."""
+        return _distinct_run(self._draw_a, self._draw_b, depth)
 
     def run(self, depth: int) -> OrderRun:
         values_a, values_b = self._values(depth)
@@ -273,10 +260,12 @@ def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[flo
         [(half_n * mu_prod, half_n * nu_prod) for nu_prod in range(2**n + 1)]
         for mu_prod in range(2**n + 1)
     ]
-    draw = sampler._values
+    rows = _value_rows(
+        sampler.a_source.quantiles, sampler.b_source.quantiles, sampler.rng, n + 1, trials,
+        distinct=True,
+    )
     out = []
-    for _ in range(trials):
-        va, vb = draw(n + 1)
+    for va, vb in rows:
         target_a, target_b = va[n], vb[n]
         mu_prod = nu_prod = 1
         for k in range(n):
@@ -302,8 +291,10 @@ def moment_estimate(
     sampler: OrderSampler, n: int, trials: int
 ) -> tuple[MCEstimate, MCEstimate]:
     """Estimates of the n-th moments of (mu, nu); see `moment_samples`."""
-    samples = moment_samples(sampler, n, trials)
-    return (
-        MCEstimate.from_samples([mu for mu, _ in samples]),
-        MCEstimate.from_samples([nu for _, nu in samples]),
-    )
+    return split_moments(moment_samples(sampler, n, trials))
+
+
+def split_moments(samples: Sequence[tuple[float, float]]) -> tuple[MCEstimate, MCEstimate]:
+    """The mu and nu moment estimates of per-run (mu, nu) samples, such as replicas' joined."""
+    mu, nu = (MCEstimate.from_samples([sample[k] for sample in samples]) for k in (0, 1))
+    return mu, nu

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from wordchain.errors import SizeMismatchError
-from wordchain.measures import CanonicalPair, Exponential, StepMeasure
+from wordchain.measures import AtomicPair, CanonicalPair, Exponential, StepMeasure, interleave_pattern
 from wordchain.words import subword_count, word_size
 
 
@@ -254,6 +254,35 @@ def check_bridge_path(path: list[str]) -> list[str]:
         if subword_count(w, v) == 0:
             raise ValueError(f"{v!r} is not a subword of its successor {w!r}")
     return path
+
+
+def pattern_matches_oracle(pair, w: str, trials: int, rng: random.Random) -> list[bool]:
+    """The per-trial pattern experiment, the oracle for ``pattern_matches``.
+
+    Each trial draws m values of mu, then m of nu, through the pair's
+    drawers and reads their interleaving; tied values read no pattern.
+    """
+    m = word_size(w)
+    if isinstance(pair, AtomicPair):
+        draw_mu, draw_nu = pair.drawers(rng)
+    else:
+        draw_mu, draw_nu = pair.mu.drawer(rng), pair.nu.drawer(rng)
+    return [interleave_pattern(draw_mu(m), draw_nu(m)) == w for _ in range(trials)]
+
+
+def moment_samples_oracle(sampler, n: int, trials: int) -> list[tuple[float, float]]:
+    """The per-run moment loop, the oracle for ``moment_samples``: one ``sampler.run(n + 1)``
+    per trial, scored by prod_k (1{a_k < t} + 1{b_k < t}) / 2^n for t = a_{n+1} and b_{n+1}."""
+    out = []
+    for _ in range(trials):
+        run = sampler.run(n + 1)
+        va, vb = run.values_a, run.values_b
+        mu_prod = nu_prod = 1
+        for k in range(n):
+            mu_prod *= (va[k] < va[n]) + (vb[k] < va[n])
+            nu_prod *= (va[k] < vb[n]) + (vb[k] < vb[n])
+        out.append((0.5**n * mu_prod, 0.5**n * nu_prod))
+    return out
 
 
 class ScriptedRandom(random.Random):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -499,6 +500,53 @@ class TestSampling:
         script = [1.0, 1.5, math.nextafter(1.0, 0.0)]
         assert drawer(ScriptedRandom(0, script))(3) == [6, 6, 6]
         assert [single(ScriptedRandom(0, [u])) for u in script] == [6, 6, 6]
+
+    @pytest.mark.parametrize("source", [
+        fixture_pairs()["skewed"].nu,  # zero density on [0, 1/4]
+        fixture_pairs()["separated"].mu,  # zero density on [1/2, 1]
+        fixture_pairs()["separated"].nu,  # zero density on [0, 1/2]
+        fixture_pairs()["three-cell"].mu,
+        StepMeasure.uniform_on(F(1, 3), F(2, 3)),
+    ], ids=["skewed-nu", "separated-mu", "separated-nu", "three-cell-mu", "one-cell"])
+    def test_step_quantiles_equal_single_draws(self, source):
+        # every float cell start and its neighbours, then u at and past the total mass 1.0
+        starts = [float(c) for c in itertools.accumulate(source.cell_masses(), initial=F(0))]
+        edges = [x for c in starts for x in (math.nextafter(c, -1.0), c, math.nextafter(c, 2.0))]
+        seeded = random.Random(41)
+        us = [u for u in edges if u >= 0.0] + [1.5] + [seeded.random() for _ in range(300)]
+        assert source.quantiles(us) == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
+
+    def test_exponential_quantiles_equal_expovariate(self):
+        seeded = random.Random(42)
+        us = [0.0, math.nextafter(1.0, 0.0), 0.5] + [seeded.random() for _ in range(300)]
+        for rate in (F(1), F(3, 2), F(1, 10**300)):
+            expected = [ScriptedRandom(0, [u]).expovariate(float(rate)) for u in us]
+            assert Exponential(rate).quantiles(us) == expected
+            assert [single_draw(Exponential(rate), ScriptedRandom(0, [u])) for u in us] == expected
+
+    @pytest.mark.parametrize("y", ["abbaab", "aabbab", "ab"])
+    def test_atomic_quantiles_equal_single_draws(self, y):
+        # many uniforms per atom, so the draws tie; k / N and its neighbours bound the atoms
+        n, scale = word_size(y), 2 * word_size(y)
+        edges = [x for k in range(n + 1) for x in (math.nextafter(k / n, -1.0), k / n)]
+        seeded = random.Random(43)
+        us = [u for u in edges if u >= 0.0] + [1.5] + [seeded.random() for _ in range(100)]
+        for letter in "ab":
+            atoms = empirical_atoms(y, letter)
+            single = [int(single_draw(atoms, ScriptedRandom(0, [u])) * scale) for u in us]
+            assert empirical_pair(y).quantiles(letter)(us) == single
+            assert len(set(single)) == n  # every atom is drawn, with ties
+
+    def test_sources_pickle_after_drawing(self):
+        rng = random.Random(44)
+        step_pair, rate_pair, atomic = fixture_pairs()["three-cell"], RatePair(1, 2), empirical_pair("abab")
+        for source in (step_pair.mu, step_pair.nu, rate_pair.mu, Exponential(F(3, 2))):
+            source.drawer(rng)(3)
+            source.quantiles([0.25])
+        atomic.drawers(rng)[0](2)
+        atomic.quantiles("b")([0.75])
+        for obj in (step_pair, step_pair.mu, rate_pair, rate_pair.mu, atomic):
+            assert pickle.loads(pickle.dumps(obj)) == obj
 
     def test_tied_values_have_no_pattern(self):
         assert interleave_pattern([0.5], [0.5]) is None
