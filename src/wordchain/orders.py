@@ -199,12 +199,9 @@ class OrderSampler:
         _check_diffuse(pair)
         return cls(pair.mu, pair.nu, rng)
 
-    def _values(self, depth: int) -> tuple[list[float], list[float]]:
-        """The a-values and b-values of one run, all distinct; see `_distinct_run`."""
-        return _distinct_run(self._draw_a, self._draw_b, depth)
-
     def run(self, depth: int) -> OrderRun:
-        values_a, values_b = self._values(depth)
+        """``depth`` a-values, then ``depth`` b-values, all distinct (see `_distinct_run`)."""
+        values_a, values_b = _distinct_run(self._draw_a, self._draw_b, depth)
         return OrderRun(tuple(values_a), tuple(values_b))
 
 
@@ -295,6 +292,9 @@ def moment_estimate(
 
 
 def split_moments(samples: Sequence[tuple[float, float]]) -> tuple[MCEstimate, MCEstimate]:
-    """The mu and nu moment estimates of per-run (mu, nu) samples, such as replicas' joined."""
+    """The mu and nu estimates of per-run (mu, nu) moment samples.
+
+    The samples may come from one sampler or from replicas joined in order.
+    """
     mu, nu = (MCEstimate.from_samples([sample[k] for sample in samples]) for k in (0, 1))
     return mu, nu

@@ -14,7 +14,13 @@ import pytest
 from scipy import stats
 
 from wordchain.errors import SizeMismatchError
-from wordchain.measures import AtomicPair, CanonicalPair, Exponential, StepMeasure, interleave_pattern
+from wordchain.measures import (
+    AtomicPair,
+    CanonicalPair,
+    Exponential,
+    StepMeasure,
+    interleave_pattern,
+)
 from wordchain.words import subword_count, word_size
 
 

@@ -49,7 +49,8 @@ def test_pattern_matches_equal_the_per_trial_loop(name, m):
     pair = PAIRS[name]
     words = enumerate_balanced(m)
     for i, w in enumerate(words):  # every pattern, at a few trials each
-        run = [lambda r: pattern_matches(pair, w, 7, r), lambda r: pattern_matches_oracle(pair, w, 7, r)]
+        run = [lambda r: pattern_matches(pair, w, 7, r),
+               lambda r: pattern_matches_oracle(pair, w, 7, r)]
         assert_same(run, lambda: random.Random(100 * m + i))
     w = words[len(words) // 2]
     for trials in TRIAL_COUNTS:

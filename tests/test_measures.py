@@ -539,7 +539,8 @@ class TestSampling:
 
     def test_sources_pickle_after_drawing(self):
         rng = random.Random(44)
-        step_pair, rate_pair, atomic = fixture_pairs()["three-cell"], RatePair(1, 2), empirical_pair("abab")
+        step_pair, rate_pair = fixture_pairs()["three-cell"], RatePair(1, 2)
+        atomic = empirical_pair("abab")
         for source in (step_pair.mu, step_pair.nu, rate_pair.mu, Exponential(F(3, 2))):
             source.drawer(rng)(3)
             source.quantiles([0.25])
