@@ -11,14 +11,45 @@ stream.
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from wordchain.measures import RatePair, empirical_pair, fixture_pairs, pattern_matches
+from wordchain.bridges import simulate_forward
+from wordchain.measures import (
+    CanonicalPair,
+    RatePair,
+    StepMeasure,
+    empirical_pair,
+    fixture_pairs,
+    pattern_matches,
+)
 from wordchain.orders import LabeledLetter, OrderSampler, d_samples, f_samples, moment_samples
+
+def _many_cell_pair(cells: int) -> CanonicalPair:
+    """A canonical pair on ``cells`` cells of uneven widths, zero-density cells interleaved.
+
+    Cells come in neighbouring twos of equal width with mu densities d and
+    2 - d, so mu's densities average to 1 over each two; d cycles through
+    values that put a zero-density cell of mu (d = 0) or of nu (d = 2) in
+    every few cells.
+    """
+    ds = [Fraction(d) for d in ("1/3", "0", "3/4", "2/5", "2", "1", "1/8", "9/7", "5/3")]
+    widths = [Fraction(1 + j % 5, 7) for j in range(cells // 2)]
+    total = sum(widths)
+    bps, mu = [Fraction(0)], []
+    for j, width in enumerate(widths):
+        d = ds[j % len(ds)]
+        for dens in (d, 2 - d):
+            bps.append(bps[-1] + width / (2 * total))
+            mu.append(dens)
+    return CanonicalPair.from_mu(StepMeasure(tuple(bps), tuple(mu)))
+
 
 PAIRS = {
     "three-cell": lambda: fixture_pairs()["three-cell"],
+    "cells-12": lambda: _many_cell_pair(12),  # at least 9 positive cells a side
+    "cells-90": lambda: _many_cell_pair(90),  # more than 64 positive cells a side
     "skewed": lambda: fixture_pairs()["skewed"],
     "exp-1-2": lambda: RatePair(1, 2),
     "atomic": lambda: empirical_pair("aabbab"),  # ties: pattern_matches only
@@ -71,15 +102,40 @@ DIGESTS = {
     ("f", "skewed", 8): "1554a6a9a0e3ba4d4f62c0468403d11684e03b26ab922d17a6950577267cf9c4",
     ("f", "exp-1-2", 7): "61bf58859b65c3bebf32a8d340b3cb8db782bdfbc2022f0221519552d0ac0542",
     ("f", "exp-1-2", 8): "8589518ea27fa156b7814a235370c174d22463007a6358f66fcfed0b68ea1ae0",
+    ("pattern", "cells-12", 7): "b80fbf79a82eb0105a0dcd55ac04676bbb405c6cdab2ce714dba4946896782d2",
+    ("pattern", "cells-12", 8): "bb85ed8e978cd7b11fa3d796f51ffc031585a79efe4b9f3937f23f66ad6ab7f6",
+    ("pattern", "cells-90", 7): "0b0198659fa5d7b1d816f30da8b0a022b54d9cfa8a9e1717cdb4d5a721e43e18",
+    ("pattern", "cells-90", 8): "7bcea15f9b9d0dad9a8d346dd28ac6a63241a851687384773b9a07473658f337",
+    ("moments", "cells-12", 7): "90dcd263522fc029ce5db23b7a6f880bb41e0964c74ca4785f6369230e0a2202",
+    ("moments", "cells-12", 8): "a7a8afe26ecce067285af59da44df2574e2f4c6810f3ab0c72432ce671526b95",
+    ("moments", "cells-90", 7): "aa078583c2921d81c26af70314da8b7df4692a89bb4349cb67e2da7835528e9d",
+    ("moments", "cells-90", 8): "b940a580520582a5f446cf56d76003dc0109906bd553928089570c65736c8205",
+    ("d", "cells-12", 7): "0216096e075e9abcc22f0043d03a651e01ccaa1e243f0873ead5e7e6570aa324",
+    ("d", "cells-12", 8): "8e9f5303d30aa392dd759bb611fc5625020042828cc2c9d8a6e35e813bbee200",
+    ("d", "cells-90", 7): "2c53b63dbc7825d5702044fec2429cff05a0c1a400edc0621aedfd1a3da3e79d",
+    ("d", "cells-90", 8): "06bc5de4cfa62a790891fde15acf2ae3ef1b918aa54a7c1e2106d14f37b5b8bc",
 }
+FORWARD_DIGESTS = {
+    7: "e202aae8fb4bf0e4ec4f3b63cb130ce0f2ccc71edce4ee180e5668cdc99d20bc",
+    8: "42ff80b14550d9d8944d9fb20f8789db1d44d83555f5ba5f02d9efe01944856d",
+}
+
+
+def _hash(out, rng: random.Random) -> str:
+    return hashlib.sha256(repr((out, rng.getstate())).encode()).hexdigest()
 
 
 def _digest(sampler: str, pair_name: str, seed: int) -> str:
     rng = random.Random(seed)
-    out = SAMPLERS[sampler](PAIRS[pair_name](), rng)
-    return hashlib.sha256(repr((out, rng.getstate())).encode()).hexdigest()
+    return _hash(SAMPLERS[sampler](PAIRS[pair_name](), rng), rng)
 
 
 @pytest.mark.parametrize(("sampler", "pair_name", "seed"), sorted(DIGESTS))
 def test_stream_unchanged(sampler, pair_name, seed):
     assert _digest(sampler, pair_name, seed) == DIGESTS[sampler, pair_name, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(FORWARD_DIGESTS))
+def test_forward_stream_unchanged(seed):
+    rng = random.Random(seed)
+    assert _hash(simulate_forward(300, rng), rng) == FORWARD_DIGESTS[seed]
