@@ -31,14 +31,18 @@ def simulate_forward(n: int, rng: random.Random) -> list[str]:
     """Run the base chain for n steps; the word at step k is uniform on W_k.
 
     Each step inserts an a uniformly into one of the 2k+1 slots and then a
-    b into one of the 2k+2 slots.
+    b into one of the 2k+2 slots; each word is built from the last by
+    slicing.
     """
-    letters: list[str] = []
-    path = [""]
+    randrange = rng.randrange
+    word = ""
+    path = [word]
     for _ in range(n):
-        letters.insert(rng.randrange(len(letters) + 1), "a")
-        letters.insert(rng.randrange(len(letters) + 1), "b")
-        path.append("".join(letters))
+        i = randrange(len(word) + 1)
+        word = word[:i] + "a" + word[i:]
+        i = randrange(len(word) + 1)
+        word = word[:i] + "b" + word[i:]
+        path.append(word)
     return path
 
 

@@ -105,7 +105,8 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
     remainder, on the generator derive_rng(seed, f"{label}/{i}").  The split
     is fixed, so ``jobs`` only sizes the process pool (never above the
     replica count) and never changes the samples.  A zero-trial call on a
-    generator of its own runs the task's argument checks in this process.
+    generator of its own runs the task's argument checks in this process,
+    and compiles any step quantile map the task needs before the pool forks.
     """
     task(0, derive_rng(seed, f"{label}/check"))
     per, extra = divmod(trials, MC_REPLICAS)

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
 from .words import check_balanced, enumerate_balanced, subword_count, word_size
@@ -164,25 +164,22 @@ class StepMeasure:
         return StepMeasure(tuple(bps), tuple(dens))
 
     @property
-    def quantiles(self) -> Callable[[list[float]], list[float]]:
-        """The inverse-CDF map from a list of uniforms to draws, built on each access.
+    def quantiles(self) -> Callable[[Iterable[float]], list[float]]:
+        """The inverse-CDF map from uniforms to draws, built on each access.
 
         A u falls in the last positive-density cell whose float CDF at its
-        left end is at most u, and maps linearly into that cell.  The
-        bisection skips the first cell's start, so u = 0 lands in the first
-        cell, and a u past the float total mass stays in the last one.
+        left end is at most u, and maps linearly into that cell.  The search
+        skips the first cell's start, so u = 0 lands in the first cell, and
+        a u past the float total mass stays in the last one.  The cell is
+        found by a comparison tree (see `_step_map_factory`).
         """
         den, cum, dens = self._cdf_table
-        cells = [
-            (float(self.breakpoints[k]), cum[k] / den, d / den) for k, d in enumerate(dens) if d
-        ]
-        starts = [c for _, c, _ in cells]
-        bisect_right, hi = bisect.bisect_right, len(cells)
-        return lambda us: [
-            left + (u - c) / d
-            for u in us
-            for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
-        ]
+        cells = [k for k, d in enumerate(dens) if d]
+        return _step_map_factory(len(cells))(
+            [float(self.breakpoints[k]) for k in cells],
+            [cum[k] / den for k in cells],
+            [dens[k] / den for k in cells],
+        )
 
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
         """draw(k): k draws, one rng.random() each, in one call."""
@@ -220,7 +217,7 @@ class Exponential:
             )
 
     @property
-    def quantiles(self) -> Callable[[list[float]], list[float]]:
+    def quantiles(self) -> Callable[[Iterable[float]], list[float]]:
         """The map from uniforms to draws of ``rng.expovariate(float(rate))``, whose body it is."""
         log, rate = math.log, float(self.rate)
         return lambda us: [-log(1.0 - u) / rate for u in us]
@@ -230,13 +227,57 @@ class Exponential:
         return _drawer(self.quantiles, rng.random)
 
 
+_TREE_LEAVES = 64  # an unbounded tree takes seconds to compile at 10,000 cells
+
+
+@cache
+def _step_map_factory(size: int) -> Callable[[list, list, list], Callable]:
+    """make(L, C, D): the step quantile map of ``size`` cells with lefts L, starts C, densities D.
+
+    A u maps to L[k] + (u - C[k]) / D[k] for the last cell k whose start
+    C[k] is at most u, with k = 0 whatever C[0] is.  The map is compiled
+    once per cell count: a tree of comparisons ``u < C[mid]`` (true exactly
+    when ``bisect_right`` would step left at C[mid]) picks the cell, so it
+    finds the cell ``bisect_right(C, u, 1, size) - 1`` finds, for u = 0, a
+    u past the float total mass and equal starts alike.  Up to _TREE_LEAVES
+    cells every leaf is one cell and reads its three values as arguments;
+    past that, a leaf bisects its own slice of C.  The source names only
+    indices, and the values come in as arguments.
+    """
+    used: dict[str, None] = {}  # the scalar arguments, in first-use order
+
+    def arg(name: str, k: int) -> str:
+        used[f"{name}{k}"] = None
+        return f"{name}{k}"
+
+    def tree(lo: int, hi: int, leaves: int) -> str:
+        if hi - lo == 1:
+            return f"{arg('L', lo)} + (u - {arg('C', lo)}) / {arg('D', lo)}"
+        if leaves == 1:
+            return f"L[(k := bisect_right(C, u, {lo + 1}, {hi}) - 1)] + (u - C[k]) / D[k]"
+        mid = (lo + hi) // 2
+        return (f"({tree(lo, mid, leaves // 2)}) if u < {arg('C', mid)} "
+                f"else ({tree(mid, hi, leaves // 2)})")
+
+    body = tree(0, size, _TREE_LEAVES)
+    source = f"lambda L, C, D, bisect_right, {', '.join(used)}: lambda us: [{body} for u in us]"
+    outer = eval(source, {})
+    picks = [({"L": 0, "C": 1, "D": 2}[name[0]], int(name[1:])) for name in used]
+    return lambda *lcd: outer(*lcd, bisect.bisect_right, *[lcd[i][k] for i, k in picks])
+
+
+def _uniforms(random_, k: int) -> Iterable:
+    """k calls of random_(), in order, made by one C-level loop as the iterator is read."""
+    return itertools.starmap(random_, itertools.repeat((), k))
+
+
 def _drawer(quantiles, random_) -> Callable[[int], list]:
     """draw(k): the values of k uniforms from random_(), read in order, under ``quantiles``.
 
     Every draw of the package reads exactly one uniform, so k draws are k
     calls of random_() whichever way they are grouped.
     """
-    return lambda k: quantiles([random_() for _ in range(k)])
+    return lambda k: quantiles(_uniforms(random_, k))
 
 
 def _redraw_repeats(draw, values: list[float], depth: int, seen: set) -> list[float]:
@@ -296,7 +337,7 @@ def _value_rows(q_a, q_b, rng: random.Random, k: int, trials: int, distinct: boo
     random_, width = rng.random, 2 * k
     for start in range(0, trials, _VALUE_BLOCK):
         size = min(_VALUE_BLOCK, trials - start)
-        us = [random_() for _ in range(width * size)]
+        us = list(_uniforms(random_, width * size))
         rows = zip(
             zip(*[q_a(us[i::width]) for i in range(k)]),
             zip(*[q_b(us[i::width]) for i in range(k, width)]),
@@ -388,7 +429,7 @@ class AtomicPair:
     def size(self) -> int:
         return len(self.word) // 2
 
-    def quantiles(self, letter: str) -> Callable[[list[float]], list[int]]:
+    def quantiles(self, letter: str) -> Callable[[Iterable[float]], list[int]]:
         """The map from uniforms to draws of mu (letter a) or nu (letter b).
 
         A draw is the 1-based position l of the atom l/(2N), which orders and

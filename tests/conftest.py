@@ -79,6 +79,43 @@ def random_canonical_pair(rng: random.Random, cells: int = 3) -> CanonicalPair:
     return CanonicalPair.from_mu(mu)
 
 
+def random_step_measure(rng: random.Random, positive: int) -> StepMeasure:
+    """A step measure with ``positive`` positive-density cells of uneven rational widths.
+
+    Zero-density cells are interleaved at random (each gap takes another
+    one with probability 0.3, so runs of them occur), and the densities
+    are rescaled to total mass 1.
+    """
+    dens = []
+    for _ in range(positive):
+        while rng.random() < 0.3:
+            dens.append(0)
+        dens.append(rng.randrange(1, 50))
+    widths = [Fraction(rng.randrange(1, 9), 7) for _ in dens]
+    bps = tuple(itertools.accumulate(widths, initial=Fraction(0)))
+    mass = sum(d * w for d, w in zip(dens, widths))
+    return StepMeasure(bps, tuple(d / mass for d in dens))
+
+
+def step_map_oracle(source: StepMeasure):
+    """The bisection quantile map, the oracle for ``StepMeasure.quantiles``.
+
+    A u falls in the last positive-density cell whose float CDF at its
+    left end is at most u: one ``bisect_right`` over the float starts of
+    the positive cells that skips the first start, so u = 0 lands in the
+    first cell and a u past the float total mass in the last one.
+    """
+    den, cum, dens = source._cdf_table
+    cells = [(float(source.breakpoints[k]), cum[k] / den, d / den) for k, d in enumerate(dens) if d]
+    starts = [c for _, c, _ in cells]
+    bisect_right, hi = bisect.bisect_right, len(cells)
+    return lambda us: [
+        left + (u - c) / d
+        for u in us
+        for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
+    ]
+
+
 def exp_canonical_moment(alpha, beta, n: int) -> Fraction:
     """The n-th moment of mu for the canonical pair of Exp(alpha)/Exp(beta), exactly.
 

@@ -4,12 +4,16 @@
 ``_VALUE_BLOCK`` runs at a time.  Each must return the outcome list of the
 per-trial loop it replaced (kept in conftest as the oracle) and leave the
 generator in the same state, also when float repeats force redraws.
+Every uniform comes from ``measures._uniforms``, one C-level loop.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import wordchain
 from conftest import ScriptedRandom, moment_samples_oracle, pattern_matches_oracle
 from wordchain.measures import (
     _VALUE_BLOCK,
@@ -130,3 +134,23 @@ def test_pattern_matches_count_planted_repeats_as_misses(pair):
     (got, _), _ = same_stream(run, lambda: ScriptedRandom(5, script))
     assert not (got[0] or got[B - 1] or got[B + 5])
     assert_same(run, lambda: ScriptedRandom(5, script))
+
+
+def _draws_per_call(node) -> bool:
+    """A comprehension of zero-argument calls over a range, such as ``[random_() for _ in range(k)]``."""
+    return (
+        isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+        and isinstance(node.elt, ast.Call)
+        and not (node.elt.args or node.elt.keywords)
+        and any(isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "range"
+                for gen in node.generators)
+    )
+
+
+def test_uniforms_are_drawn_by_one_helper():
+    # measures._uniforms makes the k calls in one C-level loop; no other site loops over them
+    found = []
+    for path in sorted(Path(wordchain.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name} line {node.lineno}" for node in ast.walk(tree) if _draws_per_call(node)]
+    assert found == []

@@ -15,7 +15,9 @@ from conftest import (
     empirical_atoms,
     int_str_digit_limit,
     random_canonical_pair,
+    random_step_measure,
     single_draw,
+    step_map_oracle,
     step_pattern_oracle,
     weak_distance_oracle,
 )
@@ -507,14 +509,22 @@ class TestSampling:
         fixture_pairs()["separated"].nu,  # zero density on [0, 1/2]
         fixture_pairs()["three-cell"].mu,
         StepMeasure.uniform_on(F(1, 3), F(2, 3)),
-    ], ids=["skewed-nu", "separated-mu", "separated-nu", "three-cell-mu", "one-cell"])
+        # one-cell leaves of every tree depth up to 64 cells, bisecting leaves past it
+        *[random_step_measure(random.Random(positive), positive) for positive in range(1, 71)],
+        random_step_measure(random.Random(10_000), 10_000),
+    ], ids=["skewed-nu", "separated-mu", "separated-nu", "three-cell-mu", "one-cell",
+            *[f"random-{positive}" for positive in range(1, 71)], "random-10000"])
     def test_step_quantiles_equal_single_draws(self, source):
         # every float cell start and its neighbours, then u at and past the total mass 1.0
         starts = [float(c) for c in itertools.accumulate(source.cell_masses(), initial=F(0))]
         edges = [x for c in starts for x in (math.nextafter(c, -1.0), c, math.nextafter(c, 2.0))]
         seeded = random.Random(41)
         us = [u for u in edges if u >= 0.0] + [1.5] + [seeded.random() for _ in range(300)]
-        assert source.quantiles(us) == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
+        expected = step_map_oracle(source)(us)
+        assert source.quantiles(us) == expected
+        assert source.quantiles(iter(us)) == expected  # any iterable of uniforms
+        if len(source.densities) <= 20:  # single_draw sums the cell masses once per draw
+            assert expected == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
 
     def test_exponential_quantiles_equal_expovariate(self):
         seeded = random.Random(42)
@@ -541,12 +551,14 @@ class TestSampling:
         rng = random.Random(44)
         step_pair, rate_pair = fixture_pairs()["three-cell"], RatePair(1, 2)
         atomic = empirical_pair("abab")
-        for source in (step_pair.mu, step_pair.nu, rate_pair.mu, Exponential(F(3, 2))):
+        many = random_step_measure(random.Random(45), 100)  # a tree with bisecting leaves
+        sources = (step_pair.mu, step_pair.nu, rate_pair.mu, Exponential(F(3, 2)), many)
+        for source in sources:
             source.drawer(rng)(3)
             source.quantiles([0.25])
         atomic.drawers(rng)[0](2)
         atomic.quantiles("b")([0.75])
-        for obj in (step_pair, step_pair.mu, rate_pair, rate_pair.mu, atomic):
+        for obj in (step_pair, step_pair.mu, rate_pair, rate_pair.mu, atomic, many):
             assert pickle.loads(pickle.dumps(obj)) == obj
 
     def test_tied_values_have_no_pattern(self):
