@@ -244,10 +244,10 @@ def _step_map_factory(size: int) -> Callable[[list, list, list], Callable]:
     past that, a leaf bisects its own slice of C.  The source names only
     indices, and the values come in as arguments.
     """
-    used: dict[str, None] = {}  # the scalar arguments, in first-use order
+    scalars: dict[tuple[str, int], None] = {}  # (list, cell) of each scalar argument, in order
 
     def arg(name: str, k: int) -> str:
-        used[f"{name}{k}"] = None
+        scalars[name, k] = None
         return f"{name}{k}"
 
     def tree(lo: int, hi: int, leaves: int) -> str:
@@ -260,10 +260,14 @@ def _step_map_factory(size: int) -> Callable[[list, list, list], Callable]:
                 f"else ({tree(mid, hi, leaves // 2)})")
 
     body = tree(0, size, _TREE_LEAVES)
-    source = f"lambda L, C, D, bisect_right, {', '.join(used)}: lambda us: [{body} for u in us]"
-    outer = eval(source, {})
-    picks = [({"L": 0, "C": 1, "D": 2}[name[0]], int(name[1:])) for name in used]
-    return lambda *lcd: outer(*lcd, bisect.bisect_right, *[lcd[i][k] for i, k in picks])
+    names = ", ".join(f"{name}{k}" for name, k in scalars)
+    outer = eval(f"lambda L, C, D, bisect_right, {names}: lambda us: [{body} for u in us]", {})
+
+    def make(L: list, C: list, D: list) -> Callable:
+        lists = {"L": L, "C": C, "D": D}
+        return outer(L, C, D, bisect.bisect_right, *[lists[name][k] for name, k in scalars])
+
+    return make
 
 
 def _uniforms(random_, k: int) -> Iterable:
