@@ -137,7 +137,7 @@ def test_pattern_matches_count_planted_repeats_as_misses(pair):
 
 
 def _draws_per_call(node) -> bool:
-    """A comprehension of zero-argument calls over a range, such as ``[random_() for _ in range(k)]``."""
+    """A comprehension of zero-argument calls over a range: ``[random_() for _ in range(k)]``."""
     return (
         isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
         and isinstance(node.elt, ast.Call)
@@ -152,5 +152,6 @@ def test_uniforms_are_drawn_by_one_helper():
     found = []
     for path in sorted(Path(wordchain.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.name} line {node.lineno}" for node in ast.walk(tree) if _draws_per_call(node)]
+        found += [f"{path.name} line {node.lineno}"
+                  for node in ast.walk(tree) if _draws_per_call(node)]
     assert found == []
