@@ -88,6 +88,8 @@ def convergence_report(
     ``DISTANCE_TOL`` and the worst ratio error does not grow on average
     between the first and second half of the sequence.
     """
+    if not isinstance(pair, CanonicalPair):
+        raise TypeError(f"need a canonical pair, not {type(pair).__name__}")
     check_word_sequence(seq)
     min_size = word_size(seq[0])
     if m_max < 1 or m_max > min_size:

@@ -153,15 +153,10 @@ class StepMeasure:
         )
 
     def refine(self, points) -> "StepMeasure":
-        """Same measure re-expressed on a grid containing `points`."""
+        """Same measure re-expressed on a grid holding `points`; points off the support are ignored."""
         lo, hi = self.support
-        extra = [Fraction(p) for p in points if lo < Fraction(p) < hi]
-        bps = sorted(set(self.breakpoints) | set(extra))
-        dens = []
-        for b1 in bps[:-1]:
-            k = max(i for i, b in enumerate(self.breakpoints) if b <= b1)
-            dens.append(self.densities[k])
-        return StepMeasure(tuple(bps), tuple(dens))
+        grid = sorted(set(self.breakpoints).union(p for p in map(Fraction, points) if lo < p < hi))
+        return StepMeasure(tuple(grid), tuple(_densities_on(self, grid)))
 
     @property
     def quantiles(self) -> Callable[[Iterable[float]], list[float]]:
@@ -200,6 +195,16 @@ class StepMeasure:
             tuple(parse_fraction(v, f"{field}.{k}[{i}]") for i, v in enumerate(data[k]))
             for k in keys
         ))
+
+
+def _densities_on(measure: StepMeasure, grid: Sequence[Fraction]) -> list[Fraction]:
+    """The density of ``measure`` on each cell of ``grid``, a sorted grid holding every
+    breakpoint of it that lies within the grid: one bisection of its breakpoints per
+    cell, and zero off its support."""
+    bps, dens = measure.breakpoints, measure.densities
+    lo, hi = measure.support
+    zero, bisect_right = Fraction(0), bisect.bisect_right
+    return [dens[bisect_right(bps, b) - 1] if lo <= b < hi else zero for b in grid[:-1]]
 
 
 @dataclass(frozen=True)
@@ -371,13 +376,12 @@ class CanonicalPair:
     nu: StepMeasure
 
     def __post_init__(self):
-        grid = sorted(set(self.mu.breakpoints) | set(self.nu.breakpoints))
-        mu = self.mu.refine(grid) if self.mu.breakpoints != tuple(grid) else self.mu
-        nu = self.nu.refine(grid) if self.nu.breakpoints != tuple(grid) else self.nu
-        if mu.breakpoints != nu.breakpoints:
+        if self.mu.support != self.nu.support:
             raise WordchainError("mu and nu must live on a common support")
-        if mu.support != (Fraction(0), Fraction(1)):
+        if self.mu.support != (Fraction(0), Fraction(1)):
             raise WordchainError("canonical pairs live on [0, 1]")
+        grid = tuple(sorted(set(self.mu.breakpoints) | set(self.nu.breakpoints)))
+        mu, nu = (m if m.breakpoints == grid else m.refine(grid) for m in (self.mu, self.nu))
         for k, (dm, dn) in enumerate(zip(mu.densities, nu.densities)):
             if dm + dn != 2:
                 raise WordchainError(
@@ -712,53 +716,29 @@ def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     return MCEstimate.binomial(pattern_matches(pair, w, trials, rng))
 
 
-def _canonicalize_steps(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
-    """Exact push-forward of a pair of step measures by the mixture CDF."""
-    grid = sorted(set(zeta.breakpoints) | set(eta.breakpoints))
-    lo, hi = grid[0], grid[-1]
-    z = _extend_support(zeta, lo, hi).refine(grid)
-    e = _extend_support(eta, lo, hi).refine(grid)
-    mu_bps = [Fraction(0)]
-    mu_dens: list[Fraction] = []
-    nu_dens: list[Fraction] = []
-    pos = Fraction(0)
-    for dz, de, b1, b2 in zip(z.densities, e.densities, grid, grid[1:]):
-        slope = (dz + de) / 2
-        if slope == 0:
-            continue  # the mixture CDF is flat here; the cell maps to a point
-        pos += slope * (b2 - b1)
-        mu_bps.append(pos)
-        mu_dens.append(dz / slope)
-        nu_dens.append(de / slope)
-    mu = StepMeasure(tuple(mu_bps), tuple(mu_dens))
-    nu = StepMeasure(tuple(mu_bps), tuple(nu_dens))
-    return CanonicalPair(mu, nu)
-
-
-def _extend_support(measure: StepMeasure, lo: Fraction, hi: Fraction) -> StepMeasure:
-    bps = list(measure.breakpoints)
-    dens = list(measure.densities)
-    if lo < bps[0]:
-        bps.insert(0, lo)
-        dens.insert(0, Fraction(0))
-    if hi > bps[-1]:
-        bps.append(hi)
-        dens.append(Fraction(0))
-    return StepMeasure(tuple(bps), tuple(dens))
-
-
 def canonicalize(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
     """Push (zeta, eta) forward by z -> (F_zeta(z) + F_eta(z)) / 2, exactly.
 
     The push-forwards (mu, nu) average to Lebesgue measure on [0,1] and
     induce the same interleaving law as the inputs.  Both inputs must be
     step measures; an exponential pair is served exactly by ``RatePair``.
+    Both densities are read on the union of the breakpoints, and a cell
+    where both are zero maps to a point.
     """
     for meas in (zeta, eta):
         if not isinstance(meas, StepMeasure):
             kind = type(meas).__name__
             raise WordchainError(f"{kind} is not a step measure; exponential laws use RatePair")
-    return _canonicalize_steps(zeta, eta)
+    grid = sorted(set(zeta.breakpoints) | set(eta.breakpoints))
+    bps, mu_dens, nu_dens = [Fraction(0)], [], []
+    for dz, de, b1, b2 in zip(_densities_on(zeta, grid), _densities_on(eta, grid), grid, grid[1:]):
+        slope = (dz + de) / 2
+        if slope:
+            bps.append(bps[-1] + slope * (b2 - b1))
+            mu_dens.append(dz / slope)
+            nu_dens.append(de / slope)
+    mu, nu = (StepMeasure(tuple(bps), tuple(dens)) for dens in (mu_dens, nu_dens))
+    return CanonicalPair(mu, nu)
 
 
 def fixture_pairs() -> dict[str, CanonicalPair]:

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .errors import SizeMismatchError, WordchainError
-from .measures import RatePair, _scaled_rates, _suffix_product, interleave_pattern
+from .measures import RatePair, _distinct_run, _scaled_rates, _suffix_product, interleave_pattern
 from .measures import pl_word_prob  # noqa: F401  (re-exported beside RatePair)
 from .words import subword_count, word_size
 
@@ -42,17 +42,14 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     with probability A*alpha / (A*alpha + B*beta) — the minimum of the
     remaining competing exponentials.  "sort": draw the n + n exponential
     values outright, through Exponential drawers, and read their
-    interleaving; its rates must lie in the normal float range.  The two
-    agree in distribution and serve as mutual oracles.
+    interleaving; a value repeated by a float collision is drawn again
+    (`_distinct_run`), and the rates must lie in the normal float range.
+    The two agree in distribution and serve as mutual oracles.
     """
     if n < 0:
         raise WordchainError(f"word size must be nonnegative, got {n}")
     if method == "sort":
-        draw_x, draw_y = rates.mu.drawer(rng), rates.nu.drawer(rng)
-        word = None
-        while word is None:  # a float tie has no pattern; redraw
-            word = interleave_pattern(draw_x(n), draw_y(n))
-        return word
+        return interleave_pattern(*_distinct_run(rates.mu.drawer(rng), rates.nu.drawer(rng), n))
     if method != "sequential":
         raise WordchainError(f"unknown sampling method {method!r}")
     out = []

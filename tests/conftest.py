@@ -13,12 +13,13 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-from wordchain.errors import SizeMismatchError
+from wordchain.errors import SizeMismatchError, WordchainError
 from wordchain.measures import (
     AtomicPair,
     CanonicalPair,
     Exponential,
     StepMeasure,
+    format_fraction,
     interleave_pattern,
 )
 from wordchain.words import subword_count, word_size
@@ -114,6 +115,75 @@ def step_map_oracle(source: StepMeasure):
         for u in us
         for left, c, d in (cells[bisect_right(starts, u, 1, hi) - 1],)
     ]
+
+
+def refine_oracle(measure: StepMeasure, points) -> StepMeasure:
+    """The scanning refinement, the oracle for ``StepMeasure.refine``: each new cell
+    takes the density of the last old cell starting at or before it."""
+    lo, hi = measure.support
+    extra = [Fraction(p) for p in points if lo < Fraction(p) < hi]
+    bps = sorted(set(measure.breakpoints) | set(extra))
+    dens = []
+    for b1 in bps[:-1]:
+        k = max(i for i, b in enumerate(measure.breakpoints) if b <= b1)
+        dens.append(measure.densities[k])
+    return StepMeasure(tuple(bps), tuple(dens))
+
+
+def canonical_pair_oracle(mu: StepMeasure, nu: StepMeasure) -> tuple[StepMeasure, StepMeasure]:
+    """The checks of ``CanonicalPair``, with the same errors, through ``refine_oracle``:
+    (mu, nu) on the union of their breakpoints."""
+    grid = sorted(set(mu.breakpoints) | set(nu.breakpoints))
+    mu = refine_oracle(mu, grid) if mu.breakpoints != tuple(grid) else mu
+    nu = refine_oracle(nu, grid) if nu.breakpoints != tuple(grid) else nu
+    if mu.breakpoints != nu.breakpoints:
+        raise WordchainError("mu and nu must live on a common support")
+    if mu.support != (Fraction(0), Fraction(1)):
+        raise WordchainError("canonical pairs live on [0, 1]")
+    for k, (dm, dn) in enumerate(zip(mu.densities, nu.densities)):
+        if dm + dn != 2:
+            raise WordchainError(
+                f"densities on cell {k} add to {format_fraction(dm + dn)}, expected 2 "
+                "(the average of the pair must be Lebesgue measure)"
+            )
+    return mu, nu
+
+
+def _extend_support(measure: StepMeasure, lo: Fraction, hi: Fraction) -> StepMeasure:
+    """measure with zero-density cells added out to [lo, hi]."""
+    bps = list(measure.breakpoints)
+    dens = list(measure.densities)
+    if lo < bps[0]:
+        bps.insert(0, lo)
+        dens.insert(0, Fraction(0))
+    if hi > bps[-1]:
+        bps.append(hi)
+        dens.append(Fraction(0))
+    return StepMeasure(tuple(bps), tuple(dens))
+
+
+def canonicalize_oracle(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:
+    """The push-forward by the mixture CDF through ``_extend_support`` and
+    ``refine_oracle``, the oracle for ``canonicalize``."""
+    grid = sorted(set(zeta.breakpoints) | set(eta.breakpoints))
+    lo, hi = grid[0], grid[-1]
+    z = refine_oracle(_extend_support(zeta, lo, hi), grid)
+    e = refine_oracle(_extend_support(eta, lo, hi), grid)
+    mu_bps = [Fraction(0)]
+    mu_dens: list[Fraction] = []
+    nu_dens: list[Fraction] = []
+    pos = Fraction(0)
+    for dz, de, b1, b2 in zip(z.densities, e.densities, grid, grid[1:]):
+        slope = (dz + de) / 2
+        if slope == 0:
+            continue  # the mixture CDF is flat here; the cell maps to a point
+        pos += slope * (b2 - b1)
+        mu_bps.append(pos)
+        mu_dens.append(dz / slope)
+        nu_dens.append(de / slope)
+    mu = StepMeasure(tuple(mu_bps), tuple(mu_dens))
+    nu = StepMeasure(tuple(mu_bps), tuple(nu_dens))
+    return CanonicalPair(mu, nu)
 
 
 def exp_canonical_moment(alpha, beta, n: int) -> Fraction:
@@ -262,6 +332,21 @@ def empirical_distance_oracle(y: str, letter: str, q) -> Fraction:
     return weak_distance_oracle(empirical_atoms(y, letter), q)
 
 
+_STEP_STARTS: dict[int, tuple] = {}  # id(measure) -> (measure, positive cells, float starts)
+
+
+def _step_starts(source: StepMeasure) -> tuple[list[int], list[float]]:
+    """The positive cells of a step measure and the float CDF at the start of each, from
+    Fraction prefix sums of the cell masses taken once per measure (keyed by identity,
+    since hashing a measure hashes every breakpoint)."""
+    entry = _STEP_STARTS.get(id(source))
+    if entry is None:
+        ends = list(itertools.accumulate(source.cell_masses()))
+        cells = [k for k, d in enumerate(source.densities) if d]
+        entry = _STEP_STARTS[id(source)] = (source, cells, [0.0, *(float(ends[k]) for k in cells)])
+    return entry[1], entry[2]
+
+
 def single_draw(source, rng: random.Random):
     """One draw from a step or exponential measure or from Atoms, one generator call each.
 
@@ -275,9 +360,7 @@ def single_draw(source, rng: random.Random):
         return rng.expovariate(float(source.rate))
     u = rng.random()
     if isinstance(source, StepMeasure):
-        ends = list(itertools.accumulate(source.cell_masses()))
-        cells = [k for k, d in enumerate(source.densities) if d]
-        cum = [0.0, *(float(ends[k]) for k in cells)]
+        cells, cum = _step_starts(source)
         i = min(bisect.bisect_right(cum, u) - 1, len(cells) - 1)
         k = cells[i]
         return float(source.breakpoints[k]) + (u - cum[i]) / float(source.densities[k])

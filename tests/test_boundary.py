@@ -13,6 +13,7 @@ from wordchain.errors import SizeMismatchError
 from wordchain.measures import (
     AtomicPair,
     CanonicalPair,
+    RatePair,
     empirical_distance,
     empirical_pair,
     fixture_pairs,
@@ -83,6 +84,14 @@ class TestSequenceValidation:
     def test_mmax_bounds(self):
         with pytest.raises(ValueError):
             convergence_report(["ab"], CanonicalPair.lebesgue(), 2)
+
+    @pytest.mark.parametrize("pair", [RatePair(1, 2), AtomicPair("abab")], ids=["rate", "atomic"])
+    def test_rejects_other_pair_kinds(self, pair):
+        # before any word is read: an empty sequence would raise WordchainError
+        with pytest.raises(TypeError, match=f"^need a canonical pair, not {type(pair).__name__}$"):
+            convergence_report([], pair, 1)
+        with pytest.raises(TypeError, match=f"^need a canonical pair, not {type(pair).__name__}$"):
+            convergence_report(["abab", "aabb"], pair, 1)
 
 
 class TestConvergenceReport:

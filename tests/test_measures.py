@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,13 @@ import pytest
 from conftest import (
     Atoms,
     ScriptedRandom,
+    canonical_pair_oracle,
+    canonicalize_oracle,
     empirical_atoms,
     int_str_digit_limit,
     random_canonical_pair,
     random_step_measure,
+    refine_oracle,
     single_draw,
     step_map_oracle,
     step_pattern_oracle,
@@ -124,6 +128,14 @@ class TestCanonicalPair:
             StepMeasure((F(0), F(1, 2), F(1)), (F(0), F(2))),
         )
         assert pair.mu.breakpoints == pair.nu.breakpoints
+        # mu and nu on different grids of [0, 1], each with a breakpoint the other lacks
+        pair = CanonicalPair(
+            StepMeasure((F(0), F(1, 2), F(3, 4), F(1)), (F(1, 2), F(3, 2), F(3, 2))),
+            StepMeasure((F(0), F(1, 4), F(1, 2), F(1)), (F(3, 2), F(3, 2), F(1, 2))),
+        )
+        grid = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+        assert pair.mu == StepMeasure(grid, (F(1, 2), F(1, 2), F(3, 2), F(3, 2)))
+        assert pair.nu == StepMeasure(grid, (F(3, 2), F(3, 2), F(1, 2), F(1, 2)))
 
     def test_from_mu(self):
         pair = CanonicalPair.from_mu(StepMeasure((F(0), F(1, 2), F(1)), (F(1, 2), F(3, 2))))
@@ -442,6 +454,117 @@ class TestCanonicalize:
             assert "\n" not in str(exc.value)
 
 
+def shifted(measure: StepMeasure, offset, scale) -> StepMeasure:
+    """measure moved by x -> offset + scale * x."""
+    return StepMeasure(tuple(offset + scale * b for b in measure.breakpoints),
+                       tuple(d / scale for d in measure.densities))
+
+
+def random_placed_measure(rng: random.Random) -> StepMeasure:
+    """A random step measure with zero-density cells, moved to a random interval."""
+    measure = random_step_measure(rng, rng.randrange(1, 12))
+    return shifted(measure, F(rng.randrange(-12, 12), rng.randrange(1, 4)), F(rng.randrange(1, 9), 4))
+
+
+def random_measure_on(rng: random.Random, bps) -> StepMeasure:
+    """A random step measure on the breakpoints bps, with zero-density cells."""
+    weights = [rng.randrange(5) for _ in bps[1:]]
+    weights[rng.randrange(len(weights))] += 1
+    mass = sum(w * (b2 - b1) for w, b1, b2 in zip(weights, bps, bps[1:]))
+    return StepMeasure(bps, tuple(w / mass for w in weights))
+
+
+def different_grids_pair(rng: random.Random) -> tuple[StepMeasure, StepMeasure]:
+    """A canonical (mu, nu) on different grids of [0, 1], with zero-density cells.
+
+    mu's density is 1 + dev / max|dev| for a mean-zero step function dev that
+    often repeats across a grid point; mu and nu each drop some of those
+    points, independently, and keep the rest.
+    """
+    grid = sorted({F(0), F(1)} | {F(rng.randrange(1, 60), 60) for _ in range(rng.randrange(1, 12))})
+    widths = [b2 - b1 for b1, b2 in zip(grid, grid[1:])]
+    steps = [rng.randrange(-3, 4)]
+    for _ in widths[1:]:
+        steps.append(steps[-1] if rng.random() < 0.5 else rng.randrange(-3, 4))
+    mean = sum(f * w for f, w in zip(steps, widths))
+    dev = [f - mean for f in steps]
+    top = max(map(abs, dev)) or 1
+    mu_dens = [1 + d / top for d in dev]
+
+    def coarsened(dens):
+        bps, kept = [grid[0]], [dens[0]]
+        for b, d in zip(grid[1:-1], dens[1:]):
+            if d != kept[-1] or rng.random() < 0.5:
+                bps.append(b)
+                kept.append(d)
+        return StepMeasure((*bps, grid[-1]), tuple(kept))
+
+    return coarsened(mu_dens), coarsened([2 - d for d in mu_dens])
+
+
+def outcome(build, *args):
+    """build(*args), or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except WordchainError as exc:
+        return type(exc), str(exc)
+
+
+class TestCommonGrid:
+    """refine, canonicalize and CanonicalPair against the scanning oracles, on 300 random cases each."""
+
+    def test_refine_matches_scanning_oracle(self):
+        rng = random.Random(2001)
+        for _ in range(300):
+            measure = random_placed_measure(rng)
+            lo, hi = measure.support
+            span = hi - lo
+            points = [lo + span * F(rng.randrange(-20, 41), 20) for _ in range(rng.randrange(0, 15))]
+            points += rng.sample(measure.breakpoints, rng.randrange(0, 3)) + [lo, hi]
+            assert measure.refine(points) == refine_oracle(measure, points)
+
+    def test_canonicalize_matches_oracle(self):
+        rng = random.Random(2002)
+        kinds = Counter()
+        for _ in range(300):
+            zeta, eta = random_placed_measure(rng), random_placed_measure(rng)
+            kind = rng.randrange(5)
+            if kind == 0:  # eta on zeta's grid
+                eta = random_measure_on(rng, zeta.breakpoints)
+            elif kind == 1:  # eta past zeta's support, or touching it
+                eta = shifted(eta, zeta.support[1] - eta.support[0] + F(rng.randrange(3), 2), 1)
+            (z_lo, z_hi), (e_lo, e_hi) = zeta.support, eta.support
+            kinds["disjoint"] += z_hi <= e_lo or e_hi <= z_lo
+            kinds["off [0, 1]"] += (z_lo, z_hi) != (0, 1)
+            kinds["zero cells"] += 0 in zeta.densities
+            kinds["same grid"] += zeta.breakpoints == eta.breakpoints
+            assert canonicalize(zeta, eta) == canonicalize_oracle(zeta, eta)
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_canonical_pair_matches_oracle(self):
+        rng = random.Random(2003)
+        kinds = Counter()
+        for _ in range(300):
+            mu, nu = different_grids_pair(rng)
+            fault = rng.randrange(6)
+            if fault == 0:  # densities that do not add to 2
+                nu = different_grids_pair(rng)[1]
+            elif fault == 1:  # both on [0, 2]
+                mu, nu = shifted(mu, 0, 2), shifted(nu, 0, 2)
+            elif fault == 2:  # different supports, possibly disjoint
+                nu = random_placed_measure(rng)
+            expected = outcome(canonical_pair_oracle, mu, nu)
+            got = outcome(CanonicalPair, mu, nu)
+            if isinstance(got, CanonicalPair):
+                kinds["different grids"] += mu.breakpoints != nu.breakpoints
+                kinds["zero cells"] += 0 in got.mu.densities
+                got = got.mu, got.nu
+            else:
+                kinds[got[1].split(" on ")[0]] += 1
+            assert got == expected
+        assert len(kinds) == 5 and min(kinds.values()) >= 20, kinds
+
+
 class TestSampling:
     def test_lebesgue_ks(self):
         rng = random.Random(31)
@@ -523,8 +646,7 @@ class TestSampling:
         expected = step_map_oracle(source)(us)
         assert source.quantiles(us) == expected
         assert source.quantiles(iter(us)) == expected  # any iterable of uniforms
-        if len(source.densities) <= 20:  # single_draw sums the cell masses once per draw
-            assert expected == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
+        assert expected == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
 
     def test_exponential_quantiles_equal_expovariate(self):
         seeded = random.Random(42)

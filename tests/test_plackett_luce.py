@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chi2_critical, chi2_statistic, two_sample_chi2
+from conftest import ScriptedRandom, chi2_critical, chi2_statistic, two_sample_chi2
 from wordchain.bridges import InfiniteBridge, harmonic_h, htransform_row, htransform_step_prob
 from wordchain.errors import SizeMismatchError
 from wordchain.kernels import one_step_prob
@@ -181,6 +181,21 @@ class TestSamplers:
         with pytest.raises(ValueError):
             pl_sample(rates, 3, random.Random(0), method="sort")
         assert pl_sample(rates, 3, random.Random(0)) == "aaabbb"
+
+    @pytest.mark.parametrize("rates, script, values", [
+        # the second a-value repeats the first: only it is drawn again
+        (TWO_ONE, [0.5, 0.5, 0.25, 0.75, 0.125], ([0.5, 0.25], [0.75, 0.125])),
+        # under equal rates the first b-value repeats the first a-value
+        (RatePair(1, 1), [0.5, 0.25, 0.5, 0.75, 0.125], ([0.5, 0.25], [0.75, 0.125])),
+    ], ids=["within-a", "across-sides"])
+    def test_sort_redraws_only_the_repeated_value(self, rates, script, values):
+        rng = ScriptedRandom(7, script)
+        word = pl_sample(rates, 2, rng, method="sort")
+        us_a, us_b = values
+        assert word == interleave_pattern(rates.mu.quantiles(us_a), rates.nu.quantiles(us_b))
+        assert word == "baab"
+        # the five scripted uniforms and no more: one redraw, not a new word
+        assert rng.getstate() == random.Random(7).getstate()
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
