@@ -18,7 +18,6 @@ import argparse
 import decimal
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import boundary as boundary_mod
@@ -116,6 +115,8 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
         if per + (i < extra)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pool runs pay its import
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             chunks = list(pool.map(_replica, work))
     else:

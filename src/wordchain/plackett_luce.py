@@ -52,10 +52,12 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
         return interleave_pattern(*_distinct_run(rates.mu.drawer(rng), rates.nu.drawer(rng), n))
     if method != "sequential":
         raise WordchainError(f"unknown sampling method {method!r}")
+    ps, rq = _scaled_rates(rates)  # alpha : beta in integers
     out = []
     n_a = n_b = n
     while n_a or n_b:
-        p_a = float(n_a * rates.alpha / (n_a * rates.alpha + n_b * rates.beta))
+        # int / int rounds the exact quotient once, as float(Fraction) would
+        p_a = n_a * ps / (n_a * ps + n_b * rq)
         if rng.random() < p_a:
             out.append("a")
             n_a -= 1

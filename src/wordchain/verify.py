@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bridges import _h_table, htransform_row
 from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
-from .measures import empirical_pair, fixture_pairs, pattern_distribution, pattern_prob_exact
+from .measures import empirical_pair, fixture_pairs, pattern_distribution
 from .plackett_luce import RatePair, pl_transition, pl_word_prob
 from .words import enumerate_balanced, enumerate_words, subword_count, successors, word_size
 
@@ -76,25 +77,19 @@ def bridge_conditional_check(w: str) -> CheckResult:
     return res
 
 
-def _atomic_pattern_counts(y: str, m: int) -> dict[str, int]:
+def _atomic_pattern_counts(y: str, m: int) -> Counter[str]:
     """Count distinct-atom selections of the empirical pair of y by pattern.
 
-    Enumerates every m-subset of mu-atoms paired with every m-subset of
-    nu-atoms, C(N, m)^2 selections for y of size N.  The atoms sit at the
-    letter positions of y, so a selection's pattern is y read at the sorted
-    selected positions.
+    The atoms sit at the letter positions of y, so a selection of m a-atoms
+    and m b-atoms reads as y at its 2m sorted positions.  Every 2m-subset of
+    y's positions is enumerated and read in order; the balanced readings
+    are exactly the C(N, m)^2 selections, for y of size N.
     """
-    a_pos, b_pos = ([i for i, ch in enumerate(y) if ch == c] for c in "ab")
-    counts: dict[str, int] = {}
-    for a_sel in itertools.combinations(a_pos, m):
-        for b_sel in itertools.combinations(b_pos, m):
-            pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
-            counts[pattern] = counts.get(pattern, 0) + 1
-    return counts
+    return Counter(map("".join, itertools.combinations(y, 2 * m)))
 
 
 def empirical_identity_check(y: str, m: int) -> CheckResult:
-    """Check pattern_prob_exact(empirical_pair(y), w) against atom enumeration.
+    """Check pattern_probs(empirical_pair(y), W_m) against atom enumeration.
 
     The served value is the closed form (m!)^2 * binom(y, w) / N^(2m).  The
     oracle enumerates the atom selections that read w, each of mass
@@ -106,12 +101,10 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
         raise SizeMismatchError(f"pattern size {m} exceeds word size {n}")
 
     res = CheckResult(f"empirical identity y={y!r} m={m}")
-    pair = empirical_pair(y)
     counts = _atomic_pattern_counts(y, m)
     mass = Fraction(math.factorial(m) ** 2, n ** (2 * m))
-    for w in enumerate_balanced(m):
-        served = pattern_prob_exact(pair, w)
-        enumerated = counts.get(w, 0) * mass
+    for w, served in pattern_distribution(empirical_pair(y), m).items():
+        enumerated = counts[w] * mass
         res.checked += 1
         if served != enumerated:
             res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
@@ -119,7 +112,12 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
 
 
 def check_recurrence_closure() -> CheckResult:
-    """The three defining properties of the subword coefficient, on words of length <= 8."""
+    """The three defining properties of the subword coefficient, on words of length <= 8.
+
+    The recurrence walks w depth-first and carries its row, the counts
+    binom(w, u) for |u| <= |w| + 1, so each count is asked of subword_count
+    once and only the rows of one root-to-leaf path are alive.
+    """
     res = CheckResult("subword recurrence closure")
     max_len = 8
     words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
@@ -136,17 +134,27 @@ def check_recurrence_closure() -> CheckResult:
                 res.checked += 1
                 if subword_count(w, v) != 0:
                     res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
-    for w in (w for ws in words_by_len[: max_len] for w in ws):
-        for v in (v for k in range(len(w) + 1) for v in words_by_len[k]):
-            base = subword_count(w, v)
+
+    def row(w: str) -> dict[str, int]:
+        return {u: subword_count(w, u)
+                for ws in words_by_len[: min(len(w) + 1, max_len) + 1] for u in ws}
+
+    stack = [("", row(""))]
+    while stack:
+        w, row_w = stack.pop()
+        rows = {y: row(w + y) for y in "ab"}
+        for v in (v for ws in words_by_len[: len(w) + 1] for v in ws):
+            base = row_w[v]
             for x in "ab":
-                ext = subword_count(w, v + x)
+                ext = row_w[v + x]
                 for y in "ab":
                     res.checked += 1
-                    lhs = subword_count(w + y, v + x)
+                    lhs = rows[y][v + x]
                     rhs = ext + (base if x == y else 0)
                     if lhs != rhs:
                         res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
+        if len(w) + 1 < max_len:
+            stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
     return res
 
 

@@ -249,6 +249,22 @@ def kernel_ratio(y: str, w: str) -> Fraction:
     return Fraction(subword_count(y, w), math.comb(n, m) ** 2)
 
 
+def atomic_selection_counts_oracle(y: str, m: int) -> dict[str, int]:
+    """Count the selections of m a-atoms and m b-atoms of y's empirical pair by pattern.
+
+    Enumerates every m-subset of a-positions paired with every m-subset of
+    b-positions, C(N, m)^2 selections for y of size N, and reads y at the
+    sorted selected positions.
+    """
+    a_pos, b_pos = ([i for i, ch in enumerate(y) if ch == c] for c in "ab")
+    counts: dict[str, int] = {}
+    for a_sel in itertools.combinations(a_pos, m):
+        for b_sel in itertools.combinations(b_pos, m):
+            pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
+            counts[pattern] = counts.get(pattern, 0) + 1
+    return counts
+
+
 @dataclass(frozen=True)
 class Atoms:
     """Point masses at strictly increasing rational locations."""

@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line surface."""
 
 import ast
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -220,7 +223,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--seed", "3"]
         assert main(base + ["--trials", "100", "--jobs", "64"]) == 0
         assert main(base + ["--trials", "3", "--jobs", "64"]) == 0
@@ -230,6 +233,15 @@ class TestDeterminism:
         assert main(["orders", "--stat", "f", "--x", "a9", "--depth", "3", "--jobs", "2",
                      "--pair", pair_file]) == 2
         assert sizes == [cli.MC_REPLICAS, 3]
+
+    def test_import_leaves_pool_unloaded(self):
+        # only --jobs > 1 imports the process pool
+        code = ("import sys, wordchain.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout == "[]\n"
 
     def test_different_seeds_differ(self, capsys):
         _, a = run(capsys, ["simulate", "--steps", "5", "--seed", "1"])

@@ -21,6 +21,7 @@ from wordchain.measures import CanonicalPair, Exponential, StepMeasure, fixture_
 from wordchain.orders import (
     LabeledLetter,
     OrderPrefix,
+    OrderRun,
     OrderSampler,
     d_samples,
     estimate_d,
@@ -205,6 +206,39 @@ class TestMetricEstimates:
         sampler = lebesgue_sampler(210)
         est = estimate_d(sampler, A1, B1, depth=400, trials=400)
         assert abs(est.value - 1 / 3) <= 3 * est.stderr + 0.01
+
+
+class TestRunScoring:
+    """f-hat and d-hat of hand-built runs against a direct count of the run's values."""
+
+    @staticmethod
+    def _runs():
+        gen = random.Random(211)
+        yield OrderRun((-0.75, -0.5, 0.25), (-0.25, 0.5, 0.125))
+        for depth in (1, 4, 9):
+            # a-values on (-1, 0), b-values on (0, 1), then both mixed across 0
+            yield OrderRun(tuple(gen.uniform(-1, 0) for _ in range(depth)),
+                           tuple(gen.uniform(0, 1) for _ in range(depth)))
+            yield OrderRun(tuple(gen.uniform(-1, 1) for _ in range(depth)),
+                           tuple(gen.uniform(-1, 1) for _ in range(depth)))
+
+    def test_scores_count_the_values(self):
+        for run in self._runs():
+            letters = [LabeledLetter(kind, i + 1) for kind in "ab" for i in range(run.depth)]
+            values = run.values_a + run.values_b
+            below = {x: sum(v < run.value(x) for v in values) for x in letters}
+            for x in letters:
+                assert run.f_hat(x) == below[x] / (2 * run.depth), (run, x)
+                for y in letters:
+                    lo, hi = sorted((run.value(x), run.value(y)))
+                    between = sum(lo < v < hi for v in values)
+                    assert run.d_hat(x, y) == between / (2 * run.depth), (run, x, y)
+
+    def test_negative_values_count_below(self):
+        run = OrderRun((-0.75, -0.5, 0.25), (-0.25, 0.5, 0.125))
+        assert run.f_hat(LabeledLetter("b", 1)) == 2 / 6  # a1 and a2 lie below -0.25
+        assert run.f_hat(LabeledLetter("a", 1)) == 0.0
+        assert run.d_hat(LabeledLetter("a", 1), LabeledLetter("b", 2)) == 4 / 6
 
 
 class TestEmbeddingEstimates:

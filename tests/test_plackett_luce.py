@@ -202,6 +202,47 @@ class TestSamplers:
             pl_sample(TWO_ONE, 2, random.Random(0), method="magic")
 
 
+def _boundary_script(rates: RatePair, word: str) -> list[float]:
+    """Uniforms on which the sequential sampler reads `word` only if its step floats are exact.
+
+    While both letters remain, p is the step's probability of an a, the
+    Fraction n_a*alpha / (n_a*alpha + n_b*beta) rounded once to a float.  The
+    uniform p makes a b due (u < p fails); the float just below p makes an
+    a due.  A forced step (one letter left) gets 0.5.
+    """
+    n_a = n_b = len(word) // 2
+    script = []
+    for letter in word:
+        if n_a and n_b:
+            p = float(n_a * rates.alpha / (n_a * rates.alpha + n_b * rates.beta))
+            script.append(p if letter == "b" else math.nextafter(p, -math.inf))
+        else:
+            script.append(0.5)
+        n_a, n_b = (n_a - 1, n_b) if letter == "a" else (n_a, n_b - 1)
+    return script
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sequential_step_floats_match_fractions(seed):
+    gen = random.Random(seed)
+    rates = RatePair(*(F(gen.randrange(10**39, 10**40), gen.randrange(10**39, 10**40))
+                       for _ in "ab"))
+    n = 12
+    base = pl_sample(rates, n, random.Random(seed))
+    # every state on the base path is probed from both sides: by the base word,
+    # and by a word that shares its prefix and takes the other letter there
+    words = [base]
+    for k, letter in enumerate(base):
+        prefix = base[:k] + ("b" if letter == "a" else "a")
+        a_left, b_left = n - prefix.count("a"), n - prefix.count("b")
+        if a_left >= 0 and b_left >= 0:
+            words.append(prefix + "a" * a_left + "b" * b_left)
+    for word in words:
+        rng = ScriptedRandom(0, _boundary_script(rates, word))
+        assert pl_sample(rates, n, rng) == word
+        assert rng.script == []  # one uniform per letter
+
+
 class TestBridgeBehavior:
     def test_backward_universality(self):
         # couple (U_2, U_3) through shared exponential draws

@@ -1,15 +1,17 @@
-"""The README's library tour runs as written and prints what its comments say, and
-every function the README names by module exists."""
+"""The README's library tour and command lines run as written and print what their
+comments say, and every function the README names by module exists."""
 
 import ast
 import importlib
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import conftest
 import wordchain
+from wordchain.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +47,13 @@ def test_named_functions_resolve():
     assert {"measures.empirical_distance", "words.subword_counts", "conftest.single_draw"} <= {
         f"{module}.{name}" for module, name in named
     }
+
+
+def test_command_line_comments_hold(capsys):
+    # a command line whose comment starts with a number or fraction prints that value
+    text = README.read_text(encoding="utf-8")
+    lines = re.findall(r"^(wordchain [^#\n]*?)\s+#\s*(-?\d+(?:/\d+)?)\b", text, re.M)
+    for command, value in lines:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == value + "\n", command
+    assert len(lines) == 5

@@ -5,8 +5,12 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
+from conftest import atomic_selection_counts_oracle
 from wordchain import verify
 from wordchain.cli import main
+from wordchain.words import enumerate_balanced
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -32,6 +36,36 @@ def test_failing_family_reports_full_count(monkeypatch):
         assert res.failures[-1] == "... further failures suppressed"
         assert res.checked == count
     assert main(["verify"]) == 1
+
+
+def test_atomic_counts_match_selection_oracle():
+    cases = [(y, m) for size in range(1, 7) for y in enumerate_balanced(size)
+             for m in range(1, min(2, size) + 1)]
+    # the size-7 and size-8 words of the empirical-identity sweep, every m up to 4
+    cases += [(y, m) for y in ("abbaabababbaab", "aaaaaaabbbbbbb", "aabbbaababbaabab")
+              for m in range(1, 5)]
+    for y, m in cases:
+        counts = verify._atomic_pattern_counts(y, m)
+        oracle = atomic_selection_counts_oracle(y, m)
+        assert {w: counts[w] for w in enumerate_balanced(m)} == {
+            w: oracle.get(w, 0) for w in enumerate_balanced(m)}, (y, m)
+
+
+@pytest.mark.parametrize("key, w", [
+    # in the recurrence, served only as a base, binom(w, v)
+    (("abab", ""), "abab"),
+    # served only as an extension, binom(w, v + x) with |v + x| > |w|
+    (("ab", "aab"), "ab"),
+    # served only as a left side, binom(w + y, v + x) with |w + y| = 8
+    (("abababab", "abba"), "abababa"),
+], ids=["base", "ext", "lhs"])
+def test_recurrence_closure_reads_every_count(monkeypatch, key, w):
+    exact = verify.subword_count
+    monkeypatch.setattr(verify, "subword_count", lambda *args: exact(*args) + (args == key))
+    res = verify.check_recurrence_closure()
+    assert not res.ok
+    assert any(line.startswith(f"recurrence broken at w={w!r}") for line in res.failures)
+    assert res.checked == 239_785
 
 
 def test_families_match_benchmark(monkeypatch):
