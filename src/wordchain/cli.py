@@ -3,8 +3,11 @@
 One binary, eleven subcommands, deterministic output: every stochastic
 command derives its generators from (--seed, fixed labels), so identical
 invocations produce identical bytes and adding new commands never perturbs
-existing streams.  ``--jobs`` only sets the worker-pool size for Monte
-Carlo replicas; the replica split is fixed, so results do not depend on it.
+existing streams.  ``--jobs`` only sets the worker-pool size: for the
+Monte Carlo replicas (default 1, so serial) and for the identity families
+of ``verify`` (default: the usable CPUs, at most one per family).  The
+replica split and the report order are fixed, so results do not depend on
+it.  Only a pool of two or more workers imports the process pool.
 
 Each ``_cmd_*`` function returns its output and writes nothing: a string,
 or a dict printed as indented JSON with sorted keys (``verify`` also returns
@@ -17,7 +20,9 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
+from collections.abc import Sequence
 from functools import partial
 
 from . import boundary as boundary_mod
@@ -97,6 +102,30 @@ def _replica(job: tuple) -> list:
     return task(count, derive_rng(seed, label))
 
 
+def _pool_map(fn, items: Sequence, jobs: int) -> list:
+    """[fn(item) for item in items], on min(jobs, len(items)) worker processes.
+
+    With fewer than two workers it runs in this process and leaves the pool
+    unimported.  Results come back in item order and an exception raised by
+    fn propagates, on either path; fn must be top-level so the pool can
+    pickle it.
+    """
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return list(map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor  # only pool runs pay its import
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
     """Samples of `task(count, rng)` over MC_REPLICAS replicas, in replica order.
 
@@ -114,14 +143,7 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
         for i in range(MC_REPLICAS)
         if per + (i < extra)
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pool runs pay its import
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            chunks = list(pool.map(_replica, work))
-    else:
-        chunks = map(_replica, work)
-    return [sample for chunk in chunks for sample in chunk]
+    return [sample for chunk in _pool_map(_replica, work, jobs) for sample in chunk]
 
 
 def _estimate(estimate: MCEstimate, **fields) -> dict:
@@ -224,7 +246,7 @@ def _cmd_boundary(args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    results = verify.run_verification()
+    results = _pool_map(verify.run_family, verify.FAMILIES, args.jobs)
     lines = []
     for res in results:
         lines.append(f"{res.name}: {res.checked} identities: {'OK' if res.ok else 'FAIL'}")
@@ -262,6 +284,15 @@ def _add_order_sources(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
 
 
+def _common_options(jobs: int, jobs_help: str) -> argparse.ArgumentParser:
+    """The options every subcommand takes, with `jobs` as the --jobs default."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
+    common.add_argument("--out", help="write output to this file instead of stdout")
+    common.add_argument("--jobs", type=_positive, default=jobs, help=jobs_help)
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordchain",
@@ -270,12 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument(
-        "--jobs", type=_positive, default=1, help="worker processes for MC replicas"
-    )
+    common = _common_options(1, "worker processes for MC replicas (default 1)")
 
     p = sub.add_parser("subword", parents=[common], help="count subword embeddings")
     p.add_argument("word")
@@ -350,7 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=2)
     p.set_defaults(fn=_cmd_boundary)
 
-    p = sub.add_parser("verify", parents=[common], help="run the exact-identity suite")
+    # a parent of its own: set_defaults(jobs=...) on the subparser would also
+    # change the --jobs action that the other subcommands share through `common`
+    families = len(verify.FAMILIES)
+    verify_options = _common_options(
+        min(_usable_cpus(), families),
+        f"worker processes for the identity families (default: usable CPUs, at most {families})",
+    )
+    p = sub.add_parser("verify", parents=[verify_options], help="run the exact-identity suite")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -22,6 +22,21 @@ from .words import enumerate_balanced, enumerate_words, subword_count, successor
 
 BRIDGE_CHECK_CAP = 5
 
+# The identity families in report order: family `name` is check_<name>().
+FAMILIES = (
+    "recurrence_closure",
+    "convolution_identity",
+    "matrix_exponential",
+    "chapman_kolmogorov",
+    "kernel_ratio_law",
+    "backward_normalization",
+    "bridge_conditionals",
+    "pattern_normalization",
+    "empirical_identity",
+    "plackett_luce",
+    "harmonicity",
+)
+
 PL_RATE_FIXTURES = (
     RatePair(Fraction(2), Fraction(1)),
     RatePair(Fraction(3), Fraction(5)),
@@ -115,29 +130,28 @@ def check_recurrence_closure() -> CheckResult:
     """The three defining properties of the subword coefficient, on words of length <= 8.
 
     The recurrence walks w depth-first and carries its row, the counts
-    binom(w, u) for |u| <= |w| + 1, so each count is asked of subword_count
-    once and only the rows of one root-to-leaf path are alive.
+    binom(w, u) for |u| <= |w| + 1.  Each row is checked as it is built:
+    binom(w, "") = 1, and binom(w, v) = 0 for |v| = |w| + 1, read off the
+    row, and for |v| = |w| + 2, the only counts asked outside a row.  So
+    each count is asked of subword_count once, and only the rows of one
+    root-to-leaf path are alive.
     """
     res = CheckResult("subword recurrence closure")
     max_len = 8
     words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
-    all_words = [w for ws in words_by_len for w in ws]
-    for w in all_words:
-        res.checked += 1
-        if subword_count(w, "") != 1:
-            res.fail(f"binom({w!r}, empty) != 1")
-    for w in all_words:
-        for extra in range(1, 3):
-            if len(w) + extra > max_len:
-                continue
-            for v in words_by_len[len(w) + extra]:
-                res.checked += 1
-                if subword_count(w, v) != 0:
-                    res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
 
     def row(w: str) -> dict[str, int]:
-        return {u: subword_count(w, u)
-                for ws in words_by_len[: min(len(w) + 1, max_len) + 1] for u in ws}
+        n = len(w)
+        counts = {u: subword_count(w, u)
+                  for ws in words_by_len[: min(n + 1, max_len) + 1] for u in ws}
+        res.checked += 1
+        if counts[""] != 1:
+            res.fail(f"binom({w!r}, empty) != 1")
+        for v in itertools.chain.from_iterable(words_by_len[n + 1 : n + 3]):
+            res.checked += 1
+            if (counts[v] if len(v) == n + 1 else subword_count(w, v)) != 0:
+                res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
+        return counts
 
     stack = [("", row(""))]
     while stack:
@@ -379,18 +393,11 @@ def check_harmonicity() -> CheckResult:
     return res
 
 
+def run_family(name: str) -> CheckResult:
+    """check_<name>(), looked up when called; top-level so process pools can pickle it."""
+    return globals()[f"check_{name}"]()
+
+
 def run_verification() -> list[CheckResult]:
-    """Run every exact-identity family; deterministic and randomness-free."""
-    return [
-        check_recurrence_closure(),
-        check_convolution_identity(),
-        check_matrix_exponential(),
-        check_chapman_kolmogorov(),
-        check_kernel_ratio_law(),
-        check_backward_normalization(),
-        check_bridge_conditionals(),
-        check_pattern_normalization(),
-        check_empirical_identity(),
-        check_plackett_luce(),
-        check_harmonicity(),
-    ]
+    """Run every exact-identity family in FAMILIES order; deterministic and randomness-free."""
+    return list(map(run_family, FAMILIES))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import int_str_digit_limit
-from wordchain import cli
+from wordchain import cli, verify
 from wordchain.cli import main
 from wordchain.kernels import multi_step_prob
 from wordchain.measures import (
@@ -490,6 +490,86 @@ def test_verify_command(capsys):
     code, out = run(capsys, ["verify"])
     assert code == 0
     assert out == VERIFY_STDOUT
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3", "20"])
+def test_verify_independent_of_jobs(capsys, jobs):
+    # the families run on min(jobs, 11) workers and report in FAMILIES order
+    assert run(capsys, ["verify", "--jobs", jobs]) == (0, VERIFY_STDOUT)
+
+
+def test_verify_jobs_default():
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify"]).jobs == min(cli._usable_cpus(), len(verify.FAMILIES))
+    # the Monte Carlo commands stay serial unless --jobs says otherwise
+    assert parser.parse_args(["moments", "--order", "1"]).jobs == 1
+
+
+def _stub_families(monkeypatch, **overrides):
+    """Every verify family replaced by a one-identity stub, or by its override.
+
+    run_family looks each check up when called, and the pool's workers are
+    forked, so the stubs reach them too.
+    """
+    for name in verify.FAMILIES:
+        stub = overrides.get(name, lambda name=name: verify.CheckResult(name, checked=1))
+        monkeypatch.setattr(verify, f"check_{name}", stub)
+
+
+def _failing_family() -> verify.CheckResult:
+    res = verify.CheckResult("failing family", checked=2)
+    res.fail("first failure")
+    res.fail("second failure")
+    return res
+
+
+def test_verify_failure_independent_of_jobs(capsys, monkeypatch):
+    _stub_families(monkeypatch, plackett_luce=_failing_family)
+    serial = run(capsys, ["verify", "--jobs", "1"])
+    assert run(capsys, ["verify", "--jobs", "2"]) == serial
+    code, out = serial
+    assert code == 1
+    assert out.splitlines()[9:] == [
+        "failing family: 2 identities: FAIL",
+        "  first failure",
+        "  second failure",
+        "harmonicity: 1 identities: OK",
+        "11 identity families, 12 identities checked, 1 families failing",
+    ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_family_exception_propagates(monkeypatch, jobs):
+    # a bug in a family is not a WordchainError: it leaves main, from a worker too
+    _stub_families(monkeypatch, harmonicity=lambda: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "--jobs", jobs])
+
+
+def test_serial_verify_leaves_pool_unloaded(tmp_path):
+    out_file = tmp_path / "verify.txt"
+    code = ("import sys; from wordchain.cli import main; "
+            f"code = main(['verify', '--jobs', '1', '--out', {str(out_file)!r}]); "
+            "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "0 []\n"
+    assert out_file.read_text(encoding="utf-8") == VERIFY_STDOUT
+
+
+@pytest.mark.parametrize("launch", [
+    ["-m", "wordchain.cli"],
+    # runpy without alter_sys leaves the -c module as __main__, where a pool
+    # task defined in the CLI module could not be found to pickle it
+    ["-c", "import runpy; runpy.run_module('wordchain.cli', run_name='__main__')"],
+], ids=["dash-m", "runpy"])
+def test_verify_as_main_module(launch):
+    # the CLI module runs as __main__; --jobs 2 builds a pool on any machine
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, *launch, "verify", "--jobs", "2"],
+                         capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, VERIFY_STDOUT, "")
 
 
 def test_commands_return_their_output():

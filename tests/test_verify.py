@@ -10,7 +10,7 @@ import pytest
 from conftest import atomic_selection_counts_oracle
 from wordchain import verify
 from wordchain.cli import main
-from wordchain.words import enumerate_balanced
+from wordchain.words import enumerate_balanced, subword_count
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -68,9 +68,17 @@ def test_recurrence_closure_reads_every_count(monkeypatch, key, w):
     assert res.checked == 239_785
 
 
+def test_recurrence_closure_asks_each_count_once():
+    subword_count.cache_clear()
+    assert verify.check_recurrence_closure().checked == 239_785
+    # one miss per distinct (w, u) pair: no count is evicted and asked again
+    assert subword_count.cache_info().misses == 239_785
+
+
 def test_families_match_benchmark(monkeypatch):
     families = benchmark_families()
     assert len(families) == 11
+    assert verify.FAMILIES == families
     for name in families:
         check = getattr(verify, f"check_{name}")
         assert not inspect.signature(check).parameters, name
