@@ -80,6 +80,26 @@ def random_canonical_pair(rng: random.Random, cells: int = 3) -> CanonicalPair:
     return CanonicalPair.from_mu(mu)
 
 
+def many_cell_pair(cells: int) -> CanonicalPair:
+    """A canonical pair on ``cells`` cells of uneven widths, zero-density cells interleaved.
+
+    Cells come in neighbouring twos of equal width with mu densities d and
+    2 - d, so mu's densities average to 1 over each two; d cycles through
+    values that put a zero-density cell of mu (d = 0) or of nu (d = 2) in
+    every few cells.
+    """
+    ds = [Fraction(d) for d in ("1/3", "0", "3/4", "2/5", "2", "1", "1/8", "9/7", "5/3")]
+    widths = [Fraction(1 + j % 5, 7) for j in range(cells // 2)]
+    total = sum(widths)
+    bps, mu = [Fraction(0)], []
+    for j, width in enumerate(widths):
+        d = ds[j % len(ds)]
+        for dens in (d, 2 - d):
+            bps.append(bps[-1] + width / (2 * total))
+            mu.append(dens)
+    return CanonicalPair.from_mu(StepMeasure(tuple(bps), tuple(mu)))
+
+
 def random_step_measure(rng: random.Random, positive: int) -> StepMeasure:
     """A step measure with ``positive`` positive-density cells of uneven rational widths.
 

@@ -12,6 +12,7 @@ from conftest import (
     check_bridge_path,
     chi2_critical,
     chi2_statistic,
+    many_cell_pair,
     random_canonical_pair,
     single_draw,
 )
@@ -27,6 +28,7 @@ from wordchain.errors import ZeroMassStateError
 from wordchain.kernels import multi_step_prob, one_step_prob
 from wordchain.measures import (
     CanonicalPair,
+    RatePair,
     fixture_pairs,
     interleave_pattern,
     pattern_prob_exact,
@@ -161,11 +163,31 @@ class TestInfiniteBridge:
         assert bridge.y_samples == [0.25, 0.125]
         assert bridge.words == ["", "ba", "bbaa"]
 
-    @pytest.mark.parametrize("name", list(fixture_pairs()))
+    def test_planted_repeat_of_an_older_point(self):
+        # step 3's x repeats step 1's x, which sits between two later points
+        rng = ScriptedRandom(110, [0.5, 0.25, 0.75, 0.125, 0.5, 0.375, 0.625])
+        bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
+        assert bridge.extend_to(3) == "bbaaba"
+        assert rng.script == []
+        assert bridge.x_samples == [0.5, 0.75, 0.375]
+        assert bridge.y_samples == [0.25, 0.125, 0.625]
+        assert bridge.words == ["", "ba", "bbaa", "bbaaba"]
+        assert rng.getstate() == ScriptedRandom(110, []).getstate()
+
+    # "separated", "three-cell" and the cells-* pairs have zero-density cells;
+    # cells-90 has more than 64 positive cells a side, so its step map bisects
+    # inside the leaves of its tree
+    REPLAY_PAIRS = {
+        **fixture_pairs(),
+        "exp-1-2": RatePair(1, 2),
+        "cells-12": many_cell_pair(12),
+        "cells-90": many_cell_pair(90),
+    }
+
+    @pytest.mark.parametrize("name", list(REPLAY_PAIRS))
     def test_draws_match_single_draw_replay(self, name):
-        # x then y each step, one draw at a time, skipping values already seen;
-        # "separated" and "three-cell" have zero-density cells
-        pair = fixture_pairs()[name]
+        # x then y each step, one draw at a time, skipping values already seen
+        pair = self.REPLAY_PAIRS[name]
         for seed in range(10):
             bridge = InfiniteBridge(pair, random.Random(seed))
             bridge.extend_to(300)

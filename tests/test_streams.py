@@ -11,45 +11,23 @@ stream.
 
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
+from conftest import many_cell_pair
 from wordchain.bridges import simulate_forward
 from wordchain.measures import (
-    CanonicalPair,
     RatePair,
-    StepMeasure,
     empirical_pair,
     fixture_pairs,
     pattern_matches,
 )
 from wordchain.orders import LabeledLetter, OrderSampler, d_samples, f_samples, moment_samples
 
-def _many_cell_pair(cells: int) -> CanonicalPair:
-    """A canonical pair on ``cells`` cells of uneven widths, zero-density cells interleaved.
-
-    Cells come in neighbouring twos of equal width with mu densities d and
-    2 - d, so mu's densities average to 1 over each two; d cycles through
-    values that put a zero-density cell of mu (d = 0) or of nu (d = 2) in
-    every few cells.
-    """
-    ds = [Fraction(d) for d in ("1/3", "0", "3/4", "2/5", "2", "1", "1/8", "9/7", "5/3")]
-    widths = [Fraction(1 + j % 5, 7) for j in range(cells // 2)]
-    total = sum(widths)
-    bps, mu = [Fraction(0)], []
-    for j, width in enumerate(widths):
-        d = ds[j % len(ds)]
-        for dens in (d, 2 - d):
-            bps.append(bps[-1] + width / (2 * total))
-            mu.append(dens)
-    return CanonicalPair.from_mu(StepMeasure(tuple(bps), tuple(mu)))
-
-
 PAIRS = {
     "three-cell": lambda: fixture_pairs()["three-cell"],
-    "cells-12": lambda: _many_cell_pair(12),  # at least 9 positive cells a side
-    "cells-90": lambda: _many_cell_pair(90),  # more than 64 positive cells a side
+    "cells-12": lambda: many_cell_pair(12),  # at least 9 positive cells a side
+    "cells-90": lambda: many_cell_pair(90),  # more than 64 positive cells a side
     "skewed": lambda: fixture_pairs()["skewed"],
     "exp-1-2": lambda: RatePair(1, 2),
     "atomic": lambda: empirical_pair("aabbab"),  # ties: pattern_matches only
