@@ -91,19 +91,19 @@ def convergence_report(
     if not isinstance(pair, CanonicalPair):
         raise TypeError(f"need a canonical pair, not {type(pair).__name__}")
     check_word_sequence(seq)
-    min_size = word_size(seq[0])
-    if m_max < 1 or m_max > min_size:
-        raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {min_size}")
+    sizes = [word_size(y) for y in seq]
+    if m_max < 1 or m_max > sizes[0]:
+        raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {sizes[0]}")
 
     _check_step_cap(m_max)  # before W_1, ..., W_m_max are enumerated
     targets = pattern_probs(pair, [w for m in range(1, m_max + 1) for w in enumerate_balanced(m)])
     test_words = list(targets)
     ratios = {w: [] for w in test_words}
     mu_distances, nu_distances = [], []
-    for y in seq:
+    for y, size in zip(seq, sizes):
         # one trie walk counts every test word; the ratio of w is binom(y, w) / C(N, m)^2
         counts = subword_counts(y, test_words)
-        selections = [math.comb(word_size(y), m) ** 2 for m in range(m_max + 1)]
+        selections = [math.comb(size, m) ** 2 for m in range(m_max + 1)]
         for w in test_words:
             ratios[w].append(Fraction(counts[w], selections[len(w) // 2]))
         mu_distances.append(empirical_distance(y, "a", pair.mu))
@@ -115,34 +115,28 @@ def convergence_report(
     half = len(errors) // 2
     early = sum(errors[:half]) / half if half else errors[0]
     late = sum(errors[half:]) / (len(errors) - half)
-    distances_ok = mu_distances[-1] <= DISTANCE_TOL and nu_distances[-1] <= DISTANCE_TOL
-    errors_ok = late <= early + 1e-12
-    verdict = distances_ok and errors_ok
-    if verdict:
-        reason = (
-            f"consistent with convergence: final distances "
-            f"({mu_distances[-1]:.4f}, {nu_distances[-1]:.4f}) within "
-            f"{DISTANCE_TOL} and mean ratio error not increasing "
-            f"({early:.4f} -> {late:.4f})"
-        )
+    distances = f"final distances ({mu_distances[-1]:.4f}, {nu_distances[-1]:.4f})"
+    trend = f"({early:.4f} -> {late:.4f})"
+    problems = []
+    if mu_distances[-1] > DISTANCE_TOL or nu_distances[-1] > DISTANCE_TOL:
+        problems.append(f"{distances} exceed {DISTANCE_TOL}")
+    if late > early + 1e-12:
+        problems.append(f"mean ratio error grew {trend}")
+    if problems:
+        reason = "not consistent with convergence: " + "; ".join(problems)
     else:
-        parts = []
-        if not distances_ok:
-            parts.append(
-                f"final distances ({mu_distances[-1]:.4f}, {nu_distances[-1]:.4f}) "
-                f"exceed {DISTANCE_TOL}"
-            )
-        if not errors_ok:
-            parts.append(f"mean ratio error grew ({early:.4f} -> {late:.4f})")
-        reason = "not consistent with convergence: " + "; ".join(parts)
+        reason = (
+            f"consistent with convergence: {distances} within {DISTANCE_TOL} "
+            f"and mean ratio error not increasing {trend}"
+        )
     return ConvergenceReport(
-        sizes=[word_size(y) for y in seq],
+        sizes=sizes,
         test_words=test_words,
         ratios=ratios,
         targets=targets,
         mu_distances=mu_distances,
         nu_distances=nu_distances,
         ratio_errors=errors,
-        verdict=verdict,
+        verdict=not problems,
         verdict_reason=reason,
     )

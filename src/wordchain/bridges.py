@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import DiffusePair, _check_diffuse, _redraw_repeats, pattern_probs
+from .measures import DiffusePair, _check_diffuse, pattern_probs
 from .words import check_balanced, delete_pair, successors
 
 
@@ -82,7 +83,8 @@ class InfiniteBridge:
     function of the draws and deleting the newest pair of points recovers
     the previous word exactly.  The points are kept sorted, each with its
     letter and the step that drew it; a step inserts its two points by
-    bisection, and a word is built only when it is read.
+    bisection, which also finds a repeat (the point just below is equal),
+    and a word is built only when it is read.
     """
 
     def __init__(self, pair: DiffusePair, rng: random.Random):
@@ -93,7 +95,6 @@ class InfiniteBridge:
         self._draw_y = pair.nu.drawer(rng)
         self.x_samples: list[float] = []
         self.y_samples: list[float] = []
-        self._seen: set[float] = set()
         self._values: list[float] = []  # every latent point, ascending
         self._letters: list[str] = []  # letter of each sorted point
         self._births: list[int] = []  # step that drew each sorted point
@@ -104,10 +105,11 @@ class InfiniteBridge:
 
     def word(self, n: int | None = None) -> str:
         """The word at step n (default: the current step)."""
-        if n is None or n == self.step:
-            return "".join(self._letters)
-        if not 0 <= n < self.step:
+        n = self.step if n is None else operator.index(n)
+        if not 0 <= n <= self.step:
             raise IndexError(f"step {n} is outside 0..{self.step}")
+        if n == self.step:
+            return "".join(self._letters)
         return "".join(compress(self._letters, map(n.__ge__, self._births)))
 
     @property
@@ -124,32 +126,30 @@ class InfiniteBridge:
             path.append(word)
         return path
 
-    def _insert(self, v: float, letter: str) -> None:
-        i = bisect.bisect(self._values, v)
-        self._values.insert(i, v)
+    def _add(self, draw, letter: str, birth: int) -> float:
+        """Draw a point, drawing again while it repeats one kept; insert and return it."""
+        values = self._values
+        (v,) = draw(1)
+        i = bisect.bisect(values, v)
+        while i and values[i - 1] == v:
+            (v,) = draw(1)
+            i = bisect.bisect(values, v)
+        values.insert(i, v)
         self._letters.insert(i, letter)
-        self._births.insert(i, self.step)
+        self._births.insert(i, birth)
+        return v
 
     def extend(self) -> str:
         """Draw one new point from each measure; returns the new word."""
         return self.extend_to(self.step + 1)
 
     def extend_to(self, n: int) -> str:
-        seen, draw_x, draw_y = self._seen, self._draw_x, self._draw_y
+        add, draw_x, draw_y = self._add, self._draw_x, self._draw_y
         while self.step < n:
-            # x joins the seen set before y is drawn; only a float collision redraws
-            (x,) = draw_x(1)
-            if x in seen:
-                (x,) = _redraw_repeats(draw_x, [x], 1, seen)
-            seen.add(x)
-            (y,) = draw_y(1)
-            if y in seen:
-                (y,) = _redraw_repeats(draw_y, [y], 1, seen)
-            seen.add(y)
-            self.x_samples.append(x)
-            self.y_samples.append(y)
-            self._insert(x, "a")
-            self._insert(y, "b")
+            # x is kept before y is drawn, so y also redraws on x's value
+            birth = self.step + 1
+            self.x_samples.append(add(draw_x, "a", birth))
+            self.y_samples.append(add(draw_y, "b", birth))
         return self.word(n)
 
 

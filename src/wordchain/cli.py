@@ -3,11 +3,11 @@
 One binary, eleven subcommands, deterministic output: every stochastic
 command derives its generators from (--seed, fixed labels), so identical
 invocations produce identical bytes and adding new commands never perturbs
-existing streams.  ``--jobs`` only sets the worker-pool size: for the
-Monte Carlo replicas (default 1, so serial) and for the identity families
-of ``verify`` (default: the usable CPUs, at most one per family).  The
-replica split and the report order are fixed, so results do not depend on
-it.  Only a pool of two or more workers imports the process pool.
+existing streams.  ``--jobs`` only sizes the worker pool; its default is
+set where the pool is sized: 1 (serial) for Monte Carlo replicas, the
+usable CPUs (at most one per family) for ``verify``.  The replica split
+and the report order are fixed, so results do not depend on it.  Only a
+pool of two or more workers imports the process pool.
 
 Each ``_cmd_*`` function returns its output and writes nothing: a string,
 or a dict printed as indented JSON with sorted keys (``verify`` also returns
@@ -126,13 +126,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
+def _replicate(task, trials: int, seed: int, label: str, jobs: int | None) -> list:
     """Samples of `task(count, rng)` over MC_REPLICAS replicas, in replica order.
 
     Replica i runs trials // MC_REPLICAS trials, one more for i below the
     remainder, on the generator derive_rng(seed, f"{label}/{i}").  The split
-    is fixed, so ``jobs`` only sizes the process pool (never above the
-    replica count) and never changes the samples.  A zero-trial call on a
+    is fixed, so ``jobs`` (None: 1) only sizes the process pool (never above
+    the replica count) and never changes the samples.  A zero-trial call on a
     generator of its own runs the task's argument checks in this process,
     and compiles any step quantile map the task needs before the pool forks.
     """
@@ -143,7 +143,7 @@ def _replicate(task, trials: int, seed: int, label: str, jobs: int) -> list:
         for i in range(MC_REPLICAS)
         if per + (i < extra)
     ]
-    return [sample for chunk in _pool_map(_replica, work, jobs) for sample in chunk]
+    return [sample for chunk in _pool_map(_replica, work, jobs or 1) for sample in chunk]
 
 
 def _estimate(estimate: MCEstimate, **fields) -> dict:
@@ -246,7 +246,7 @@ def _cmd_boundary(args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    results = _pool_map(verify.run_family, verify.FAMILIES, args.jobs)
+    results = _pool_map(verify.run_family, verify.FAMILIES, args.jobs or _usable_cpus())
     lines = []
     for res in results:
         lines.append(f"{res.name}: {res.checked} identities: {'OK' if res.ok else 'FAIL'}")
@@ -284,15 +284,6 @@ def _add_order_sources(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
 
 
-def _common_options(jobs: int, jobs_help: str) -> argparse.ArgumentParser:
-    """The options every subcommand takes, with `jobs` as the --jobs default."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--jobs", type=_positive, default=jobs, help=jobs_help)
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordchain",
@@ -301,7 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _common_options(1, "worker processes for MC replicas (default 1)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
+    common.add_argument("--out", help="write output to this file instead of stdout")
+    jobs_help = "worker processes (default 1; verify: the usable CPUs, at most one per family)"
+    common.add_argument("--jobs", type=_positive, help=jobs_help)
 
     p = sub.add_parser("subword", parents=[common], help="count subword embeddings")
     p.add_argument("word")
@@ -376,14 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=2)
     p.set_defaults(fn=_cmd_boundary)
 
-    # a parent of its own: set_defaults(jobs=...) on the subparser would also
-    # change the --jobs action that the other subcommands share through `common`
-    families = len(verify.FAMILIES)
-    verify_options = _common_options(
-        min(_usable_cpus(), families),
-        f"worker processes for the identity families (default: usable CPUs, at most {families})",
-    )
-    p = sub.add_parser("verify", parents=[verify_options], help="run the exact-identity suite")
+    p = sub.add_parser("verify", parents=[common], help="run the exact-identity suite")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,7 +155,10 @@ class OrderRun:
         return (self.values_a if letter.kind == "a" else self.values_b)[letter.index - 1]
 
     def prefix(self, n: int | None = None) -> OrderPrefix:
-        n = self.depth if n is None else n
+        """The order of a_1..a_n and b_1..b_n (default: the whole run)."""
+        n = self.depth if n is None else operator.index(n)
+        if not 0 <= n <= self.depth:
+            raise IndexError(f"step {n} is outside 0..{self.depth}")
         tagged = [(self.values_a[i], LabeledLetter("a", i + 1)) for i in range(n)]
         tagged += [(self.values_b[j], LabeledLetter("b", j + 1)) for j in range(n)]
         tagged.sort()

@@ -396,8 +396,3 @@ def check_harmonicity() -> CheckResult:
 def run_family(name: str) -> CheckResult:
     """check_<name>(), looked up when called; top-level so process pools can pickle it."""
     return globals()[f"check_{name}"]()
-
-
-def run_verification() -> list[CheckResult]:
-    """Run every exact-identity family in FAMILIES order; deterministic and randomness-free."""
-    return list(map(run_family, FAMILIES))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import itemgetter
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
@@ -130,10 +130,7 @@ def subword_counts(y: str, words) -> dict[str, int]:
 
 def enumerate_words(length: int) -> list[str]:
     """All {a,b}-words of exactly `length`, in lexicographic order (a < b)."""
-    words = [""]
-    for _ in range(length):
-        words = [w + ch for w in words for ch in ALPHABET]
-    return sorted(words)
+    return ["".join(p) for p in product(ALPHABET, repeat=length)]
 
 
 def enumerate_balanced(n: int) -> list[str]:

@@ -151,6 +151,16 @@ class TestInfiniteBridge:
             with pytest.raises(IndexError):
                 bridge.word(301)
 
+    def test_word_steps_are_checked(self):
+        bridge = InfiniteBridge(CanonicalPair.lebesgue(), random.Random(111))
+        bridge.extend_to(3)
+        assert bridge.word(3) == bridge.word() and bridge.word(0) == ""
+        for n in (-1, 4):
+            with pytest.raises(IndexError, match=rf"^step {n} is outside 0\.\.3$"):
+                bridge.word(n)
+        with pytest.raises(TypeError):
+            bridge.word(1.5)
+
     def test_redraws_keep_points_distinct(self):
         # under Lebesgue each draw is the scripted random() value; step 2: x
         # repeats an x, then hits a y; y then hits the x just drawn
@@ -164,7 +174,7 @@ class TestInfiniteBridge:
         assert bridge.words == ["", "ba", "bbaa"]
 
     def test_planted_repeat_of_an_older_point(self):
-        # step 3's x repeats step 1's x, which sits between two later points
+        # step 3's x repeats step 1's x (0.5), which by then lies inside the sorted points
         rng = ScriptedRandom(110, [0.5, 0.25, 0.75, 0.125, 0.5, 0.375, 0.625])
         bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
         assert bridge.extend_to(3) == "bbaaba"

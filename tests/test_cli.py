@@ -41,6 +41,28 @@ def separated_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool built, each pool run in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -207,32 +229,16 @@ class TestDeterminism:
         _, parallel = run(capsys, base + ["--jobs", "2"])
         assert serial == parallel
 
-    def test_pool_no_larger_than_replica_count(self, capsys, monkeypatch, pair_file):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_no_larger_than_replica_count(self, pool_sizes, pair_file):
         base = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--seed", "3"]
         assert main(base + ["--trials", "100", "--jobs", "64"]) == 0
         assert main(base + ["--trials", "3", "--jobs", "64"]) == 0
-        assert sizes == [cli.MC_REPLICAS, 3]
+        assert pool_sizes == [cli.MC_REPLICAS, 3]
         # statistic argument errors are found before any pool is built
         assert main(["moments", "--order", "9", "--jobs", "2", "--pair", pair_file]) == 2
         assert main(["orders", "--stat", "f", "--x", "a9", "--depth", "3", "--jobs", "2",
                      "--pair", pair_file]) == 2
-        assert sizes == [cli.MC_REPLICAS, 3]
+        assert pool_sizes == [cli.MC_REPLICAS, 3]
 
     def test_import_leaves_pool_unloaded(self):
         # only --jobs > 1 imports the process pool
@@ -498,11 +504,20 @@ def test_verify_independent_of_jobs(capsys, jobs):
     assert run(capsys, ["verify", "--jobs", jobs]) == (0, VERIFY_STDOUT)
 
 
-def test_verify_jobs_default():
-    parser = cli.build_parser()
-    assert parser.parse_args(["verify"]).jobs == min(cli._usable_cpus(), len(verify.FAMILIES))
+def test_verify_jobs_default(capsys, monkeypatch, pool_sizes):
+    # without --jobs, verify runs on min(usable CPUs, 11) workers; below two, in-process
+    _stub_families(monkeypatch)
+    for cpus in (cli._usable_cpus(), 1, 3, 20):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        pool_sizes.clear()
+        assert main(["verify"]) == 0
+        assert pool_sizes == ([min(cpus, 11)] if cpus > 1 else []), cpus
     # the Monte Carlo commands stay serial unless --jobs says otherwise
-    assert parser.parse_args(["moments", "--order", "1"]).jobs == 1
+    pool_sizes.clear()
+    assert main(["moments", "--order", "1", "--trials", "16", "--zeta", "exp:1",
+                 "--eta", "exp:2"]) == 0
+    assert pool_sizes == []
+    capsys.readouterr()
 
 
 def _stub_families(monkeypatch, **overrides):

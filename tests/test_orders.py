@@ -342,6 +342,15 @@ class TestSamplerSources:
         assert run.depth == 50
         assert run.prefix(2).depth == 2
 
+    def test_prefix_steps_are_checked(self):
+        run = lebesgue_sampler(225).run(3)
+        assert run.prefix(0).depth == 0 and run.prefix(3) == run.prefix()
+        for n in (-1, 4):
+            with pytest.raises(IndexError, match=rf"^step {n} is outside 0\.\.3$"):
+                run.prefix(n)
+        with pytest.raises(TypeError):
+            run.prefix(1.5)
+
     def test_runs_have_distinct_values(self):
         sampler = lebesgue_sampler(221)
         run = sampler.run(100)
