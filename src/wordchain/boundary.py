@@ -29,12 +29,18 @@ from .words import enumerate_balanced, subword_counts, word_size
 
 def check_word_sequence(seq: list[str]) -> list[str]:
     """Validate nonempty input with nondecreasing word sizes."""
+    _checked_sizes(seq)
+    return seq
+
+
+def _checked_sizes(seq: list[str]) -> list[int]:
+    """The word sizes of a nonempty sequence of balanced words, checked nondecreasing."""
     if not seq:
         raise WordchainError("a word sequence must be nonempty")
     sizes = [word_size(y) for y in seq]
     if any(s2 < s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise WordchainError("word sizes must be nondecreasing along the sequence")
-    return seq
+    return sizes
 
 
 # Calibrated on seeded base-chain simulations: at size 200 the empirical
@@ -90,8 +96,7 @@ def convergence_report(
     """
     if not isinstance(pair, CanonicalPair):
         raise TypeError(f"need a canonical pair, not {type(pair).__name__}")
-    check_word_sequence(seq)
-    sizes = [word_size(y) for y in seq]
+    sizes = _checked_sizes(seq)
     if m_max < 1 or m_max > sizes[0]:
         raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {sizes[0]}")
 

@@ -144,6 +144,7 @@ class InfiniteBridge:
         return self.extend_to(self.step + 1)
 
     def extend_to(self, n: int) -> str:
+        n = operator.index(n)  # refuse a non-integer n before drawing
         add, draw_x, draw_y = self._add, self._draw_x, self._draw_y
         while self.step < n:
             # x is kept before y is drawn, so y also redraws on x's value

@@ -502,8 +502,19 @@ def _scaled_rates(rates: RatePair) -> tuple[int, int]:
 
 
 def _suffix_product(ps: int, rq: int, u: str) -> int:
-    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq."""
-    return math.prod(a * ps + b * rq for a, b in suffix_counts(u))
+    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq.
+
+    The factors are multiplied pairwise in a balanced tree: a left fold
+    multiplies an ever longer product by one short factor at each step,
+    quadratic in the product's size, while the tree's rounds multiply
+    operands of equal sizes.
+    """
+    factors = [a * ps + b * rq for a, b in suffix_counts(u)]
+    while len(factors) > 1:
+        if len(factors) % 2:
+            factors.append(1)
+        factors = list(map(operator.mul, factors[::2], factors[1::2]))
+    return math.prod(factors)
 
 
 def pl_word_prob(rates: RatePair, u: str) -> Fraction:

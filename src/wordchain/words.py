@@ -11,14 +11,23 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate, product
-from operator import itemgetter
+from itertools import accumulate, compress, count, product
+from operator import itemgetter, sub
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
 
 ALPHABET = "ab"
 
 BALANCED_ENUM_CAP = 12
+
+# From this many letters of w on, subword_count with |w| - |v| >= |v| runs the
+# subword_counts walk (a C-speed pass over w per letter of v) instead of the
+# Python DP.  With |v| >= |w| / 10 the walk overtakes the DP near 512 letters
+# and takes 0.7-0.87 of its time from 1024 on (README has the table).
+_WALK_LETTERS = 1024
+
+# bytes.translate tables: a letter's code to 1, every other byte to 0
+_LETTER_MASKS = {d: bytes(int(i == ord(d)) for i in range(256)) for d in ALPHABET}
 
 
 def check_word(w: str) -> str:
@@ -57,14 +66,16 @@ def subword_count(w: str, v: str) -> int:
 
     Satisfies the defining recurrence
         count(w + y, v + x) = count(w, v + x) + [x == y] * count(w, v)
-    with count(w, "") = 1 and count(w, v) = 0 for |w| < |v|.  Computed by
-    dynamic programming over the letters of w in exact integers.  With
-    d = |w| - |v|, once i letters of w are read only the prefixes v[:j]
-    with i - d <= j <= i can still complete.  When d < |v| the DP visits
-    that band of d + 1 entries per letter, O(|w| * (d + 1)) steps: O(|w|)
-    for a one-step successor.  Otherwise it visits, per letter of w, only
-    the positions of v that hold that letter: O(|w| * |v|) steps, about
-    half of them for a word with as many a's as b's.
+    with count(w, "") = 1 and count(w, v) = 0 for |w| < |v|, in exact
+    integers, in one of three regimes.  With d = |w| - |v|, once i letters
+    of w are read only the prefixes v[:j] with i - d <= j <= i can still
+    complete.  When d < |v| a dynamic program visits that band of d + 1
+    entries per letter, O(|w| * (d + 1)) steps: O(|w|) for a one-step
+    successor.  Otherwise, for w shorter than _WALK_LETTERS, the DP visits
+    per letter of w only the positions of v that hold that letter:
+    O(|w| * |v|) Python steps, about half of them for a word with as many
+    a's as b's.  For longer w the count is one subword_counts walk, |v|
+    passes over w at C speed.
     """
     check_word(w)
     check_word(v)
@@ -80,6 +91,8 @@ def subword_count(w: str, v: str) -> int:
                 if v[j - 1] == ch:
                     dp[j] += dp[j - 1]
         return dp[k]
+    if len(w) >= _WALK_LETTERS:
+        return subword_counts(w, [v])[v]
     holding = {"a": [], "b": []}  # the positions j with v[j - 1] == letter, descending
     for j in range(k, 0, -1):
         holding[v[j - 1]].append(j)
@@ -105,9 +118,11 @@ def subword_counts(y: str, words) -> dict[str, int]:
     prefixes = {w[:i] for w in wanted for i in range(len(w) + 1)}
     counts = {"": 1} if "" in wanted else {}
     pick = {}
-    for d in ALPHABET:
-        # the letters other than d ahead of the t-th d of y, for each t
-        before = [i - t for t, i in enumerate(letter_positions(y, d))]
+    for c, d in ("ba", "ab"):
+        if not any(c + d in w for w in wanted):
+            continue  # no node ending in c has a child d
+        # the c's ahead of the t-th d of y, for each t
+        before = list(map(sub, letter_positions(y, d), count()))
         # itemgetter of one index returns the item itself, not a 1-tuple
         pick[d] = (itemgetter(*before) if len(before) > 1
                    else lambda cum, before=before: [cum[i] for i in before])
@@ -188,7 +203,12 @@ def delete_pair(w: str, a_pos: int, b_pos: int) -> str:
 
 
 def letter_positions(w: str, letter: str) -> list[int]:
-    return [i for i, ch in enumerate(w) if ch == letter]
+    """The indices i with w[i] == letter, ascending, for a letter of the alphabet.
+
+    One pass of w's ASCII bytes through a 0/1 mask at C speed; a non-ASCII
+    w raises UnicodeEncodeError.
+    """
+    return list(compress(count(), w.encode("ascii").translate(_LETTER_MASKS[letter])))
 
 
 def random_subword(w: str, m: int, rng: random.Random) -> str:

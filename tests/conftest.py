@@ -36,6 +36,17 @@ def int_str_digit_limit(digits: int):
         sys.set_int_max_str_digits(saved)
 
 
+def subword_count_oracle(w: str, v: str) -> int:
+    """The textbook O(|w| * |v|) DP for subword_count: per letter of w, every
+    position of v from the last down, in plain Python."""
+    dp = [1] + [0] * len(v)  # dp[j]: embeddings of v[:j] in the letters read
+    for ch in w:
+        for j in range(len(v), 0, -1):
+            if v[j - 1] == ch:
+                dp[j] += dp[j - 1]
+    return dp[-1]
+
+
 def chi2_critical(cells: int, level: float = 0.01) -> float:
     return float(stats.chi2.ppf(1 - level, cells - 1))
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import empirical_distance_oracle, kernel_ratio, random_canonical_pair
+from wordchain import boundary
 from wordchain.boundary import check_word_sequence, convergence_report
 from wordchain.bridges import InfiniteBridge, simulate_forward
 from wordchain.errors import SizeMismatchError
@@ -80,6 +81,19 @@ class TestSequenceValidation:
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
             check_word_sequence(["abab", "ab"])
+
+    def test_report_sizes_each_word_once(self, monkeypatch):
+        calls = []
+
+        def counting_word_size(y):
+            calls.append(y)
+            return word_size(y)
+
+        monkeypatch.setattr(boundary, "word_size", counting_word_size)
+        seq = ["ab", "abab", "aabb", "ababab"]
+        report = convergence_report(seq, CanonicalPair.lebesgue(), 1)
+        assert report.sizes == [1, 2, 2, 3]
+        assert len(calls) == len(seq)
 
     def test_mmax_bounds(self):
         with pytest.raises(ValueError):

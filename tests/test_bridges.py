@@ -161,6 +161,14 @@ class TestInfiniteBridge:
         with pytest.raises(TypeError):
             bridge.word(1.5)
 
+    def test_extend_to_refuses_a_non_integer_before_drawing(self):
+        rng = random.Random(112)
+        bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
+        state = rng.getstate()
+        with pytest.raises(TypeError):
+            bridge.extend_to(1.5)
+        assert bridge.step == 0 and rng.getstate() == state
+
     def test_redraws_keep_points_distinct(self):
         # under Lebesgue each draw is the scripted random() value; step 2: x
         # repeats an x, then hits a y; y then hits the x just drawn

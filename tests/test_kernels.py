@@ -1,10 +1,13 @@
 """Exact kernel values, their identities, and the bridge conditional check."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import subword_count_oracle
 from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.kernels import (
     backward_prob,
@@ -13,7 +16,7 @@ from wordchain.kernels import (
     one_step_prob,
 )
 from wordchain.verify import bridge_conditional_check
-from wordchain.words import enumerate_balanced, subword_count
+from wordchain.words import enumerate_balanced, random_subword, subword_count
 
 
 def insertion_oracle(v: str) -> dict[str, int]:
@@ -118,6 +121,22 @@ class TestDMKernel:
                         k = dm_kernel(v, w)
                         assert k == multi_step_prob(v, w) / multi_step_prob("", w)
                         assert 0 <= k <= bound
+
+
+class TestLongKernels:
+    def test_size_2000_against_formulas_on_oracle_count(self):
+        # a target of 4000 letters: subword_count runs the subword_counts walk
+        seed_rng = random.Random(404)
+        letters = list("ab" * 2000)
+        seed_rng.shuffle(letters)
+        w = "".join(letters)
+        v = random_subword(w, 200, seed_rng)
+        count = subword_count_oracle(w, v)
+        m, n = 200, 1800
+        assert multi_step_prob(v, w) == Fraction(
+            count * math.factorial(n) ** 2, math.prod(range(2 * m + 1, 2 * m + 2 * n + 1))
+        )
+        assert dm_kernel(v, w) == Fraction(count * math.comb(2 * m, m), math.comb(m + n, m) ** 2)
 
 
 class TestBackward:

@@ -14,6 +14,8 @@ from wordchain.kernels import one_step_prob
 from wordchain.measures import (
     Exponential,
     RatePair,
+    _scaled_rates,
+    _suffix_product,
     interleave_pattern,
     pattern_prob_exact,
     pl_word_prob,
@@ -37,6 +39,19 @@ class TestSuffixCounts:
 
     def test_values(self):
         assert suffix_counts("abba") == [(2, 2), (1, 2), (1, 1), (1, 0)]
+
+
+class TestSuffixProduct:
+    def test_balanced_tree_matches_left_fold(self):
+        seed_rng = random.Random(303)
+        digits40 = lambda: seed_rng.randrange(10**39, 10**40)  # noqa: E731
+        ps, rq = _scaled_rates(RatePair(F(digits40(), 7**30), F(digits40(), 3**50)))
+        for n in (0, 1, 3, 1000, 2000):
+            letters = list("ab" * n)
+            seed_rng.shuffle(letters)
+            u = "".join(letters)
+            fold = math.prod(a * ps + b * rq for a, b in suffix_counts(u))
+            assert _suffix_product(ps, rq, u) == fold, n
 
 
 class TestWordProb:

@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subword_count_oracle
 from wordchain.errors import CapExceededError
 from wordchain.verify import _count_matrices, _matrix_exp_nilpotent
 from wordchain.words import (
+    _WALK_LETTERS,
     check_word,
     delete_pair,
     display_word,
     enumerate_balanced,
     enumerate_words,
+    letter_positions,
     random_subword,
     subword_count,
     subword_counts,
@@ -95,12 +98,18 @@ class TestSubwordCount:
             seed_rng.shuffle(letters)
             w = "".join(letters)
             v = random_subword(w, sub, seed_rng)
-            expected = [1] + [0] * len(v)  # the plain O(|w| * |v|) DP
-            for ch in w:
-                for j in range(len(v), 0, -1):
-                    if v[j - 1] == ch:
-                        expected[j] += expected[j - 1]
-            assert subword_count(w, v) == expected[-1]
+            assert subword_count(w, v) == subword_count_oracle(w, v)
+        # the DP counts below _WALK_LETTERS letters of w, the subword_counts walk from there on
+        for length in (_WALK_LETTERS - 2, _WALK_LETTERS, _WALK_LETTERS + 2):
+            w = "".join(seed_rng.choice("ab") for _ in range(length))
+            for k in (0, 1, 2, length // 10, length // 2):
+                v = "".join(seed_rng.choice("ab") for _ in range(k))
+                assert subword_count(w, v) == subword_count_oracle(w, v), (length, v)
+            assert subword_count(w, "ab" * 5) == subword_count_oracle(w, "ab" * 5)
+            # a v with a letter that w lacks
+            assert subword_count("a" * length, "aba") == 0
+            assert subword_count("b" * length, "ab") == 0
+            assert subword_count("b" * length, "bbb") == math.comb(length, 3)
 
     @given(words_st, words_st, st.sampled_from("ab"), st.sampled_from("ab"))
     @settings(max_examples=300)
@@ -146,7 +155,7 @@ class TestSubwordCounts:
             seed_rng.shuffle(letters)
             y = "".join(letters)
             counts = subword_counts(y, tests)
-            assert counts == {w: subword_count.__wrapped__(y, w) for w in tests}
+            assert counts == {w: subword_count_oracle(y, w) for w in tests}
 
     def test_letters_missing_or_single(self):
         # a letter that occurs once or never in y gives a 1- or 0-entry index table
@@ -164,6 +173,17 @@ class TestSubwordCounts:
             subword_counts("abc", ["ab"])
         with pytest.raises(ValueError):
             subword_counts("ab", ["ax"])
+
+
+def test_letter_positions():
+    seed_rng = random.Random(68)
+    words = ["", "aaaa", "bbbb"]
+    words += ["".join(seed_rng.choice("ab") for _ in range(k)) for k in (1, 9, 300)]
+    for w in words:
+        for letter in "ab":
+            assert letter_positions(w, letter) == [i for i, ch in enumerate(w) if ch == letter], w
+    with pytest.raises(UnicodeEncodeError):  # not silently shifted by a multi-byte letter
+        letter_positions("éab", "a")
 
 
 class TestEnumeration:
