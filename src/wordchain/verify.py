@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,19 +74,31 @@ def bridge_conditional_check(w: str) -> CheckResult:
     exact rationals for every m < size(w) and every (u, v) pair with the
     conditioning event possible.
     """
+    return _bridge_conditional_check(w, {})
+
+
+def _bridge_conditional_check(
+    w: str, sides: dict[tuple[str, str], tuple[Fraction, Fraction]]
+) -> CheckResult:
+    """bridge_conditional_check(w), reading and filling `sides`, (u, v) -> (lhs, rhs).
+
+    Neither side depends on w, so the targets of one sweep share `sides`.
+    """
     size = word_size(w)
     if size > BRIDGE_CHECK_CAP:
         raise CapExceededError(f"word size {size} exceeds bridge check cap {BRIDGE_CHECK_CAP}")
 
     res = CheckResult(f"bridge conditionals to {w!r}")
     for m in range(size):
+        smaller = enumerate_balanced(m)
         for v in enumerate_balanced(m + 1):
             if multi_step_prob(v, w) == 0:
                 continue  # conditioning event has zero probability
-            for u in enumerate_balanced(m):
-                lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
-                lhs = lhs_num / multi_step_prob("", v)
-                rhs = backward_prob(u, v)
+            for u in smaller:
+                if (u, v) not in sides:
+                    lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
+                    sides[u, v] = (lhs_num / multi_step_prob("", v), backward_prob(u, v))
+                lhs, rhs = sides[u, v]
                 res.checked += 1
                 if lhs != rhs:
                     res.fail(f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}")
@@ -117,11 +130,12 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
 
     res = CheckResult(f"empirical identity y={y!r} m={m}")
     counts = _atomic_pattern_counts(y, m)
-    mass = Fraction(math.factorial(m) ** 2, n ** (2 * m))
+    weight, scale = math.factorial(m) ** 2, n ** (2 * m)  # an atom selection's mass, weight / scale
     for w, served in pattern_distribution(empirical_pair(y), m).items():
-        enumerated = counts[w] * mass
         res.checked += 1
-        if served != enumerated:
+        # served == counts[w] * weight / scale, cross-multiplied
+        if served.numerator * scale != counts[w] * weight * served.denominator:
+            enumerated = counts[w] * Fraction(weight, scale)
             res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
     return res
 
@@ -129,44 +143,60 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
 def check_recurrence_closure() -> CheckResult:
     """The three defining properties of the subword coefficient, on words of length <= 8.
 
-    The recurrence walks w depth-first and carries its row, the counts
-    binom(w, u) for |u| <= |w| + 1.  Each row is checked as it is built:
-    binom(w, "") = 1, and binom(w, v) = 0 for |v| = |w| + 1, read off the
-    row, and for |v| = |w| + 2, the only counts asked outside a row.  So
-    each count is asked of subword_count once, and only the rows of one
-    root-to-leaf path are alive.
+    The words of length <= 8 are indexed by (length, lexicographic), so the
+    word at index i has its extensions v + a and v + b at 2i + 1 and 2i + 2.
+    The recurrence walks w depth-first and carries its row, the list of
+    counts binom(w, u) over the index for |u| <= |w| + 1.  Each row is
+    checked as it is built: binom(w, "") = 1, and binom(w, v) = 0 for
+    |v| = |w| + 1, read off the row, and for |v| = |w| + 2, the only counts
+    asked outside a row.  So each count is asked of subword_count once, and
+    only the rows of one root-to-leaf path are alive.  The recurrence at w
+    compares whole slices of the rows of w, w + a and w + b; only a w with
+    a mismatch is replayed identity by identity, to name each failure.
     """
     res = CheckResult("subword recurrence closure")
     max_len = 8
     words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
+    index = list(itertools.chain.from_iterable(words_by_len))
 
-    def row(w: str) -> dict[str, int]:
+    def row(w: str) -> list[int]:
         n = len(w)
-        counts = {u: subword_count(w, u)
-                  for ws in words_by_len[: min(n + 1, max_len) + 1] for u in ws}
+        known = 2 ** (min(n + 1, max_len) + 1) - 1  # the words of length <= n + 1
+        counts = list(map(subword_count, itertools.repeat(w), index[:known]))
         res.checked += 1
-        if counts[""] != 1:
+        if counts[0] != 1:
             res.fail(f"binom({w!r}, empty) != 1")
-        for v in itertools.chain.from_iterable(words_by_len[n + 1 : n + 3]):
-            res.checked += 1
-            if (counts[v] if len(v) == n + 1 else subword_count(w, v)) != 0:
-                res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
+        longer = list(itertools.chain.from_iterable(words_by_len[n + 1 : n + 3]))
+        zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1, if any
+        zeros += map(subword_count, itertools.repeat(w), longer[len(zeros) :])
+        res.checked += len(zeros)
+        if any(zeros):
+            for v, c in zip(longer, zeros):
+                if c != 0:
+                    res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
         return counts
 
     stack = [("", row(""))]
     while stack:
         w, row_w = stack.pop()
         rows = {y: row(w + y) for y in "ab"}
-        for v in (v for ws in words_by_len[: len(w) + 1] for v in ws):
-            base = row_w[v]
-            for x in "ab":
-                ext = row_w[v + x]
-                for y in "ab":
-                    res.checked += 1
-                    lhs = rows[y][v + x]
-                    rhs = ext + (base if x == y else 0)
-                    if lhs != rhs:
-                        res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
+        size = 2 ** (len(w) + 1) - 1  # the words v of length <= |w|
+        bases = row_w[:size]
+        exts = {x: row_w[1 + (x == "b") : 2 * size + 1 : 2] for x in "ab"}
+        res.checked += 4 * size
+        if any(
+            rows[y][1 + (x == "b") : 2 * size + 1 : 2]
+            != (list(map(operator.add, exts[x], bases)) if x == y else exts[x])
+            for x in "ab" for y in "ab"
+        ):
+            for i, v in enumerate(index[:size]):
+                for x in "ab":
+                    ext = row_w[2 * i + 1 + (x == "b")]
+                    for y in "ab":
+                        lhs = rows[y][2 * i + 1 + (x == "b")]
+                        rhs = ext + (row_w[i] if x == y else 0)
+                        if lhs != rhs:
+                            res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
         if len(w) + 1 < max_len:
             stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
     return res
@@ -285,14 +315,15 @@ def check_chapman_kolmogorov() -> CheckResult:
 def check_kernel_ratio_law() -> CheckResult:
     """dm_kernel equals the ratio of hitting probabilities, plus its bound, sizes <= 4."""
     res = CheckResult("Doob-Martin kernel ratio law")
+    hit = {w: multi_step_prob("", w) for n in range(5) for w in enumerate_balanced(n)}
     for m in range(5):
         for total in range(m, 5):
             for v in enumerate_balanced(m):
-                bound = Fraction(1) / multi_step_prob("", v)
+                bound = 1 / hit[v]
                 for w in enumerate_balanced(total):
                     res.checked += 1
                     k = dm_kernel(v, w)
-                    ratio = multi_step_prob(v, w) / multi_step_prob("", w)
+                    ratio = multi_step_prob(v, w) / hit[w]
                     if k != ratio or k > bound:
                         res.fail(f"kernel law broken at v={v!r} w={w!r}")
     return res
@@ -314,9 +345,10 @@ def check_backward_normalization() -> CheckResult:
 def check_bridge_conditionals() -> CheckResult:
     """Bridge conditionals equal the universal deletion dynamics, targets of size 1 to 4."""
     res = CheckResult("bridge conditional = deletion dynamics")
+    sides: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}  # shared by this run's targets only
     for size in range(1, 5):
         for w in enumerate_balanced(size):
-            report = bridge_conditional_check(w)
+            report = _bridge_conditional_check(w, sides)
             res.checked += report.checked
             for failure in report.failures:
                 res.fail(f"target {w!r}: {failure}")

@@ -9,9 +9,10 @@ subword (letters kept in relative order).
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
-from itertools import accumulate, compress, count, product
+from itertools import accumulate, combinations, compress, count, product
 from operator import itemgetter, sub
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
@@ -26,8 +27,12 @@ BALANCED_ENUM_CAP = 12
 # and takes 0.7-0.87 of its time from 1024 on (README has the table).
 _WALK_LETTERS = 1024
 
-# bytes.translate tables: a letter's code to 1, every other byte to 0
-_LETTER_MASKS = {d: bytes(int(i == ord(d)) for i in range(256)) for d in ALPHABET}
+# Words of at most this many letters get subword_count from one packed
+# integer: every count is at most C(10, 5) = 252, so it fits in one byte.
+_PACKED_LETTERS = 10
+
+# bytes.translate tables: a letter's code to 255, every other byte to 0
+_LETTER_MASKS = {d: bytes(255 * (i == ord(d)) for i in range(256)) for d in ALPHABET}
 
 
 def check_word(w: str) -> str:
@@ -50,9 +55,14 @@ def check_balanced(w: str) -> str:
 
 
 def word_size(w: str) -> int:
-    """The size n of a balanced word (number of a's, equivalently b's)."""
-    check_balanced(w)
-    return len(w) // 2
+    """The size n of a balanced word (number of a's, equivalently b's).
+
+    A balanced str passes three C-level tests; anything else goes to
+    check_balanced, which raises its error.
+    """
+    if isinstance(w, str) and not w.strip(ALPHABET) and 2 * w.count("a") == len(w):
+        return len(w) // 2
+    return len(check_balanced(w)) // 2
 
 
 def display_word(w: str) -> str:
@@ -67,23 +77,38 @@ def subword_count(w: str, v: str) -> int:
     Satisfies the defining recurrence
         count(w + y, v + x) = count(w, v + x) + [x == y] * count(w, v)
     with count(w, "") = 1 and count(w, v) = 0 for |w| < |v|, in exact
-    integers, in one of three regimes.  With d = |w| - |v|, once i letters
-    of w are read only the prefixes v[:j] with i - d <= j <= i can still
-    complete.  When d < |v| a dynamic program visits that band of d + 1
-    entries per letter, O(|w| * (d + 1)) steps: O(|w|) for a one-step
-    successor.  Otherwise, for w shorter than _WALK_LETTERS, the DP visits
-    per letter of w only the positions of v that hold that letter:
-    O(|w| * |v|) Python steps, about half of them for a word with as many
-    a's as b's.  For longer w the count is one subword_counts walk, |v|
-    passes over w at C speed.
+    integers, in one of four regimes.  The arguments are validated on a
+    cache miss only: two C-level tests pass {a,b}-strs, and anything else
+    goes to check_word, w first, which raises its error.
+
+    dp[j] counts the embeddings of v[:j] in the letters of w read so far.
+    For w of at most _PACKED_LETTERS letters, dp[j] is byte j of one
+    integer, and a letter ch of w adds dp[j - 1] to every dp[j] with
+    v[j - 1] == ch in one shift, one AND with ch's byte mask and one add.
+    Otherwise, with d = |w| - |v|, once i letters of w are read only the
+    prefixes v[:j] with i - d <= j <= i can still complete.  When d < |v|
+    a dynamic program visits that band of d + 1 entries per letter,
+    O(|w| * (d + 1)) steps: O(|w|) for a one-step successor.  Otherwise,
+    for w shorter than _WALK_LETTERS, the DP visits per letter of w only
+    the positions of v that hold that letter: O(|w| * |v|) Python steps,
+    about half of them for a word with as many a's as b's.  For longer w
+    the count is one subword_counts walk, |v| passes over w at C speed.
     """
-    check_word(w)
-    check_word(v)
+    if not (isinstance(w, str) and isinstance(v, str)
+            and not w.strip(ALPHABET) and not v.strip(ALPHABET)):
+        check_word(w)
+        check_word(v)
     k = len(v)
     d = len(w) - k
     if d <= 0:
         return int(w == v)
-    # dp[j] = number of embeddings of v[:j] in the scanned prefix of w
+    if len(w) <= _PACKED_LETTERS:
+        on_a = int.from_bytes(v.encode().translate(_LETTER_MASKS["a"]), "little") << 8
+        on_b = on_a ^ (((1 << 8 * k) - 1) << 8)  # the other bytes 1..k
+        packed = 1
+        for ch in w:
+            packed += (packed << 8) & (on_a if ch == "a" else on_b)
+        return packed >> 8 * k
     dp = [1] + [0] * k
     if d < k:
         for i, ch in enumerate(w):
@@ -145,32 +170,30 @@ def subword_counts(y: str, words) -> dict[str, int]:
 
 def enumerate_words(length: int) -> list[str]:
     """All {a,b}-words of exactly `length`, in lexicographic order (a < b)."""
+    length = operator.index(length)
+    if length < 0:
+        raise WordchainError("size must be nonnegative")
     return ["".join(p) for p in product(ALPHABET, repeat=length)]
 
 
 def enumerate_balanced(n: int) -> list[str]:
-    """All C(2n, n) balanced words of size n, lexicographic, a < b."""
+    """All C(2n, n) balanced words of size n, lexicographic, a < b.
+
+    The a-positions run through combinations(range(2n), n), whose
+    lexicographic order is the words' order.
+    """
+    n = operator.index(n)
     if n < 0:
         raise WordchainError("size must be nonnegative")
     if n > BALANCED_ENUM_CAP:
         raise CapExceededError(f"size {n} exceeds enumeration cap {BALANCED_ENUM_CAP}")
-
-    out: list[str] = []
-
-    def grow(prefix: list[str], rem_a: int, rem_b: int) -> None:
-        if rem_a == 0 and rem_b == 0:
-            out.append("".join(prefix))
-            return
-        if rem_a:
-            prefix.append("a")
-            grow(prefix, rem_a - 1, rem_b)
-            prefix.pop()
-        if rem_b:
-            prefix.append("b")
-            grow(prefix, rem_a, rem_b - 1)
-            prefix.pop()
-
-    grow([], n, n)
+    blank = ["b"] * (2 * n)
+    out = []
+    for a_positions in combinations(range(2 * n), n):
+        letters = blank.copy()
+        for i in a_positions:
+            letters[i] = "a"
+        out.append("".join(letters))
     return out
 
 
@@ -205,7 +228,7 @@ def delete_pair(w: str, a_pos: int, b_pos: int) -> str:
 def letter_positions(w: str, letter: str) -> list[int]:
     """The indices i with w[i] == letter, ascending, for a letter of the alphabet.
 
-    One pass of w's ASCII bytes through a 0/1 mask at C speed; a non-ASCII
+    One pass of w's ASCII bytes through a 0/255 mask at C speed; a non-ASCII
     w raises UnicodeEncodeError.
     """
     return list(compress(count(), w.encode("ascii").translate(_LETTER_MASKS[letter])))

@@ -22,7 +22,8 @@ from wordchain.measures import (
     format_fraction,
     interleave_pattern,
 )
-from wordchain.words import subword_count, word_size
+from wordchain.verify import CheckResult
+from wordchain.words import enumerate_words, subword_count, word_size
 
 
 @contextlib.contextmanager
@@ -294,6 +295,64 @@ def atomic_selection_counts_oracle(y: str, m: int) -> dict[str, int]:
             pattern = "".join([y[i] for i in sorted(a_sel + b_sel)])
             counts[pattern] = counts.get(pattern, 0) + 1
     return counts
+
+
+def enumerate_balanced_oracle(n: int) -> list[str]:
+    """The balanced words of size n, grown letter by letter with a before b,
+    which lists them in lexicographic order."""
+    out: list[str] = []
+
+    def grow(prefix: str, rem_a: int, rem_b: int) -> None:
+        if rem_a == 0 and rem_b == 0:
+            out.append(prefix)
+        if rem_a:
+            grow(prefix + "a", rem_a - 1, rem_b)
+        if rem_b:
+            grow(prefix + "b", rem_a, rem_b - 1)
+
+    grow("", n, n)
+    return out
+
+
+def recurrence_closure_oracle(count) -> tuple[int, list[str]]:
+    """(checked, failures) of the subword recurrence family, one identity at a time.
+
+    The same identities and failure lines, in the same order, as
+    verify.check_recurrence_closure, with the counts read from `count`: per
+    row binom(w, "") = 1 and binom(w, v) = 0 for |v| = |w| + 1, |w| + 2, and
+    binom(w + y, v + x) = binom(w, v + x) + [x == y] binom(w, v), on words
+    of at most 8 letters.
+    """
+    res = CheckResult("subword recurrence closure")
+    max_len = 8
+    words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
+
+    def row(w: str) -> dict[str, int]:
+        n = len(w)
+        counts = {u: count(w, u) for ws in words_by_len[: min(n + 1, max_len) + 1] for u in ws}
+        res.checked += 1
+        if counts[""] != 1:
+            res.fail(f"binom({w!r}, empty) != 1")
+        for v in itertools.chain.from_iterable(words_by_len[n + 1 : n + 3]):
+            res.checked += 1
+            if (counts[v] if len(v) == n + 1 else count(w, v)) != 0:
+                res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
+        return counts
+
+    stack = [("", row(""))]
+    while stack:
+        w, row_w = stack.pop()
+        rows = {y: row(w + y) for y in "ab"}
+        for v in (v for ws in words_by_len[: len(w) + 1] for v in ws):
+            for x in "ab":
+                for y in "ab":
+                    res.checked += 1
+                    rhs = row_w[v + x] + (row_w[v] if x == y else 0)
+                    if rows[y][v + x] != rhs:
+                        res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
+        if len(w) + 1 < max_len:
+            stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
+    return res.checked, res.failures
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atomic_selection_counts_oracle
+from conftest import atomic_selection_counts_oracle, recurrence_closure_oracle
 from wordchain import verify
 from wordchain.cli import main
-from wordchain.words import enumerate_balanced, subword_count
+from wordchain.words import enumerate_balanced, enumerate_words, subword_count
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -24,6 +24,8 @@ def benchmark_families() -> tuple[str, ...]:
 
 
 def test_failing_family_reports_full_count(monkeypatch):
+    # a clean run first: what it computed must not serve the patched run below
+    assert verify.check_bridge_conditionals().ok
     exact = verify.backward_prob
     monkeypatch.setattr(verify, "backward_prob", lambda u, v: exact(u, v) + 1e-9)
     for check, count in (
@@ -66,6 +68,32 @@ def test_recurrence_closure_reads_every_count(monkeypatch, key, w):
     assert not res.ok
     assert any(line.startswith(f"recurrence broken at w={w!r}") for line in res.failures)
     assert res.checked == 239_785
+
+
+# every length-5 word at one key: 32 faults, more failure lines than a report keeps
+MANY_FAULTS = tuple((w, "ab") for w in enumerate_words(5))
+
+
+@pytest.mark.parametrize("keys", [
+    (("", ""),),  # binom(w, "") = 1 at the root
+    (("ab", "abb"), ("ab", "abab")),  # binom(w, v) = 0 read off the row, and asked outside it
+    (("aba", "ab"), ("aba", "ba")),  # two faults in one w
+    (("abababab", "abba"), ("bbb", "a"), ("aabbab", "bbaa"), ("a", "b")),
+    MANY_FAULTS,
+], ids=["empty", "zeros", "two-in-one-w", "scattered", "many"])
+def test_recurrence_closure_matches_oracle(monkeypatch, keys):
+    exact = verify.subword_count
+    planted = set(keys)
+
+    def count(w, v):
+        return exact(w, v) + ((w, v) in planted)
+
+    monkeypatch.setattr(verify, "subword_count", count)
+    res = verify.check_recurrence_closure()
+    checked, failures = recurrence_closure_oracle(count)
+    assert failures
+    assert res.failures == failures
+    assert res.checked == checked == 239_785
 
 
 def test_recurrence_closure_asks_each_count_once():

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subword_count_oracle
-from wordchain.errors import CapExceededError
+from conftest import enumerate_balanced_oracle, subword_count_oracle
+from wordchain.errors import CapExceededError, WordchainError
+from wordchain.measures import fixture_pairs, pattern_distribution
 from wordchain.verify import _count_matrices, _matrix_exp_nilpotent
 from wordchain.words import (
+    _PACKED_LETTERS,
     _WALK_LETTERS,
+    check_balanced,
     check_word,
     delete_pair,
     display_word,
@@ -66,18 +69,36 @@ class TestSubwordCount:
                     for v in enumerate_words(q):
                         assert subword_count(w, v) == brute_force_count(w, v)
 
+    @staticmethod
+    def assert_selection_counts(w: str, longest: int):
+        """Every v of at most `longest` letters, uncached, against counted selections of w."""
+        tests = [v for q in range(longest + 1) for v in enumerate_words(q)]
+        selections = Counter(
+            "".join(w[i] for i in positions)
+            for q in range(min(len(w), longest) + 1)
+            for positions in itertools.combinations(range(len(w)), q)
+        )
+        counts = list(map(subword_count.__wrapped__, itertools.repeat(w), tests))
+        assert counts == [selections[v] for v in tests], w
+
     def test_matches_selection_counts_up_to_length_10(self):
-        # every pair |w| <= 10, |v| <= 8, uncached, against counted selections
-        short = [v for q in range(9) for v in enumerate_words(q)]
+        # every pair |w| <= 10, |v| <= max(|w|, 8): the packed regime and past its longest v
         for p in range(11):
             for w in enumerate_words(p):
-                selections = Counter(
-                    "".join(w[i] for i in positions)
-                    for q in range(min(p, 8) + 1)
-                    for positions in itertools.combinations(range(p), q)
-                )
-                counts = list(map(subword_count.__wrapped__, itertools.repeat(w), short))
-                assert counts == [selections[v] for v in short], w
+                self.assert_selection_counts(w, max(p, 8))
+
+    def test_first_length_past_the_packed_regime(self):
+        # 11 letters: C(11, 5) = 462 would carry out of a byte field
+        seed_rng = random.Random(69)
+        for w in ["a" * 11, "ab" * 5 + "a", *seed_rng.sample(enumerate_words(11), 24)]:
+            self.assert_selection_counts(w, 11)
+
+    def test_packed_byte_maxima(self):
+        # C(10, 5) = 252, the largest count a byte of the packed regime holds
+        assert _PACKED_LETTERS == 10
+        for k in range(12):
+            assert subword_count.__wrapped__("a" * 10, "a" * k) == math.comb(10, k), k
+            assert subword_count.__wrapped__("b" * 10, "b" * k) == math.comb(10, k), k
 
     def test_long_successors_match_insertion_counts(self):
         # M(v, w) = binom(w, v): counting insertion pairs is a second oracle
@@ -126,6 +147,19 @@ class TestSubwordCount:
         with pytest.raises(ValueError):
             subword_count("abc", "a")
 
+    @pytest.mark.parametrize("w, v", [
+        (5, "ab"), ("ab", None), (b"ab", "ab"), ("ab", b"a"),
+        ("abc", "a"), ("ab", "ax"), ("axb", "ayb"), (None, "ax"), ("ax", 5),
+    ])
+    def test_errors_match_check_word(self, w, v):
+        # w's error first, then v's: the type and message check_word gives
+        with pytest.raises(Exception) as expected:
+            check_word(w)
+            check_word(v)
+        with pytest.raises(expected.type) as err:
+            subword_count(w, v)
+        assert str(err.value) == str(expected.value)
+
     def test_bad_letter_message_names_the_first(self):
         for w, first in (("abcab", "c"), ("dabc", "d"), ("ab ", " "), ("xyz", "x")):
             with pytest.raises(ValueError) as err:
@@ -133,6 +167,15 @@ class TestSubwordCount:
             assert str(err.value) == f"invalid letter {first!r} in word {w!r}"
         with pytest.raises(TypeError):
             check_word(["a"])
+
+
+@pytest.mark.parametrize("w", [5, None, b"abab", "abc", "aaxy", "aabbb", "ba ", "bbaa" * 3 + "a"])
+def test_word_size_errors_match_check_balanced(w):
+    with pytest.raises(Exception) as expected:
+        check_balanced(w)
+    with pytest.raises(expected.type) as err:
+        word_size(w)
+    assert str(err.value) == str(expected.value)
 
 
 class TestSubwordCounts:
@@ -204,6 +247,23 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_balanced(13)
+
+    def test_matches_recursive_order(self):
+        for n in range(9):
+            assert enumerate_balanced(n) == enumerate_balanced_oracle(n), n
+
+    def test_size_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            enumerate_balanced(1.5)
+        with pytest.raises(TypeError):
+            pattern_distribution(fixture_pairs()["lebesgue"], 1.5)
+        with pytest.raises(TypeError):
+            enumerate_words(1.5)
+
+    def test_size_must_be_nonnegative(self):
+        for enumerate_size in (enumerate_balanced, enumerate_words):
+            with pytest.raises(WordchainError, match="size must be nonnegative"):
+                enumerate_size(-1)
 
 
 class TestSuccessors:
