@@ -143,10 +143,9 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
 def check_recurrence_closure() -> CheckResult:
     """The three defining properties of the subword coefficient, on words of length <= 8.
 
-    The words of length <= 8 are indexed by (length, lexicographic), so the
-    word at index i has its extensions v + a and v + b at 2i + 1 and 2i + 2.
-    The recurrence walks w depth-first and carries its row, the list of
-    counts binom(w, u) over the index for |u| <= |w| + 1.  Each row is
+    The words of length <= 8 are laid out as in _word_index.  The
+    recurrence walks w depth-first and carries its row, the list of counts
+    binom(w, u) over the index for |u| <= |w| + 1.  Each row is
     checked as it is built: binom(w, "") = 1, and binom(w, v) = 0 for
     |v| = |w| + 1, read off the row, and for |v| = |w| + 2, the only counts
     asked outside a row.  So each count is asked of subword_count once, and
@@ -156,8 +155,7 @@ def check_recurrence_closure() -> CheckResult:
     """
     res = CheckResult("subword recurrence closure")
     max_len = 8
-    words_by_len = [enumerate_words(k) for k in range(max_len + 1)]
-    index = list(itertools.chain.from_iterable(words_by_len))
+    index = _word_index(max_len)
 
     def row(w: str) -> list[int]:
         n = len(w)
@@ -166,7 +164,7 @@ def check_recurrence_closure() -> CheckResult:
         res.checked += 1
         if counts[0] != 1:
             res.fail(f"binom({w!r}, empty) != 1")
-        longer = list(itertools.chain.from_iterable(words_by_len[n + 1 : n + 3]))
+        longer = index[2 ** (n + 1) - 1 : 2 ** (n + 3) - 1]  # lengths n + 1, n + 2
         zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1, if any
         zeros += map(subword_count, itertools.repeat(w), longer[len(zeros) :])
         res.checked += len(zeros)
@@ -219,6 +217,15 @@ def check_convolution_identity() -> CheckResult:
     return res
 
 
+def _word_index(max_len: int) -> list[str]:
+    """Every {a,b}-word of length <= max_len, ordered by (length, lexicographic).
+
+    The words of length k fill indices 2**k - 1 to 2**(k + 1) - 2, and the
+    word at index i has its extensions v + a and v + b at 2i + 1 and 2i + 2.
+    """
+    return [w for length in range(max_len + 1) for w in enumerate_words(length)]
+
+
 def _count_matrices(max_len: int) -> tuple[list[str], list[list[int]], list[list[int]]]:
     """The index, the full subword-count matrix P and its one-step part H.
 
@@ -227,7 +234,7 @@ def _count_matrices(max_len: int) -> tuple[list[str], list[list[int]], list[list
     triangular.  P has entry (v, w) = subword_count(w, v); H keeps only the
     entries with |w| = |v| + 1.
     """
-    index = [w for length in range(max_len + 1) for w in enumerate_words(length)]
+    index = _word_index(max_len)
     p = [[subword_count(w, v) for w in index] for v in index]
     h = [
         [c if len(w) == len(v) + 1 else 0 for w, c in zip(index, row)]

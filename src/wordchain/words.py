@@ -9,11 +9,10 @@ subword (letters kept in relative order).
 
 from __future__ import annotations
 
-import operator
 import random
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count, product
-from operator import itemgetter, sub
+from operator import index, itemgetter, sub
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
 
@@ -55,14 +54,9 @@ def check_balanced(w: str) -> str:
 
 
 def word_size(w: str) -> int:
-    """The size n of a balanced word (number of a's, equivalently b's).
-
-    A balanced str passes three C-level tests; anything else goes to
-    check_balanced, which raises its error.
-    """
-    if isinstance(w, str) and not w.strip(ALPHABET) and 2 * w.count("a") == len(w):
-        return len(w) // 2
-    return len(check_balanced(w)) // 2
+    """The size n of a balanced word (number of a's, equivalently b's)."""
+    check_balanced(w)
+    return len(w) // 2
 
 
 def display_word(w: str) -> str:
@@ -77,9 +71,8 @@ def subword_count(w: str, v: str) -> int:
     Satisfies the defining recurrence
         count(w + y, v + x) = count(w, v + x) + [x == y] * count(w, v)
     with count(w, "") = 1 and count(w, v) = 0 for |w| < |v|, in exact
-    integers, in one of four regimes.  The arguments are validated on a
-    cache miss only: two C-level tests pass {a,b}-strs, and anything else
-    goes to check_word, w first, which raises its error.
+    integers, in one of four regimes.  Both words go through check_word,
+    w first, on a cache miss only.
 
     dp[j] counts the embeddings of v[:j] in the letters of w read so far.
     For w of at most _PACKED_LETTERS letters, dp[j] is byte j of one
@@ -94,10 +87,8 @@ def subword_count(w: str, v: str) -> int:
     about half of them for a word with as many a's as b's.  For longer w
     the count is one subword_counts walk, |v| passes over w at C speed.
     """
-    if not (isinstance(w, str) and isinstance(v, str)
-            and not w.strip(ALPHABET) and not v.strip(ALPHABET)):
-        check_word(w)
-        check_word(v)
+    check_word(w)
+    check_word(v)
     k = len(v)
     d = len(w) - k
     if d <= 0:
@@ -170,7 +161,7 @@ def subword_counts(y: str, words) -> dict[str, int]:
 
 def enumerate_words(length: int) -> list[str]:
     """All {a,b}-words of exactly `length`, in lexicographic order (a < b)."""
-    length = operator.index(length)
+    length = index(length)
     if length < 0:
         raise WordchainError("size must be nonnegative")
     return ["".join(p) for p in product(ALPHABET, repeat=length)]
@@ -182,7 +173,7 @@ def enumerate_balanced(n: int) -> list[str]:
     The a-positions run through combinations(range(2n), n), whose
     lexicographic order is the words' order.
     """
-    n = operator.index(n)
+    n = index(n)
     if n < 0:
         raise WordchainError("size must be nonnegative")
     if n > BALANCED_ENUM_CAP:
