@@ -24,7 +24,7 @@ from .measures import (
     format_fraction,
     pattern_probs,
 )
-from .words import enumerate_balanced, subword_counts, word_size
+from .words import check_count, enumerate_balanced, subword_counts, word_size
 
 
 def check_word_sequence(seq: list[str]) -> list[str]:
@@ -87,7 +87,8 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Assess whether a word sequence is heading to the pair's boundary point.
 
-    For every test word w of size m <= m_max, tabulates the exact selection
+    For every test word w of size m <= m_max (a count of at least 1, and
+    at most the smallest word size), tabulates the exact selection
     ratio of each y_k against the pattern probability of w under the pair,
     and tracks the Kolmogorov distances of the empirical measures of y_k to
     (mu, nu).  The verdict holds when the final distances fall inside
@@ -97,7 +98,8 @@ def convergence_report(
     if not isinstance(pair, CanonicalPair):
         raise TypeError(f"need a canonical pair, not {type(pair).__name__}")
     sizes = _checked_sizes(seq)
-    if m_max < 1 or m_max > sizes[0]:
+    m_max = check_count(m_max, "m_max", 1)
+    if m_max > sizes[0]:
         raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {sizes[0]}")
 
     _check_step_cap(m_max)  # before W_1, ..., W_m_max are enumerated

@@ -25,16 +25,17 @@ from itertools import compress
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
 from .measures import DiffusePair, _check_diffuse, pattern_probs
-from .words import check_balanced, delete_pair, successors
+from .words import check_balanced, check_count, delete_pair, successors
 
 
 def simulate_forward(n: int, rng: random.Random) -> list[str]:
-    """Run the base chain for n steps; the word at step k is uniform on W_k.
+    """Run the base chain for n steps, a count; the word at step k is uniform on W_k.
 
     Each step inserts an a uniformly into one of the 2k+1 slots and then a
     b into one of the 2k+2 slots; each word is built from the last by
     slicing.
     """
+    n = check_count(n, "steps")
     randrange = rng.randrange
     word = ""
     path = [word]
@@ -144,7 +145,11 @@ class InfiniteBridge:
         return self.extend_to(self.step + 1)
 
     def extend_to(self, n: int) -> str:
-        n = operator.index(n)  # refuse a non-integer n before drawing
+        """Grow the bridge to step n, a count, if it is not there yet; returns the word at step n.
+
+        n is checked before anything is drawn.
+        """
+        n = check_count(n, "step")
         add, draw_x, draw_y = self._add, self._draw_x, self._draw_y
         while self.step < n:
             # x is kept before y is drawn, so y also redraws on x's value

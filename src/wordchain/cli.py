@@ -35,7 +35,6 @@ from .measures import (
     StepMeasure,
     empirical_pair,
     format_fraction,
-    parse_fraction,
     pattern_matches,
     pattern_prob_exact,
 )
@@ -76,7 +75,7 @@ def _read_json(path: str, build):
 def _parse_measure_spec(spec: str):
     """"exp:RATE" for an exponential law, otherwise a step-measure JSON file."""
     if spec.startswith("exp:"):
-        return Exponential(parse_fraction(spec.split(":", 1)[1]))
+        return Exponential(spec.removeprefix("exp:"))
     return _read_json(spec, StepMeasure.from_json)
 
 
@@ -227,7 +226,7 @@ def _cmd_moments(args) -> dict:
 
 
 def _cmd_plackett_luce(args) -> str:
-    rates = plackett_luce.RatePair(parse_fraction(args.alpha), parse_fraction(args.beta))
+    rates = plackett_luce.RatePair(args.alpha, args.beta)
     needed = {"prob": 1, "harmonic": 1, "transition": 2, "sample": 0}[args.action]
     if len(args.words) != needed:
         raise WordchainError(f"{args.action} takes {needed} word argument(s)")

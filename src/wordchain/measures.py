@@ -32,7 +32,7 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
-from .words import check_balanced, enumerate_balanced, subword_count, word_size
+from .words import check_balanced, check_count, enumerate_balanced, subword_count, word_size
 
 STEP_PATTERN_CAP = 6
 EXPONENT_CAP = 100_000  # 1e100000 reads in ms; the cost grows faster than the exponent
@@ -60,6 +60,24 @@ def parse_fraction(text: str, field: str = "value") -> Fraction:
     return Fraction(num) / Fraction(decimal.Decimal(den or 1))
 
 
+def check_rational(x, field: str = "value") -> Fraction:
+    """`x` as an exact Fraction; `field` names it in errors.
+
+    A str is read by `parse_fraction`, in the CLI's grammar and under
+    EXPONENT_CAP.  A float or Decimal must be finite, and a Decimal is read
+    as its string, so its exponent is capped as a string's is.  Anything
+    else goes to Fraction(x): an int or a Fraction, and TypeError for a
+    non-number.
+    """
+    if isinstance(x, str):
+        return parse_fraction(x, field)
+    if isinstance(x, (float, decimal.Decimal)) and not decimal.Decimal(x).is_finite():
+        raise WordchainError(f"{field} must be finite, got {x!r}")
+    if isinstance(x, decimal.Decimal):
+        return parse_fraction(str(x), field)
+    return Fraction(x)
+
+
 def format_fraction(x: Fraction) -> str:
     """str(x) in full at any size: Decimal prints an int exactly, without the
     interpreter's int-to-str digit limit, so no process-wide setting is touched."""
@@ -79,15 +97,15 @@ class StepMeasure:
 
     ``breakpoints`` are strictly increasing rationals; ``densities[k]`` is
     the constant density on (breakpoints[k], breakpoints[k+1]).  The cell
-    masses must add to exactly 1.
+    masses must add to exactly 1.  Each value goes through `check_rational`.
     """
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        dens = tuple(Fraction(d) for d in self.densities)
+        bps = tuple(check_rational(b, "breakpoint") for b in self.breakpoints)
+        dens = tuple(check_rational(d, "density") for d in self.densities)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
         if len(bps) < 2 or len(dens) != len(bps) - 1:
@@ -106,8 +124,12 @@ class StepMeasure:
 
     @classmethod
     def uniform_on(cls, lo, hi) -> "StepMeasure":
-        lo, hi = Fraction(lo), Fraction(hi)
-        return cls((lo, hi), (Fraction(1, 1) / (hi - lo),))
+        """The uniform law on [lo, hi], for rationals lo < hi."""
+        lo, hi = check_rational(lo, "lo"), check_rational(hi, "hi")
+        if hi <= lo:
+            bounds = f"[{format_fraction(lo)}, {format_fraction(hi)}]"
+            raise WordchainError(f"uniform_on needs lo < hi, got {bounds}")
+        return cls((lo, hi), (1 / (hi - lo),))
 
     @property
     def support(self) -> tuple[Fraction, Fraction]:
@@ -131,8 +153,8 @@ class StepMeasure:
         )
 
     def cdf(self, x) -> Fraction:
-        """Exact CDF at a rational point."""
-        x = Fraction(x)
+        """Exact CDF at a rational point (see `check_rational`)."""
+        x = check_rational(x, "x")
         bps = self.breakpoints
         if x <= bps[0]:
             return Fraction(0)
@@ -143,7 +165,8 @@ class StepMeasure:
         return (cum[k] + dens[k] * (x - bps[k])) / den
 
     def moment(self, n: int) -> Fraction:
-        """Exact n-th moment: integral of x^n against the measure."""
+        """Exact n-th moment, for a count n: integral of x^n against the measure."""
+        n = check_count(n, "moment order")
         return sum(
             (
                 d * (b2 ** (n + 1) - b1 ** (n + 1)) / (n + 1)
@@ -153,9 +176,11 @@ class StepMeasure:
         )
 
     def refine(self, points) -> "StepMeasure":
-        """Same measure re-expressed on a grid holding `points`; points off the support are ignored."""
+        """Same measure re-expressed on a grid holding the rational `points`; points off the
+        support are ignored."""
         lo, hi = self.support
-        grid = sorted(set(self.breakpoints).union(p for p in map(Fraction, points) if lo < p < hi))
+        points = (check_rational(p, "point") for p in points)
+        grid = sorted(set(self.breakpoints).union(p for p in points if lo < p < hi))
         return StepMeasure(tuple(grid), tuple(_densities_on(self, grid)))
 
     @property
@@ -209,12 +234,12 @@ def _densities_on(measure: StepMeasure, grid: Sequence[Fraction]) -> list[Fracti
 
 @dataclass(frozen=True)
 class Exponential:
-    """Exponential law on [0, infinity) with a positive rational rate."""
+    """Exponential law on [0, infinity) with a positive rational rate (see `check_rational`)."""
 
     rate: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", Fraction(self.rate))
+        object.__setattr__(self, "rate", check_rational(self.rate, "rate"))
         if not sys.float_info.min <= self.rate <= sys.float_info.max:
             raise WordchainError(
                 f"rate must lie in the normal float range "
@@ -459,7 +484,7 @@ class AtomicPair:
 
 @dataclass(frozen=True)
 class RatePair:
-    """The pair Exp(alpha)/Exp(beta) with positive rational rates.
+    """The pair Exp(alpha)/Exp(beta) with positive rational rates (see `check_rational`).
 
     Its pattern law ``pl_word_prob`` takes any positive rational rate; mu
     and nu are built only when read, since draws need normal-range floats.
@@ -471,8 +496,8 @@ class RatePair:
     nu = property(lambda self: Exponential(self.beta))
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", check_rational(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", check_rational(self.beta, "beta"))
         if self.alpha <= 0 or self.beta <= 0:
             raise WordchainError("rates must be positive")
 
@@ -698,11 +723,13 @@ class MCEstimate:
 def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> list[bool]:
     """Per-trial outcomes of the Monte Carlo pattern experiment.
 
-    Each trial draws m points from mu and m from nu and records whether the
-    sorted interleaving reads w; tied draws match no pattern.  An atomic
-    pair takes no word larger than its own, as in pattern_prob_exact.
+    Each of `trials` (a count) draws m points from mu and m from nu and
+    records whether the sorted interleaving reads w; tied draws match no
+    pattern.  An atomic pair takes no word larger than its own, as in
+    pattern_prob_exact.
     """
     m = word_size(w)
+    trials = check_count(trials, "trials")
     _check_atom_count(pair, m)
     if not m:
         return [True] * trials  # the empty pattern needs no draws

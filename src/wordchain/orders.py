@@ -21,14 +21,14 @@ from typing import Sequence
 from .errors import SizeMismatchError, WordchainError
 from .measures import DiffusePair, Exponential, MCEstimate, StepMeasure, format_fraction
 from .measures import _check_diffuse, _distinct_run, _value_rows
-from .words import word_size
+from .words import check_count, word_size
 
 MOMENT_ORDER_CAP = 4
 
 
 @dataclass(frozen=True, order=True)
 class LabeledLetter:
-    """One letter a_i or b_j of the infinite alphabet."""
+    """One letter a_i or b_j of the infinite alphabet; the index is a count of at least 1."""
 
     kind: str
     index: int
@@ -36,8 +36,7 @@ class LabeledLetter:
     def __post_init__(self):
         if self.kind not in ("a", "b"):
             raise WordchainError(f"kind must be 'a' or 'b', got {self.kind!r}")
-        if self.index < 1:
-            raise WordchainError("letter indices start at 1")
+        object.__setattr__(self, "index", check_count(self.index, "letter index", 1))
 
     def __str__(self) -> str:
         return self.kind + format_fraction(self.index)
@@ -204,15 +203,22 @@ class OrderSampler:
         return cls(pair.mu, pair.nu, rng)
 
     def run(self, depth: int) -> OrderRun:
-        """``depth`` a-values, then ``depth`` b-values, all distinct (see `_distinct_run`)."""
+        """``depth`` a-values, then ``depth`` b-values, all distinct (see `_distinct_run`);
+        ``depth`` is a count."""
+        depth = check_count(depth, "depth")
         values_a, values_b = _distinct_run(self._draw_a, self._draw_b, depth)
         return OrderRun(tuple(values_a), tuple(values_b))
 
 
-def _require_depth(depth: int, *letters: LabeledLetter) -> None:
+def _require_depth(depth: int, *letters: LabeledLetter) -> int:
+    """``depth`` as a count no smaller than any of the letters' indices."""
+    depth = check_count(depth, "depth", 1)
     need = max(letter.index for letter in letters)
     if depth < need:
-        raise WordchainError(f"depth {depth} is below the largest letter index {format_fraction(need)}")
+        raise WordchainError(
+            f"depth {format_fraction(depth)} is below the largest letter index {format_fraction(need)}"
+        )
+    return depth
 
 
 def d_samples(
@@ -222,9 +228,11 @@ def d_samples(
 
     In each run, d is the fraction of the first `depth` letters of each
     kind lying strictly between x and y.  d(x, x) is 0 in every run and
-    needs no sampling, but its depth is checked all the same.
+    needs no sampling, but its depth is checked all the same.  `depth` and
+    `trials` are counts.
     """
-    _require_depth(depth, x, y)
+    depth = _require_depth(depth, x, y)
+    trials = check_count(trials, "trials")
     if x == y:
         return [0.0] * trials
     run = sampler.run
@@ -233,9 +241,11 @@ def d_samples(
 
 def f_samples(sampler: OrderSampler, x: LabeledLetter, depth: int, trials: int) -> list[float]:
     """Per-run values of the embedding f(x): the fraction of the first
-    `depth` letters of each kind lying strictly below x.
+    `depth` letters of each kind lying strictly below x.  `depth` and
+    `trials` are counts.
     """
-    _require_depth(depth, x)
+    depth = _require_depth(depth, x)
+    trials = check_count(trials, "trials")
     run = sampler.run
     return [run(depth).f_hat(x) for _ in range(trials)]
 
@@ -250,9 +260,11 @@ def moment_samples(sampler: OrderSampler, n: int, trials: int) -> list[tuple[flo
     evaluates.  The nu-moment replaces the target by b_{n+1}.  Because the
     formula only involves order events, any source pair generating the
     order yields the moments of its canonical pair.  Returns one
-    (mu, nu) pair per run.
+    (mu, nu) pair per run.  n and `trials` are counts, n at least 1.
     """
-    if not 1 <= n <= MOMENT_ORDER_CAP:
+    n = check_count(n, "moment order", 1)
+    trials = check_count(trials, "trials")
+    if n > MOMENT_ORDER_CAP:
         raise WordchainError(f"moment order must be between 1 and {MOMENT_ORDER_CAP}")
     half_n = 0.5**n
     # Both products lie in 0..2^n, so the runs share (2^n + 1)^2 value pairs;

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import SizeMismatchError, WordchainError
 from .measures import RatePair, _distinct_run, _scaled_rates, _suffix_product, interleave_pattern
 from .measures import pl_word_prob  # noqa: F401  (re-exported beside RatePair)
-from .words import subword_count, word_size
+from .words import check_count, subword_count, word_size
 
 
 def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
@@ -36,7 +36,7 @@ def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
 
 
 def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequential") -> str:
-    """Draw a word of size n from the exponential-pair bridge.
+    """Draw a word of size n, a count, from the exponential-pair bridge.
 
     "sequential": with A a's and B b's left to place, the next letter is a
     with probability A*alpha / (A*alpha + B*beta) — the minimum of the
@@ -46,8 +46,7 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     (`_distinct_run`), and the rates must lie in the normal float range.
     The two agree in distribution and serve as mutual oracles.
     """
-    if n < 0:
-        raise WordchainError(f"word size must be nonnegative, got {n}")
+    n = check_count(n, "word size")
     if method == "sort":
         return interleave_pattern(*_distinct_run(rates.mu.drawer(rng), rates.nu.drawer(rng), n))
     if method != "sequential":

@@ -17,9 +17,16 @@ from fractions import Fraction
 from .bridges import _h_table, htransform_row
 from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
-from .measures import empirical_pair, fixture_pairs, pattern_distribution
+from .measures import empirical_pair, fixture_pairs, format_fraction, pattern_distribution
 from .plackett_luce import RatePair, pl_transition, pl_word_prob
-from .words import enumerate_balanced, enumerate_words, subword_count, successors, word_size
+from .words import (
+    check_count,
+    enumerate_balanced,
+    enumerate_words,
+    subword_count,
+    successors,
+    word_size,
+)
 
 BRIDGE_CHECK_CAP = 5
 
@@ -122,11 +129,12 @@ def empirical_identity_check(y: str, m: int) -> CheckResult:
     The served value is the closed form (m!)^2 * binom(y, w) / N^(2m).  The
     oracle enumerates the atom selections that read w, each of mass
     (m!)^2 / N^(2m), without the subword-count recurrence.  Both are compared
-    exactly for every w of size m.
+    exactly for every w of size m, a count no larger than the size of y.
     """
     n = word_size(y)
+    m = check_count(m, "m")
     if m > n:
-        raise SizeMismatchError(f"pattern size {m} exceeds word size {n}")
+        raise SizeMismatchError(f"pattern size {format_fraction(m)} exceeds word size {n}")
 
     res = CheckResult(f"empirical identity y={y!r} m={m}")
     counts = _atomic_pattern_counts(y, m)

@@ -9,6 +9,7 @@ subword (letters kept in relative order).
 
 from __future__ import annotations
 
+import decimal
 import random
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count, product
@@ -42,6 +43,20 @@ def check_word(w: str) -> str:
         ch = next(ch for ch in w if ch not in ALPHABET)
         raise WordchainError(f"invalid letter {ch!r} in word {w!r}")
     return w
+
+
+def check_count(n, name: str, minimum: int = 0) -> int:
+    """`n` as an exact int of at least `minimum`; `name` names it in errors.
+
+    operator.index takes any integer, a bool as 0 or 1 (as range() does),
+    and gives TypeError for 1.5, "3" or None.
+    """
+    n = index(n)
+    if n < minimum:
+        # Decimal prints an int in full, past the int-to-str digit limit
+        rule = "be nonnegative" if minimum == 0 else f"be at least {minimum}"
+        raise WordchainError(f"{name} must {rule}, got {decimal.Decimal(n)}")
+    return n
 
 
 def check_balanced(w: str) -> str:
@@ -160,24 +175,22 @@ def subword_counts(y: str, words) -> dict[str, int]:
 
 
 def enumerate_words(length: int) -> list[str]:
-    """All {a,b}-words of exactly `length`, in lexicographic order (a < b)."""
-    length = index(length)
-    if length < 0:
-        raise WordchainError("size must be nonnegative")
+    """All {a,b}-words of exactly `length` (a count), in lexicographic order (a < b)."""
+    length = check_count(length, "size")
     return ["".join(p) for p in product(ALPHABET, repeat=length)]
 
 
 def enumerate_balanced(n: int) -> list[str]:
-    """All C(2n, n) balanced words of size n, lexicographic, a < b.
+    """All C(2n, n) balanced words of size n (a count), lexicographic, a < b.
 
     The a-positions run through combinations(range(2n), n), whose
     lexicographic order is the words' order.
     """
-    n = index(n)
-    if n < 0:
-        raise WordchainError("size must be nonnegative")
+    n = check_count(n, "size")
     if n > BALANCED_ENUM_CAP:
-        raise CapExceededError(f"size {n} exceeds enumeration cap {BALANCED_ENUM_CAP}")
+        raise CapExceededError(
+            f"size {decimal.Decimal(n)} exceeds enumeration cap {BALANCED_ENUM_CAP}"
+        )
     blank = ["b"] * (2 * n)
     out = []
     for a_positions in combinations(range(2 * n), n):
@@ -229,11 +242,15 @@ def random_subword(w: str, m: int, rng: random.Random) -> str:
     """Uniformly select m a's and m b's of w, keeping their relative order.
 
     The resulting word v occurs with probability
-    subword_count(w, v) / C(n, m)^2 where n is the size of w.
+    subword_count(w, v) / C(n, m)^2 where n is the size of w; m is a count
+    of at most n.
     """
     n = word_size(w)
-    if m < 0 or m > n:
-        raise SizeMismatchError(f"cannot select {m} of each letter from a word of size {n}")
+    m = check_count(m, "m")
+    if m > n:
+        raise SizeMismatchError(
+            f"cannot select {decimal.Decimal(m)} of each letter from a word of size {n}"
+        )
     keep = sorted(
         rng.sample(letter_positions(w, "a"), m) + rng.sample(letter_positions(w, "b"), m)
     )
