@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import SizeMismatchError, WordchainError
 from .measures import (
     CanonicalPair,
+    _check_kind,
     _check_step_cap,
     empirical_distance,
     format_fraction,
@@ -95,8 +96,7 @@ def convergence_report(
     ``DISTANCE_TOL`` and the worst ratio error does not grow on average
     between the first and second half of the sequence.
     """
-    if not isinstance(pair, CanonicalPair):
-        raise TypeError(f"need a canonical pair, not {type(pair).__name__}")
+    _check_kind(pair, CanonicalPair, "a canonical pair")
     sizes = _checked_sizes(seq)
     m_max = check_count(m_max, "m_max", 1)
     if m_max > sizes[0]:

@@ -24,7 +24,7 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import DiffusePair, _check_diffuse, pattern_probs
+from .measures import DiffusePair, _check_kind, pattern_probs
 from .words import check_balanced, check_count, delete_pair, successors
 
 
@@ -89,7 +89,7 @@ class InfiniteBridge:
     """
 
     def __init__(self, pair: DiffusePair, rng: random.Random):
-        _check_diffuse(pair)
+        _check_kind(pair, DiffusePair, "a diffuse pair")
         self.pair = pair
         self.rng = rng
         self._draw_x = pair.mu.drawer(rng)
@@ -161,7 +161,8 @@ class InfiniteBridge:
 
 def _h_table(pair: DiffusePair, words) -> dict[str, Fraction]:
     """h(w) = C(2m, m) * P(w) for each w, from one pattern_probs call."""
-    _check_diffuse(pair)
+    # an atomic pair runs out of distinct atoms and indexes no harmonic function
+    _check_kind(pair, DiffusePair, "a diffuse pair")
     return {w: math.comb(len(w), len(w) // 2) * p for w, p in pattern_probs(pair, words).items()}
 
 

@@ -13,6 +13,11 @@ Each ``_cmd_*`` function returns its output and writes nothing: a string,
 or a dict printed as indented JSON with sorted keys (``verify`` also returns
 its exit code).  ``main`` is the one output path: it writes that text and
 one newline to stdout, or to the ``--out`` file, and picks the exit code.
+
+argparse parses each integer flag; ``words.check_count`` checks its range,
+in the library call that reads it (here for ``--jobs`` and the Monte Carlo
+``--trials``).  Every error, the parser's included, prints as one line
+``error: <message>`` on stderr: exit 3 for a size cap, otherwise 2.
 """
 
 from __future__ import annotations
@@ -128,13 +133,15 @@ def _usable_cpus() -> int:
 def _replicate(task, trials: int, seed: int, label: str, jobs: int | None) -> list:
     """Samples of `task(count, rng)` over MC_REPLICAS replicas, in replica order.
 
-    Replica i runs trials // MC_REPLICAS trials, one more for i below the
-    remainder, on the generator derive_rng(seed, f"{label}/{i}").  The split
-    is fixed, so ``jobs`` (None: 1) only sizes the process pool (never above
-    the replica count) and never changes the samples.  A zero-trial call on a
-    generator of its own runs the task's argument checks in this process,
-    and compiles any step quantile map the task needs before the pool forks.
+    Replica i runs trials // MC_REPLICAS trials (a count of at least 1), one
+    more for i below the remainder, on the generator derive_rng(seed,
+    f"{label}/{i}").  The split is fixed, so ``jobs`` (None: 1) only sizes
+    the process pool (never above the replica count) and never changes the
+    samples.  A zero-trial call on a generator of its own runs the task's
+    argument checks in this process, and compiles any step quantile map the
+    task needs before the pool forks.
     """
+    trials = words.check_count(trials, "trials", 1)
     task(0, derive_rng(seed, f"{label}/check"))
     per, extra = divmod(trials, MC_REPLICAS)
     work = [
@@ -226,6 +233,7 @@ def _cmd_moments(args) -> dict:
 
 
 def _cmd_plackett_luce(args) -> str:
+    words.check_count(args.size, "word size")  # whatever the action
     rates = plackett_luce.RatePair(args.alpha, args.beta)
     needed = {"prob": 1, "harmonic": 1, "transition": 2, "sample": 0}[args.action]
     if len(args.words) != needed:
@@ -258,33 +266,22 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines), 1 if failed else 0
 
 
-def _int_at_least(minimum: int):
-    """argparse type for integers no smaller than `minimum`."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return parse
-
-
-_positive = _int_at_least(1)
-_nonnegative = _int_at_least(0)
-
-
 def _add_order_sources(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", help="canonical pair JSON file")
     p.add_argument("--zeta", help='measure spec: "exp:RATE" or step-measure JSON path')
     p.add_argument("--eta", help='measure spec: "exp:RATE" or step-measure JSON path')
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print as main's do: one `error:` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # add_subparsers builds each subcommand's parser as a _Parser too
+    parser = _Parser(
         prog="wordchain",
         description="Simulate and exactly verify the growing-word Markov chain, "
         "its bridges, boundary kernels, and the Plackett-Luce special case.",
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     common.add_argument("--out", help="write output to this file instead of stdout")
     jobs_help = "worker processes (default 1; verify: the usable CPUs, at most one per family)"
-    common.add_argument("--jobs", type=_positive, help=jobs_help)
+    common.add_argument("--jobs", type=int, help=jobs_help)
 
     p = sub.add_parser("subword", parents=[common], help="count subword embeddings")
     p.add_argument("word")
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("simulate", parents=[common], help="run the base chain forward")
-    p.add_argument("--steps", type=_nonnegative, required=True)
+    p.add_argument("--steps", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "infinite-bridge", parents=[common], help="simulate the h-transform of a measure pair"
     )
     p.add_argument("--pair", required=True, help="canonical pair JSON file")
-    p.add_argument("--steps", type=_nonnegative, required=True)
+    p.add_argument("--steps", type=int, required=True)
     p.add_argument("--emit", dest="format", choices=["csv", "json", "text"], default="csv")
     p.set_defaults(fn=_cmd_infinite_bridge)
 
@@ -333,23 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--pair", help="canonical pair JSON file")
     source.add_argument("--word-pair", help="balanced word whose empirical pair to use")
     p.add_argument("--word", required=True)
-    p.add_argument(
-        "--trials", type=_nonnegative, default=0, help="Monte Carlo trials (0 = exact)"
-    )
+    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials (0 = exact)")
     p.set_defaults(fn=_cmd_pattern_prob)
 
     p = sub.add_parser("orders", parents=[common], help="estimate the order metric d or map f")
     p.add_argument("--stat", choices=["d", "f"], required=True)
     p.add_argument("--x", required=True, help="labeled letter, e.g. a1")
     p.add_argument("--y", help="labeled letter (for --stat d)")
-    p.add_argument("--depth", type=_positive, default=500)
-    p.add_argument("--trials", type=_positive, default=1000)
+    p.add_argument("--depth", type=int, default=500)
+    p.add_argument("--trials", type=int, default=1000)
     _add_order_sources(p)
     p.set_defaults(fn=_cmd_orders)
 
     p = sub.add_parser("moments", parents=[common], help="estimate canonical-pair moments")
     p.add_argument("--order", type=int, required=True, help="moment order n")
-    p.add_argument("--trials", type=_positive, default=100_000)
+    p.add_argument("--trials", type=int, default=100_000)
     _add_order_sources(p)
     p.set_defaults(fn=_cmd_moments)
 
@@ -360,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="rate for b-letters")
     p.add_argument("action", choices=["prob", "sample", "harmonic", "transition"])
     p.add_argument("words", nargs="*", help="word arguments for prob/harmonic/transition")
-    p.add_argument("--size", type=_nonnegative, default=1, help="word size for sample")
+    p.add_argument("--size", type=int, default=1, help="word size for sample")
     p.add_argument("--method", choices=["sequential", "sort"], default="sequential")
     p.set_defaults(fn=_cmd_plackett_luce)
 
@@ -380,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.seed &= 0xFFFFFFFFFFFFFFFF  # seeds are 64-bit
     try:
+        if args.jobs is not None:
+            words.check_count(args.jobs, "jobs", 1)
         output = args.fn(args)
         output, code = output if isinstance(output, tuple) else (output, 0)
         if isinstance(output, dict):

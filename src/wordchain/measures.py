@@ -78,6 +78,13 @@ def check_rational(x, field: str = "value") -> Fraction:
     return Fraction(x)
 
 
+def _check_kind(value, kind, name: str) -> None:
+    """TypeError "need {name}, not {type}" unless `value` is an instance of `kind`
+    (a class, a tuple or a Union of classes)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"need {name}, not {type(value).__name__}")
+
+
 def format_fraction(x: Fraction) -> str:
     """str(x) in full at any size: Decimal prints an int exactly, without the
     interpreter's int-to-str digit limit, so no process-wide setting is touched."""
@@ -401,6 +408,8 @@ class CanonicalPair:
     nu: StepMeasure
 
     def __post_init__(self):
+        for side in (self.mu, self.nu):
+            _check_kind(side, StepMeasure, "a step measure")
         if self.mu.support != self.nu.support:
             raise WordchainError("mu and nu must live on a common support")
         if self.mu.support != (Fraction(0), Fraction(1)):
@@ -425,6 +434,7 @@ class CanonicalPair:
     @classmethod
     def from_mu(cls, mu: StepMeasure) -> "CanonicalPair":
         """Complete mu (with mu <= 2*Lebesgue on [0,1]) to a canonical pair."""
+        _check_kind(mu, StepMeasure, "a step measure")
         nu = StepMeasure(mu.breakpoints, tuple(2 - d for d in mu.densities))
         return cls(mu, nu)
 
@@ -521,6 +531,7 @@ def suffix_counts(u: str) -> list[tuple[int, int]]:
 
 def _scaled_rates(rates: RatePair) -> tuple[int, int]:
     """(alpha * qs, beta * qs) = (ps, rq) for alpha = p/q and beta = r/s."""
+    _check_kind(rates, RatePair, "a rate pair")
     p, q = rates.alpha.as_integer_ratio()
     r, s = rates.beta.as_integer_ratio()
     return p * s, r * q
@@ -554,12 +565,6 @@ def pl_word_prob(rates: RatePair, u: str) -> Fraction:
 
 MeasurePair = Union[CanonicalPair, AtomicPair, RatePair]
 DiffusePair = Union[CanonicalPair, RatePair]
-
-
-def _check_diffuse(pair: DiffusePair) -> None:
-    # an atomic pair runs out of distinct atoms and indexes no harmonic function
-    if not isinstance(pair, DiffusePair):
-        raise TypeError(f"need a diffuse pair, not {type(pair).__name__}")
 
 
 def empirical_pair(y: str) -> AtomicPair:
@@ -669,6 +674,7 @@ def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:
     """
     words = dict.fromkeys(words)  # each word once, in input order
     m = max(map(word_size, words), default=0)
+    _check_kind(pair, MeasurePair, "a measure pair")
     _check_atom_count(pair, m)
     if isinstance(pair, CanonicalPair):
         _check_step_cap(m)
@@ -676,10 +682,8 @@ def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:
         return {w: probs[w] for w in words}
     if isinstance(pair, RatePair):
         return {w: pl_word_prob(pair, w) for w in words}
-    if isinstance(pair, AtomicPair):
-        return {w: Fraction(math.factorial(len(w) // 2) ** 2 * subword_count(pair.word, w),
-                            pair.size ** len(w)) for w in words}
-    raise TypeError(f"unsupported measure pair {type(pair).__name__}")
+    return {w: Fraction(math.factorial(len(w) // 2) ** 2 * subword_count(pair.word, w),
+                        pair.size ** len(w)) for w in words}
 
 
 def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
@@ -730,6 +734,7 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
     """
     m = word_size(w)
     trials = check_count(trials, "trials")
+    _check_kind(pair, MeasurePair, "a measure pair")
     _check_atom_count(pair, m)
     if not m:
         return [True] * trials  # the empty pattern needs no draws
@@ -822,6 +827,7 @@ def empirical_distance(y: str, letter: str, q: StepMeasure) -> float:
     n = empirical_pair(y).size
     if letter not in ("a", "b"):
         raise WordchainError(f"letter must be 'a' or 'b', got {letter!r}")
+    _check_kind(q, StepMeasure, "a step measure")
     knots = q.breakpoints
     if knots[0] < 0 or knots[-1] > 1:
         raise WordchainError("empirical_distance expects a measure supported in [0, 1]")

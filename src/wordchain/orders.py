@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import SizeMismatchError, WordchainError
 from .measures import DiffusePair, Exponential, MCEstimate, StepMeasure, format_fraction
-from .measures import _check_diffuse, _distinct_run, _value_rows
+from .measures import _check_kind, _distinct_run, _value_rows
 from .words import check_count, word_size
 
 MOMENT_ORDER_CAP = 4
@@ -187,10 +187,7 @@ class OrderSampler:
 
     def __init__(self, a_source, b_source, rng: random.Random):
         for source in (a_source, b_source):
-            if not isinstance(source, (StepMeasure, Exponential)):
-                raise TypeError(
-                    "order sources must be diffuse (step or exponential) measures"
-                )
+            _check_kind(source, (StepMeasure, Exponential), "a step or exponential measure")
         self.a_source = a_source
         self.b_source = b_source
         self.rng = rng
@@ -199,7 +196,7 @@ class OrderSampler:
 
     @classmethod
     def from_pair(cls, pair: DiffusePair, rng: random.Random) -> "OrderSampler":
-        _check_diffuse(pair)
+        _check_kind(pair, DiffusePair, "a diffuse pair")
         return cls(pair.mu, pair.nu, rng)
 
     def run(self, depth: int) -> OrderRun:

@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 
 from .errors import SizeMismatchError, WordchainError
-from .measures import RatePair, _distinct_run, _scaled_rates, _suffix_product, interleave_pattern
+from .measures import RatePair, _check_kind, _distinct_run, _scaled_rates, _suffix_product
+from .measures import interleave_pattern
 from .measures import pl_word_prob  # noqa: F401  (re-exported beside RatePair)
 from .words import check_count, subword_count, word_size
 
@@ -46,6 +47,7 @@ def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequen
     (`_distinct_run`), and the rates must lie in the normal float range.
     The two agree in distribution and serve as mutual oracles.
     """
+    _check_kind(rates, RatePair, "a rate pair")
     n = check_count(n, "word size")
     if method == "sort":
         return interleave_pattern(*_distinct_run(rates.mu.drawer(rng), rates.nu.drawer(rng), n))

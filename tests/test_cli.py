@@ -4,14 +4,17 @@ import ast
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+import verify_stubs
 from conftest import int_str_digit_limit
 from wordchain import cli, verify
 from wordchain.cli import main
@@ -67,6 +70,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_err(capsys, argv):
+    """(exit code, stderr) of main(argv); a parser error exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 class TestExactCommands:
@@ -355,13 +367,34 @@ class TestErrorHandling:
             ["pattern-prob", "--word", "ab"],
             ["pattern-prob", "--word-pair", "abab", "--pair", "p.json", "--word", "ab"],
             ["plackett-luce", "--alpha", "1", "--beta", "1", "sample", "--size", "-2"],
+            ["plackett-luce", "--alpha", "1", "--beta", "1", "prob", "ab", "--size", "-2"],
+            ["verify", "--jobs", "0"],
+            ["simulate", "--steps", "3", "--seed", "x"],
+            ["boundary", "--seq", "s.txt", "--pair", "p.json", "--mmax", "1.5"],
+            [],
         ],
     )
     def test_argparse_rejects(self, capsys, argv):
+        # exit 2 and one `error:` line, whether the parser or the library rejects the value
+        code, err = run_err(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--steps", "-1"], "steps must be nonnegative, got -1"),
+        (["simulate", "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+        (["verify", "--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["moments", "--order", "1", "--zeta", "exp:1", "--eta", "exp:2", "--trials", "0"],
+         "trials must be at least 1, got 0"),
+    ])
+    def test_range_messages_are_the_library_s(self, capsys, argv, message):
+        assert run_err(capsys, argv) == (2, f"error: {message}\n")
+
+    def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+            main(["simulate", "-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wordchain simulate ")
 
     def test_missing_order_sources(self, capsys):
         assert main(["orders", "--stat", "f", "--x", "a1"]) == 2
@@ -523,25 +556,32 @@ def test_verify_jobs_default(capsys, monkeypatch, pool_sizes):
 def _stub_families(monkeypatch, **overrides):
     """Every verify family replaced by a one-identity stub, or by its override.
 
-    run_family looks each check up when called, and the pool's workers are
-    forked, so the stubs reach them too.
+    The CLI reads verify.run_family when verify runs; the stand-in is a
+    function of verify_stubs, which pool workers import by name, so the
+    stubs reach them under every start method.
     """
-    for name in verify.FAMILIES:
-        stub = overrides.get(name, lambda name=name: verify.CheckResult(name, checked=1))
-        monkeypatch.setattr(verify, f"check_{name}", stub)
+    monkeypatch.setattr(verify, "run_family", partial(verify_stubs.run_family, overrides=overrides))
 
 
-def _failing_family() -> verify.CheckResult:
-    res = verify.CheckResult("failing family", checked=2)
-    res.fail("first failure")
-    res.fail("second failure")
-    return res
+@pytest.fixture
+def each_start_method():
+    """Iterates over the platform's start methods, forcing each in turn; then restores the default."""
+    saved = multiprocessing.get_start_method(allow_none=True)
+
+    def force_each():
+        for method in multiprocessing.get_all_start_methods():
+            multiprocessing.set_start_method(method, force=True)
+            yield method
+
+    yield force_each()
+    multiprocessing.set_start_method(saved, force=True)
 
 
-def test_verify_failure_independent_of_jobs(capsys, monkeypatch):
-    _stub_families(monkeypatch, plackett_luce=_failing_family)
+def test_verify_failure_independent_of_jobs(capsys, monkeypatch, each_start_method):
+    _stub_families(monkeypatch, plackett_luce=verify_stubs.failing)
     serial = run(capsys, ["verify", "--jobs", "1"])
-    assert run(capsys, ["verify", "--jobs", "2"]) == serial
+    for method in each_start_method:
+        assert run(capsys, ["verify", "--jobs", "2"]) == serial, method
     code, out = serial
     assert code == 1
     assert out.splitlines()[9:] == [
@@ -554,11 +594,12 @@ def test_verify_failure_independent_of_jobs(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_family_exception_propagates(monkeypatch, jobs):
+def test_verify_family_exception_propagates(monkeypatch, jobs, each_start_method):
     # a bug in a family is not a WordchainError: it leaves main, from a worker too
-    _stub_families(monkeypatch, harmonicity=lambda: 1 // 0)
-    with pytest.raises(ZeroDivisionError):
-        main(["verify", "--jobs", jobs])
+    _stub_families(monkeypatch, harmonicity=verify_stubs.raising)
+    for method in each_start_method:
+        with pytest.raises(ZeroDivisionError):
+            main(["verify", "--jobs", jobs])
 
 
 def test_serial_verify_leaves_pool_unloaded(tmp_path):

@@ -9,15 +9,28 @@ These tests check the defining recurrence
 
 with v chosen so that its sides are served by different regimes, and the
 batch walk ``subword_counts`` against ``subword_count`` on either side of
-_WALK_LETTERS.  Neither uses an oracle: a regime that is off by one
-disagrees with its neighbour.  The words are drawn from fixed seeds.
+_WALK_LETTERS.  Then the paper's identities that rest on the coefficient,
+at sizes ``wordchain verify`` does not reach: the convolution identity for
+long w, and the one-step and backward kernel rows summing to 1.  None uses
+an oracle: a regime that is off by one disagrees with its neighbour or
+breaks an identity.  The words are drawn from fixed seeds.
 """
 
 import random
 
 import pytest
 
-from wordchain.words import _PACKED_LETTERS, _WALK_LETTERS, subword_count, subword_counts
+from wordchain.kernels import backward_prob, one_step_prob
+from wordchain.words import (
+    _PACKED_LETTERS,
+    _WALK_LETTERS,
+    delete_pair,
+    enumerate_balanced,
+    letter_positions,
+    subword_count,
+    subword_counts,
+    successors,
+)
 
 
 def _regime(w_len: int, v_len: int) -> str:
@@ -82,3 +95,38 @@ def test_batch_walk_matches_single_counts(length):
     counts = subword_counts(y, words)
     assert counts.keys() == words
     assert counts == {w: subword_count(y, w) for w in words}
+
+
+def _balanced(rng: random.Random, n: int) -> str:
+    """A balanced word of size n, its letters shuffled by rng."""
+    letters = list("ab" * n)
+    rng.shuffle(letters)
+    return "".join(letters)
+
+
+# 12 letters: band and position DP; 120 and 1022: position DP; 1024 and 2000: the walk
+@pytest.mark.parametrize("n", [6, 60, 511, 512, 1000])
+def test_convolution_identity_for_long_w(n):
+    # sum over v in W_{m+1} of binom(v, u) binom(w, v) = binom(w, u) (n - m)^2, u in W_m
+    w = _balanced(random.Random(n), n)
+    for m in range(4):
+        mids = enumerate_balanced(m + 1)
+        counts = {v: subword_count(w, v) for v in mids}
+        for u in enumerate_balanced(m):
+            lhs = sum(subword_count(v, u) * counts[v] for v in mids)
+            assert lhs == subword_count(w, u) * (n - m) ** 2, (m, u)
+
+
+# both rows run the band DP: w and v differ by one a and one b
+@pytest.mark.parametrize("n", [20, 80])
+def test_one_step_row_sums_to_one(n):
+    v = _balanced(random.Random(n), n)
+    assert sum(one_step_prob(v, w) for w in successors(v)) == 1
+
+
+@pytest.mark.parametrize("n", [20, 80])
+def test_backward_row_sums_to_one(n):
+    v = _balanced(random.Random(n + 1), n)
+    predecessors = {delete_pair(v, i, j)
+                    for i in letter_positions(v, "a") for j in letter_positions(v, "b")}
+    assert sum(backward_prob(u, v) for u in predecessors) == 1

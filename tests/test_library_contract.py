@@ -1,6 +1,6 @@
 """The library's input contract, over every public callable of ``wordchain``.
 
-Every bad count, word or rational given to a public callable raises
+Every bad count, word, rational, pair or measure given to a public callable raises
 WordchainError (or a subclass), TypeError, or the IndexError that
 ``InfiniteBridge.word`` and ``OrderRun.prefix`` declare for a step out of
 range, with a one-line message, within 2 seconds.  Each entry of ``TABLE``
@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import wordchain
+from wordchain import measures
 from wordchain import (
     AtomicPair,
     CanonicalPair,
@@ -48,6 +49,13 @@ POSITIVE = RATIONALS + [0, -1]
 
 LEBESGUE = CanonicalPair.lebesgue()
 RATES = RatePair(2, 1)
+# a value of the wrong kind for each kind of pair or measure argument
+STEP_MEASURES = ["x", None, Exponential(1)]
+DIFFUSE_MEASURES = ["x", None, LEBESGUE]  # step or exponential
+CANONICAL_PAIRS = ["x", None, RATES]
+DIFFUSE_PAIRS = ["x", None, AtomicPair("ab")]
+MEASURE_PAIRS = ["x", None, StepMeasure.lebesgue()]
+RATE_PAIRS = ["x", None, LEBESGUE]
 A1, B1 = LabeledLetter("a", 1), LabeledLetter("b", 1)
 
 
@@ -73,19 +81,21 @@ TABLE = [
     # boundary
     Entry("convergence_report", wordchain.convergence_report,
           {"seq": ["abab", "aabb"], "pair": LEBESGUE, "m_max": 1},
-          {"seq": [[w] for w in WORDS], "m_max": SIZES + [0]}),
+          {"seq": [[w] for w in WORDS], "pair": CANONICAL_PAIRS, "m_max": SIZES + [0]}),
     # a result record: it checks nothing, and convergence_report builds it
     Entry("ConvergenceReport", ConvergenceReport,
           vars(wordchain.convergence_report(["abab", "aabb"], LEBESGUE, 1)), {}),
     # bridges
-    Entry("InfiniteBridge", InfiniteBridge, {"pair": LEBESGUE, "rng": random.Random(3)}, {}),
+    Entry("InfiniteBridge", InfiniteBridge, {"pair": LEBESGUE, "rng": random.Random(3)},
+          {"pair": DIFFUSE_PAIRS}),
     Entry("InfiniteBridge.extend_to", lambda n: InfiniteBridge(LEBESGUE, random.Random(4)).extend_to(n),
           {"n": 3}, {"n": SIZES}),
     Entry("InfiniteBridge.word", lambda n: _bridge_at(3).word(n), {"n": 2}, {"n": SIZES + [4]},
           index_error=("n",)),
-    Entry("harmonic_h", wordchain.harmonic_h, {"pair": LEBESGUE, "w": "ab"}, {"w": WORDS}),
+    Entry("harmonic_h", wordchain.harmonic_h, {"pair": LEBESGUE, "w": "ab"},
+          {"pair": DIFFUSE_PAIRS, "w": WORDS}),
     Entry("htransform_step_prob", wordchain.htransform_step_prob,
-          {"pair": RATES, "u": "ab", "v": "abab"}, {"u": WORDS, "v": WORDS}),
+          {"pair": RATES, "u": "ab", "v": "abab"}, {"pair": DIFFUSE_PAIRS, "u": WORDS, "v": WORDS}),
     Entry("sample_finite_bridge", wordchain.sample_finite_bridge,
           {"w": "abab", "rng": random.Random(5)}, {"w": WORDS}),
     Entry("simulate_forward", wordchain.simulate_forward,
@@ -97,9 +107,15 @@ TABLE = [
     # measures
     Entry("AtomicPair", AtomicPair, {"word": "abab"}, {"word": WORDS}),
     Entry("empirical_pair", wordchain.empirical_pair, {"y": "abab"}, {"y": WORDS}),
-    Entry("CanonicalPair", CanonicalPair, {"mu": StepMeasure.lebesgue(), "nu": StepMeasure.lebesgue()}, {}),
+    Entry("CanonicalPair", CanonicalPair, {"mu": StepMeasure.lebesgue(), "nu": StepMeasure.lebesgue()},
+          {"mu": STEP_MEASURES, "nu": STEP_MEASURES}),
+    Entry("CanonicalPair.from_mu", CanonicalPair.from_mu, {"mu": StepMeasure.lebesgue()},
+          {"mu": STEP_MEASURES}),
     Entry("canonicalize", wordchain.canonicalize,
-          {"zeta": StepMeasure.uniform_on(0, 1), "eta": StepMeasure.uniform_on(1, 2)}, {}),
+          {"zeta": StepMeasure.uniform_on(0, 1), "eta": StepMeasure.uniform_on(1, 2)},
+          {"zeta": STEP_MEASURES, "eta": STEP_MEASURES}),
+    Entry("empirical_distance", measures.empirical_distance,
+          {"y": "abab", "letter": "a", "q": StepMeasure.lebesgue()}, {"q": STEP_MEASURES}),
     Entry("fixture_pairs", wordchain.fixture_pairs, {}, {}),
     Entry("Exponential", Exponential, {"rate": "3/2"}, {"rate": POSITIVE}),
     # a result record: it checks nothing, and the Monte Carlo estimators build it
@@ -114,16 +130,17 @@ TABLE = [
           {"points": [[x] for x in RATIONALS]}),
     Entry("StepMeasure.moment", StepMeasure.lebesgue().moment, {"n": 2}, {"n": SIZES}),
     Entry("pattern_prob_exact", wordchain.pattern_prob_exact, {"pair": LEBESGUE, "w": "abab"},
-          {"w": WORDS}),
-    Entry("pattern_prob_mc", wordchain.pattern_prob_mc,
-          {"pair": LEBESGUE, "w": "abab", "trials": 20, "rng": random.Random(7)},
-          {"w": WORDS, "trials": SIZES}),
+          {"pair": MEASURE_PAIRS, "w": WORDS}),
+    *(Entry(fn.__name__, fn, {"pair": LEBESGUE, "w": "abab", "trials": 20, "rng": random.Random(7)},
+            {"pair": MEASURE_PAIRS, "w": WORDS, "trials": SIZES})
+      for fn in (measures.pattern_matches, wordchain.pattern_prob_mc)),
     # orders
     Entry("LabeledLetter", LabeledLetter, {"kind": "a", "index": 2},
           {"kind": ["c", "ab", 3], "index": SIZES + [0]}),
     Entry("OrderPrefix", OrderPrefix, {"letters": (A1, B1)}, {}),
     Entry("OrderSampler", OrderSampler,
-          {"a_source": Exponential(1), "b_source": Exponential(2), "rng": random.Random(8)}, {}),
+          {"a_source": Exponential(1), "b_source": Exponential(2), "rng": random.Random(8)},
+          {"a_source": DIFFUSE_MEASURES, "b_source": DIFFUSE_MEASURES}),
     Entry("OrderSampler.run", lambda depth: _sampler().run(depth), {"depth": 4}, {"depth": SIZES}),
     Entry("OrderRun.prefix", lambda n: _sampler().run(3).prefix(n), {"n": 2}, {"n": SIZES + [4]},
           index_error=("n",)),
@@ -139,10 +156,11 @@ TABLE = [
     Entry("RatePair", RatePair, {"alpha": "3/2", "beta": 1}, {"alpha": POSITIVE, "beta": POSITIVE}),
     Entry("pl_sample", wordchain.pl_sample,
           {"rates": RATES, "n": 3, "rng": random.Random(10), "method": "sequential"},
-          {"n": SIZES, "method": ["bogus"]}),
+          {"rates": RATE_PAIRS, "n": SIZES, "method": ["bogus"]}),
     Entry("pl_transition", wordchain.pl_transition, {"rates": RATES, "u": "ab", "v": "abab"},
-          {"u": WORDS, "v": WORDS}),
-    Entry("pl_word_prob", wordchain.pl_word_prob, {"rates": RATES, "u": "abab"}, {"u": WORDS}),
+          {"rates": RATE_PAIRS, "u": WORDS, "v": WORDS}),
+    Entry("pl_word_prob", wordchain.pl_word_prob, {"rates": RATES, "u": "abab"},
+          {"rates": RATE_PAIRS, "u": WORDS}),
     # rng: the seed and the label only feed a hash, so any values serve
     Entry("derive_rng", wordchain.derive_rng, {"seed": 1, "label": "x"}, {}),
     # verify
@@ -158,9 +176,12 @@ TABLE = [
     Entry("word_size", wordchain.word_size, {"w": "abab"}, {"w": WORDS}),
 ]
 
-# the public methods that take a count or a rational, beside the exported names
-METHODS = {"InfiniteBridge.extend_to", "InfiniteBridge.word", "OrderSampler.run", "OrderRun.prefix",
-           "StepMeasure.moment", "StepMeasure.cdf", "StepMeasure.refine", "StepMeasure.uniform_on"}
+# beside the exported names: the public methods that take a count, a rational or a measure,
+# and the measures functions that the CLI and the boundary report call
+UNEXPORTED = {"InfiniteBridge.extend_to", "InfiniteBridge.word", "OrderSampler.run",
+              "OrderRun.prefix", "StepMeasure.moment", "StepMeasure.cdf", "StepMeasure.refine",
+              "StepMeasure.uniform_on", "CanonicalPair.from_mu", "empirical_distance",
+              "pattern_matches"}
 
 
 class Hang(Exception):
@@ -192,7 +213,7 @@ def _public_callables() -> set[str]:
 def test_every_public_callable_has_an_entry():
     names = {entry.name for entry in TABLE}
     assert _public_callables() - names == set()
-    assert names - _public_callables() == METHODS
+    assert names - _public_callables() == UNEXPORTED
     assert len(names) == len(TABLE)
 
 
@@ -243,6 +264,28 @@ class TestCheckers:
     ])
     def test_messages(self, call, message):
         with pytest.raises(WordchainError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CanonicalPair("x", StepMeasure.lebesgue()), "need a step measure, not str"),
+        (lambda: CanonicalPair(StepMeasure.lebesgue(), None), "need a step measure, not NoneType"),
+        (lambda: CanonicalPair.from_mu("x"), "need a step measure, not str"),
+        (lambda: measures.empirical_distance("ab", "a", "x"), "need a step measure, not str"),
+        (lambda: measures.empirical_distance("ab", "a", Exponential(1)),
+         "need a step measure, not Exponential"),
+        (lambda: measures.pattern_matches("x", "ab", 3, random.Random(0)),
+         "need a measure pair, not str"),
+        (lambda: wordchain.pattern_prob_mc(None, "ab", 3, random.Random(0)),
+         "need a measure pair, not NoneType"),
+        (lambda: wordchain.pl_word_prob(LEBESGUE, "ab"), "need a rate pair, not CanonicalPair"),
+        (lambda: wordchain.pl_transition("x", "ab", "abab"), "need a rate pair, not str"),
+        (lambda: wordchain.pl_sample("x", 2, random.Random(0)), "need a rate pair, not str"),
+        (lambda: wordchain.pl_sample(LEBESGUE, 2, random.Random(0), method="sort"),
+         "need a rate pair, not CanonicalPair"),
+    ])
+    def test_a_wrong_kind_of_pair_or_measure_is_named(self, call, message):
+        with pytest.raises(TypeError) as info:
             call()
         assert str(info.value) == message
 

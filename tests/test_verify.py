@@ -149,3 +149,89 @@ def test_benchmark_names_resolve():
     assert not missing, f"perfbench/worker.py uses names the package lacks: {missing}"
     # the exact workload times the product formula and the exponential pair's word law
     assert {"pl_transition", "pl_word_prob", "RatePair"} <= {name for _, name in used}
+
+
+def _plus_one(real, planted):
+    """real(*args), one more where planted(*args) holds."""
+    return lambda *args: real(*args) + planted(*args)
+
+
+def _bad_matrices(real):
+    """_count_matrices with P's first diagonal entry 2 and H's last one 1."""
+    def fake(max_len):
+        index, p, h = real(max_len)
+        p[0][0], h[-1][-1] = 2, 1
+        return index, p, h
+    return fake
+
+
+def _atomic_counts_one_more(real):
+    """_atomic_pattern_counts with one more selection reading "ab" in y = "ab"."""
+    def fake(y, m):
+        counts = real(y, m)
+        counts["ab"] += y == "ab"
+        return counts
+    return fake
+
+
+def _h_one_more_at_ab(real):
+    """_h_table with h("ab") one more, for every pair."""
+    def fake(pair, words):
+        h = real(pair, words)
+        h["ab"] += 1
+        return h
+    return fake
+
+
+def _row_without_first(real):
+    """htransform_row with the first entry of the row from "ab" left out."""
+    return lambda rates, u: dict(list(real(rates, u).items())[u == "ab":])
+
+
+PL_RATES = "RatePair(alpha=Fraction(2, 1), beta=Fraction(1, 1))"
+
+# (family, the name in verify it reads, the fault planted there, the first lines of its report)
+PLANTED = [
+    ("convolution_identity", "subword_count",
+     lambda real: _plus_one(real, lambda w, v: (w, v) == ("abab", "ab")),
+     ("convolution broken at u='' w='abab'",)),
+    ("matrix_exponential", "_count_matrices", _bad_matrices,
+     ("P diagonal at '' is not 1", "H diagonal at 'bbbbb' is not 0", "exp(H) != P at ('', '')")),
+    ("chapman_kolmogorov", "multi_step_prob",
+     lambda real: _plus_one(real, lambda v, w: (v, w) == ("", "ba")),
+     ("composition != closed form at v='' w='ba'",)),
+    ("kernel_ratio_law", "dm_kernel",
+     lambda real: _plus_one(real, lambda v, w: (v, w) == ("ab", "abab")),
+     ("kernel law broken at v='ab' w='abab'",)),
+    ("pattern_normalization", "pattern_distribution",
+     lambda real: lambda pair, m: {**real(pair, m), "": m == 3},
+     ("pair lebesgue: patterns of size 3 sum to 2",)),
+    ("empirical_identity", "_atomic_pattern_counts", _atomic_counts_one_more,
+     ("y='ab' m=1: w='ab': served 1 != enumerated 2",)),
+    ("plackett_luce", "pl_word_prob", lambda real: _plus_one(real, lambda rates, u: u == "ba"),
+     (f"rates {PL_RATES}: pmf over W_1 sums to 2",)),
+    ("plackett_luce", "htransform_row", _row_without_first,
+     (f"rates {PL_RATES}: transition row from 'ab' is not over its successors",
+      f"rates {PL_RATES}: transition row from 'ab' sums to 13/15")),
+    ("plackett_luce", "pl_transition",
+     lambda real: _plus_one(real, lambda rates, u, v: (u, v) == ("ab", "abab")),
+     (f"rates {PL_RATES}: transition triangle broken at 'ab'->'abab'",)),
+    ("harmonicity", "_h_table", _h_one_more_at_ab,
+     ("pair lebesgue: harmonicity broken at ''", "pair lebesgue: harmonicity broken at 'ab'",
+      "lebesgue pair: h('ab') = 2 != 1")),
+]
+
+# the identities each family checks, as `wordchain verify` reports them
+CHECKED = {"convolution_identity": 2230, "matrix_exponential": 3969, "chapman_kolmogorov": 2230,
+           "kernel_ratio_law": 7571, "pattern_normalization": 15, "empirical_identity": 10180,
+           "plackett_luce": 99, "harmonicity": 87}
+
+
+@pytest.mark.parametrize("family, name, fake, lines", PLANTED,
+                         ids=[f"{family}-{name}" for family, name, _, _ in PLANTED])
+def test_planted_fault_is_reported(monkeypatch, family, name, fake, lines):
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    res = getattr(verify, f"check_{family}")()
+    assert not res.ok
+    assert res.failures[: len(lines)] == list(lines)
+    assert res.checked == CHECKED[family]
