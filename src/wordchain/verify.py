@@ -45,6 +45,25 @@ FAMILIES = (
     "harmonicity",
 )
 
+# The families longest first, by traced busy time: the order a pool takes them
+# in, so that no long family starts last while the other workers sit idle.
+_LONGEST_FIRST = (
+    "recurrence_closure",
+    "empirical_identity",
+    "kernel_ratio_law",
+    "bridge_conditionals",
+    "convolution_identity",
+    "plackett_luce",
+    "chapman_kolmogorov",
+    "matrix_exponential",
+    "harmonicity",
+    "backward_normalization",
+    "pattern_normalization",
+)
+
+# check_recurrence_closure asks each count once, so it reads them past the LRU
+_subword_count_uncached = subword_count.__wrapped__
+
 PL_RATE_FIXTURES = (
     RatePair(Fraction(2), Fraction(1)),
     RatePair(Fraction(3), Fraction(5)),
@@ -156,7 +175,8 @@ def check_recurrence_closure() -> CheckResult:
     binom(w, u) over the index for |u| <= |w| + 1.  Each row is
     checked as it is built: binom(w, "") = 1, and binom(w, v) = 0 for
     |v| = |w| + 1, read off the row, and for |v| = |w| + 2, the only counts
-    asked outside a row.  So each count is asked of subword_count once, and
+    asked outside a row.  So each count is asked once, of the counter
+    behind subword_count's LRU (a cache would only fill and never hit), and
     only the rows of one root-to-leaf path are alive.  The recurrence at w
     compares whole slices of the rows of w, w + a and w + b; only a w with
     a mismatch is replayed identity by identity, to name each failure.
@@ -164,17 +184,18 @@ def check_recurrence_closure() -> CheckResult:
     res = CheckResult("subword recurrence closure")
     max_len = 8
     index = _word_index(max_len)
+    count = _subword_count_uncached
 
     def row(w: str) -> list[int]:
         n = len(w)
         known = 2 ** (min(n + 1, max_len) + 1) - 1  # the words of length <= n + 1
-        counts = list(map(subword_count, itertools.repeat(w), index[:known]))
+        counts = list(map(count, itertools.repeat(w), index[:known]))
         res.checked += 1
         if counts[0] != 1:
             res.fail(f"binom({w!r}, empty) != 1")
         longer = index[2 ** (n + 1) - 1 : 2 ** (n + 3) - 1]  # lengths n + 1, n + 2
         zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1, if any
-        zeros += map(subword_count, itertools.repeat(w), longer[len(zeros) :])
+        zeros += map(count, itertools.repeat(w), longer[len(zeros) :])
         res.checked += len(zeros)
         if any(zeros):
             for v, c in zip(longer, zeros):

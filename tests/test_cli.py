@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 import verify_stubs
 from conftest import int_str_digit_limit
+from test_golden import MC_CASES
 from wordchain import cli, verify
 from wordchain.cli import main
 from wordchain.kernels import multi_step_prob
@@ -45,13 +47,13 @@ def separated_file(tmp_path):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool built, each pool run in this process."""
-    sizes = []
+def pools(monkeypatch):
+    """The keyword arguments of every process pool built, each pool run in this process."""
+    built = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, **kwargs):
+            built.append(kwargs)
 
         def __enter__(self):
             return self
@@ -63,7 +65,11 @@ def pool_sizes(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return built
+
+
+def pool_sizes(pools) -> list[int]:
+    return [pool["max_workers"] for pool in pools]
 
 
 def run(capsys, argv):
@@ -241,16 +247,53 @@ class TestDeterminism:
         _, parallel = run(capsys, base + ["--jobs", "2"])
         assert serial == parallel
 
-    def test_pool_no_larger_than_replica_count(self, pool_sizes, pair_file):
+    def test_pool_no_larger_than_replica_count(self, pools, pair_file):
         base = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--seed", "3"]
         assert main(base + ["--trials", "100", "--jobs", "64"]) == 0
         assert main(base + ["--trials", "3", "--jobs", "64"]) == 0
-        assert pool_sizes == [cli.MC_REPLICAS, 3]
+        assert pool_sizes(pools) == [cli.MC_REPLICAS, 3]
         # statistic argument errors are found before any pool is built
         assert main(["moments", "--order", "9", "--jobs", "2", "--pair", pair_file]) == 2
         assert main(["orders", "--stat", "f", "--x", "a9", "--depth", "3", "--jobs", "2",
                      "--pair", pair_file]) == 2
-        assert pool_sizes == [cli.MC_REPLICAS, 3]
+        assert pool_sizes(pools) == [cli.MC_REPLICAS, 3]
+
+    def test_pool_forks_unless_a_method_is_set(self, pools, pair_file, each_start_method):
+        argv = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--trials", "16",
+                "--jobs", "2"]
+        for method in each_start_method:
+            # a method set explicitly wins: the pool takes the default context
+            assert main(argv) == 0
+            assert pools.pop()["mp_context"] is None, method
+        multiprocessing.set_start_method(None, force=True)
+        assert main(argv) == 0
+        context = pools.pop()["mp_context"]
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert context.get_start_method() == "fork"
+        else:
+            assert context is None
+        # the rule read no default: none was fixed for the process
+        assert multiprocessing.get_start_method(allow_none=True) is None
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot fork")
+    def test_cli_forks_with_no_other_thread(self, tmp_path):
+        # fork copies only the calling thread: the CLI starts none before its pool
+        code = textwrap.dedent(f"""\
+            import concurrent.futures, threading
+            from wordchain.cli import main
+            real = concurrent.futures.ProcessPoolExecutor
+            def pool(max_workers, mp_context):
+                print(threading.active_count(), mp_context.get_start_method(), flush=True)
+                return real(max_workers=max_workers, mp_context=mp_context)
+            concurrent.futures.ProcessPoolExecutor = pool
+            for argv in (["verify"], {MC_GOLDEN_ARGV!r}):
+                assert main([*argv, "--jobs", "2", "--out", {str(tmp_path / "out")!r}]) == 0
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout == "1 fork\n1 fork\n"
 
     def test_import_leaves_pool_unloaded(self):
         # only --jobs > 1 imports the process pool
@@ -386,6 +429,9 @@ class TestErrorHandling:
         (["verify", "--jobs", "0"], "jobs must be at least 1, got 0"),
         (["moments", "--order", "1", "--zeta", "exp:1", "--eta", "exp:2", "--trials", "0"],
          "trials must be at least 1, got 0"),
+        # 0 trials is the exact value, so the bound is 0
+        (["pattern-prob", "--word-pair", "abab", "--word", "ab", "--trials", "-1"],
+         "trials must be nonnegative, got -1"),
     ])
     def test_range_messages_are_the_library_s(self, capsys, argv, message):
         assert run_err(capsys, argv) == (2, f"error: {message}\n")
@@ -507,6 +553,9 @@ class TestErrorHandling:
         assert err.value.code == 2
 
 
+# a Monte Carlo golden invocation that needs no input file
+MC_GOLDEN_ARGV = MC_CASES["orders-f-exp"][0]
+
 # Identity counts per family may grow but never drop; a change to them
 # must update this text on purpose.
 VERIFY_STDOUT = """\
@@ -537,19 +586,19 @@ def test_verify_independent_of_jobs(capsys, jobs):
     assert run(capsys, ["verify", "--jobs", jobs]) == (0, VERIFY_STDOUT)
 
 
-def test_verify_jobs_default(capsys, monkeypatch, pool_sizes):
+def test_verify_jobs_default(capsys, monkeypatch, pools):
     # without --jobs, verify runs on min(usable CPUs, 11) workers; below two, in-process
     _stub_families(monkeypatch)
     for cpus in (cli._usable_cpus(), 1, 3, 20):
         monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
-        pool_sizes.clear()
+        pools.clear()
         assert main(["verify"]) == 0
-        assert pool_sizes == ([min(cpus, 11)] if cpus > 1 else []), cpus
+        assert pool_sizes(pools) == ([min(cpus, 11)] if cpus > 1 else []), cpus
     # the Monte Carlo commands stay serial unless --jobs says otherwise
-    pool_sizes.clear()
+    pools.clear()
     assert main(["moments", "--order", "1", "--trials", "16", "--zeta", "exp:1",
                  "--eta", "exp:2"]) == 0
-    assert pool_sizes == []
+    assert pools == []
     capsys.readouterr()
 
 
@@ -591,6 +640,36 @@ def test_verify_failure_independent_of_jobs(capsys, monkeypatch, each_start_meth
         "harmonicity: 1 identities: OK",
         "11 identity families, 12 identities checked, 1 families failing",
     ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_in_family_order(capsys, monkeypatch, jobs):
+    # the pool takes the families longest first, and the first one here finishes
+    # last; the report still lists them in FAMILIES order
+    _stub_families(monkeypatch, recurrence_closure=verify_stubs.slow)
+    code, out = run(capsys, ["verify", "--jobs", jobs])
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == list(verify.FAMILIES)
+
+
+def test_verify_and_mc_bytes_under_each_start_method(capsys, tmp_path):
+    # each start method forced on a fresh interpreter through sitecustomize
+    _, mc_serial = run(capsys, [*MC_GOLDEN_ARGV, "--jobs", "1"])
+    code = ("import multiprocessing, sys; from wordchain.cli import main; "
+            "print(multiprocessing.get_start_method(allow_none=True)); "
+            "main(['verify', '--jobs', '2']); "
+            f"main({[*MC_GOLDEN_ARGV, '--jobs', '2']!r})")
+    for method in multiprocessing.get_all_start_methods():
+        site = tmp_path / method
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(
+            f"import multiprocessing\nmultiprocessing.set_start_method({method!r})\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(site), str(Path(cli.__file__).parents[1])]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert (out.returncode, out.stderr) == (0, ""), method
+        assert out.stdout == f"{method}\n{VERIFY_STDOUT}{mc_serial}", method
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -62,8 +62,9 @@ def test_atomic_counts_match_selection_oracle():
     (("abababab", "abba"), "abababa"),
 ], ids=["base", "ext", "lhs"])
 def test_recurrence_closure_reads_every_count(monkeypatch, key, w):
-    exact = verify.subword_count
-    monkeypatch.setattr(verify, "subword_count", lambda *args: exact(*args) + (args == key))
+    exact = verify._subword_count_uncached
+    monkeypatch.setattr(verify, "_subword_count_uncached",
+                        lambda *args: exact(*args) + (args == key))
     res = verify.check_recurrence_closure()
     assert not res.ok
     assert any(line.startswith(f"recurrence broken at w={w!r}") for line in res.failures)
@@ -82,13 +83,13 @@ MANY_FAULTS = tuple((w, "ab") for w in enumerate_words(5))
     MANY_FAULTS,
 ], ids=["empty", "zeros", "two-in-one-w", "scattered", "many"])
 def test_recurrence_closure_matches_oracle(monkeypatch, keys):
-    exact = verify.subword_count
+    exact = verify._subword_count_uncached
     planted = set(keys)
 
     def count(w, v):
         return exact(w, v) + ((w, v) in planted)
 
-    monkeypatch.setattr(verify, "subword_count", count)
+    monkeypatch.setattr(verify, "_subword_count_uncached", count)
     res = verify.check_recurrence_closure()
     checked, failures = recurrence_closure_oracle(count)
     assert failures
@@ -96,11 +97,26 @@ def test_recurrence_closure_matches_oracle(monkeypatch, keys):
     assert res.checked == checked == 239_785
 
 
-def test_recurrence_closure_asks_each_count_once():
-    subword_count.cache_clear()
+def test_recurrence_closure_asks_each_count_once(monkeypatch):
+    asked = []
+    exact = verify._subword_count_uncached
+    monkeypatch.setattr(verify, "_subword_count_uncached",
+                        lambda w, v: asked.append((w, v)) or exact(w, v))
     assert verify.check_recurrence_closure().checked == 239_785
-    # one miss per distinct (w, u) pair: no count is evicted and asked again
-    assert subword_count.cache_info().misses == 239_785
+    # one call per distinct (w, u) pair: no count is asked twice
+    assert len(asked) == len(set(asked)) == 239_785
+
+
+def test_recurrence_closure_leaves_the_lru_alone():
+    # the counts are asked once each, so they go past subword_count's LRU
+    subword_count("abab", "ab")
+    before = subword_count.cache_info()
+    assert verify.check_recurrence_closure().ok
+    assert subword_count.cache_info() == before
+
+
+def test_pool_order_is_a_permutation_of_the_families():
+    assert sorted(verify._LONGEST_FIRST) == sorted(verify.FAMILIES)
 
 
 def test_families_match_benchmark(monkeypatch):

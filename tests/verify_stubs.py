@@ -5,11 +5,19 @@ started by spawn or forkserver unpickles the function it runs, importing
 it by module and name, so the stubs live at the top level of this module.
 """
 
+import time
+
 from wordchain import verify
 
 
 def one_identity(name: str) -> verify.CheckResult:
     return verify.CheckResult(name, checked=1)
+
+
+def slow(name: str) -> verify.CheckResult:
+    """A one-identity family that takes a fifth of a second."""
+    time.sleep(0.2)
+    return one_identity(name)
 
 
 def failing(name: str) -> verify.CheckResult:
