@@ -28,13 +28,7 @@ from .measures import (
 from .words import check_count, enumerate_balanced, subword_counts, word_size
 
 
-def check_word_sequence(seq: list[str]) -> list[str]:
-    """Validate nonempty input with nondecreasing word sizes."""
-    _checked_sizes(seq)
-    return seq
-
-
-def _checked_sizes(seq: list[str]) -> list[int]:
+def check_word_sequence(seq: list[str]) -> list[int]:
     """The word sizes of a nonempty sequence of balanced words, checked nondecreasing."""
     if not seq:
         raise WordchainError("a word sequence must be nonempty")
@@ -97,7 +91,7 @@ def convergence_report(
     between the first and second half of the sequence.
     """
     _check_kind(pair, CanonicalPair, "a canonical pair")
-    sizes = _checked_sizes(seq)
+    sizes = check_word_sequence(seq)
     m_max = check_count(m_max, "m_max", 1)
     if m_max > sizes[0]:
         raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {sizes[0]}")

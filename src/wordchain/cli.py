@@ -206,7 +206,7 @@ def _cmd_pattern_prob(args) -> str | dict:
     if not args.trials:
         return format_fraction(pattern_prob_exact(pair, args.word))
     task = partial(pattern_matches, pair, args.word)
-    estimate = MCEstimate.binomial(
+    estimate = MCEstimate.from_samples(
         _replicate(task, args.trials, args.seed, "pattern-prob", args.jobs)
     )
     return _estimate(estimate, word=args.word, trials=args.trials)

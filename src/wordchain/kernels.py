@@ -16,17 +16,13 @@ from .errors import SizeMismatchError
 from .words import subword_count, word_size
 
 
-def _sizes(v: str, w: str) -> tuple[int, int]:
-    return word_size(v), word_size(w)
-
-
 def one_step_prob(v: str, w: str) -> Fraction:
     """P{next word = w | current word = v} for sizes m and m+1.
 
     Equals M(v, w) / ((2m+2)(2m+1)) where M(v, w) counts the insertion
     pairs turning v into w; M coincides with the subword coefficient.
     """
-    m, k = _sizes(v, w)
+    m, k = word_size(v), word_size(w)
     if k != m + 1:
         raise SizeMismatchError(f"one-step needs sizes (m, m+1), got ({m}, {k})")
     return Fraction(subword_count(w, v), (2 * m + 2) * (2 * m + 1))
@@ -39,7 +35,7 @@ def multi_step_prob(v: str, w: str) -> Fraction:
         subword_count(w, v) * n! * n! / ((2m+1)(2m+2)...(2m+2n)).
     With v the empty word it reduces to the uniform marginal 1 / C(2n, n).
     """
-    m, k = _sizes(v, w)
+    m, k = word_size(v), word_size(w)
     if k < m:
         raise SizeMismatchError(f"target size {k} is below source size {m}")
     n = k - m
@@ -53,7 +49,7 @@ def dm_kernel(v: str, w: str) -> Fraction:
     Closed form subword_count(w, v) * C(2m, m) / C(m+n, m)^2; identical to
     multi_step_prob(v, w) / multi_step_prob("", w).  May exceed 1.
     """
-    m, k = _sizes(v, w)
+    m, k = word_size(v), word_size(w)
     if k < m:
         raise SizeMismatchError(f"target size {k} is below source size {m}")
     n = k - m
@@ -69,7 +65,7 @@ def backward_prob(u: str, v: str) -> Fraction:
     b uniformly at random, so u is reached from v of size m+1 with
     probability subword_count(v, u) / (m+1)^2.
     """
-    m, k = _sizes(u, v)
+    m, k = word_size(u), word_size(v)
     if k != m + 1:
         raise SizeMismatchError(f"backward step needs sizes (m, m+1), got ({m}, {k})")
     return Fraction(subword_count(v, u), (m + 1) ** 2)

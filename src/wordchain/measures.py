@@ -698,7 +698,11 @@ def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate with its standard error."""
+    """A Monte Carlo estimate with its standard error.
+
+    Every estimate in the package is ``from_samples`` of per-trial samples;
+    a pattern trial's ``bool`` counts as 0 or 1.
+    """
 
     value: float
     stderr: float
@@ -713,15 +717,6 @@ class MCEstimate:
         mean = sum(samples) / n
         var = sum((s - mean) ** 2 for s in samples) / n
         return cls(mean, math.sqrt(var / n), n)
-
-    @classmethod
-    def binomial(cls, outcomes: Sequence[bool]) -> "MCEstimate":
-        """Hit frequency of Bernoulli outcomes with stderr sqrt(p(1-p)/n)."""
-        n = len(outcomes)
-        if n < 1:
-            raise WordchainError("need at least one trial")
-        p = sum(outcomes) / n
-        return cls(p, math.sqrt(p * (1 - p) / n), n)
 
 
 def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> list[bool]:
@@ -756,7 +751,7 @@ def pattern_matches(pair: MeasurePair, w: str, trials: int, rng: random.Random) 
 
 def pattern_prob_mc(pair: MeasurePair, w: str, trials: int, rng: random.Random) -> MCEstimate:
     """Monte Carlo oracle for pattern_prob_exact: the hit frequency of w."""
-    return MCEstimate.binomial(pattern_matches(pair, w, trials, rng))
+    return MCEstimate.from_samples(pattern_matches(pair, w, trials, rng))
 
 
 def canonicalize(zeta: StepMeasure, eta: StepMeasure) -> CanonicalPair:

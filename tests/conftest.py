@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from scipy import stats
 
 from wordchain.errors import SizeMismatchError, WordchainError
 from wordchain.measures import (
@@ -48,8 +47,37 @@ def subword_count_oracle(w: str, v: str) -> int:
     return dp[-1]
 
 
+def chi2_survival(x: float, df: int) -> float:
+    """P{chi-square with integer df > x}, in closed form: with h = x/2,
+    e^-h * sum_{j < df/2} h^j / j! for an even df, and
+    erfc(sqrt h) + e^-h * sum_{j < (df-1)/2} h^(j+1/2) / Gamma(j + 3/2) for an odd df."""
+    h = x / 2
+    if df % 2:
+        total, term, first = math.erfc(math.sqrt(h)), math.sqrt(h) / math.gamma(1.5), 1.5
+    else:
+        total, term, first = 0.0, 1.0, 1
+    series = 0.0
+    for j in range(df // 2):
+        series += term
+        term *= h / (first + j)
+    return total + math.exp(-h) * series
+
+
 def chi2_critical(cells: int, level: float = 0.01) -> float:
-    return float(stats.chi2.ppf(1 - level, cells - 1))
+    """The (1 - level) quantile of chi-square with cells - 1 degrees of
+    freedom, by bisection on chi2_survival."""
+    df = cells - 1
+    lo, hi = 0.0, float(df) + 1
+    while chi2_survival(hi, df) > level:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if chi2_survival(mid, df) > level:
+            lo = mid
+        else:
+            hi = mid
 
 
 def chi2_statistic(observed: dict, expected: dict, total: int) -> float:

@@ -82,6 +82,9 @@ class TestSequenceValidation:
         with pytest.raises(ValueError):
             check_word_sequence(["abab", "ab"])
 
+    def test_returns_the_sizes(self):
+        assert check_word_sequence(["ab", "abab", "abab"]) == [1, 2, 2]
+
     def test_report_sizes_each_word_once(self, monkeypatch):
         calls = []
 

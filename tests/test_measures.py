@@ -31,6 +31,7 @@ from wordchain.measures import (
     AtomicPair,
     CanonicalPair,
     Exponential,
+    MCEstimate,
     RatePair,
     StepMeasure,
     canonicalize,
@@ -355,6 +356,25 @@ class TestPatternMC:
     def test_atomic_word_larger_than_pair(self):
         with pytest.raises(SizeMismatchError):
             pattern_matches(empirical_pair("ab"), "aabb", 0, random.Random(11))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [*fixture_pairs().values(), RatePair(1, 2), empirical_pair("abaabb")],
+        ids=[*fixture_pairs(), "rates-1-2", "atomic-abaabb"],
+    )
+    def test_estimate_is_the_sample_mean_of_matches(self, pair):
+        # a trial's bool is a 0/1 sample: the one estimator serves the hit frequency
+        est = pattern_prob_mc(pair, "abab", 3_000, random.Random(12))
+        assert est == MCEstimate.from_samples(pattern_matches(pair, "abab", 3_000, random.Random(12)))
+
+    def test_plug_in_stderr_is_the_bernoulli_formula(self):
+        est = MCEstimate.from_samples([True, True, True, False, True, False, True, True])
+        assert (est.value, est.trials) == (0.75, 8)
+        assert est.stderr == pytest.approx(math.sqrt(0.75 * 0.25 / 8), rel=1e-15)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(WordchainError, match="need at least one sample"):
+            pattern_prob_mc(CanonicalPair.lebesgue(), "ab", 0, random.Random(13))
 
 
 class TestEmpiricalPair:
