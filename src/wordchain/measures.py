@@ -698,11 +698,8 @@ def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte Carlo estimate with its standard error.
-
-    Every estimate in the package is ``from_samples`` of per-trial samples;
-    a pattern trial's ``bool`` counts as 0 or 1.
-    """
+    """A Monte Carlo estimate with its standard error, made by ``from_samples``
+    from per-trial samples (a pattern trial's ``bool`` is a 0/1 sample)."""
 
     value: float
     stderr: float

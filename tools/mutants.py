@@ -1,16 +1,16 @@
 """Plant one known fault at a time in a copy of the repo and check that the tests see it.
 
-Usage: python tools/mutants.py [NAME ...]
+Usage: python tools/mutants.py
 
 Each entry of MUTANTS names a file under src/, an exact source text that
 occurs there once, its replacement, and the test files that should fail
 with it.  Per entry the tool copies the repo (without .git) to a temporary
 directory, applies the one replacement, runs ``python -m pytest -x -q`` on
 the named files with that copy's src first on PYTHONPATH, and prints
-killed or survived with the seconds taken.  An entry with a reason is an
-equivalent mutant, which no test can kill.  The exit status is 1 when a
-non-equivalent mutant survives or an entry no longer applies.  Names given
-on the command line run only those entries.
+killed or survived with the seconds taken and the first failing test.
+An entry with a reason is an equivalent mutant, which no test can kill.
+The exit status is 1 when a non-equivalent mutant survives or an entry no
+longer applies.
 """
 
 from __future__ import annotations
@@ -102,16 +102,9 @@ def run(mutant: Mutant) -> tuple[str, float, str]:
     return verdict, time.perf_counter() - start, first
 
 
-def main(argv: list[str]) -> int:
-    known = {m.name for m in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        print(f"error: unknown mutant {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = 0
     for mutant in MUTANTS:
-        if argv and mutant.name not in argv:
-            continue
         verdict, seconds, first = run(mutant)
         note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
         print(f"{mutant.name:<28} {verdict:<9} {seconds:5.1f} s  {first}{note}", flush=True)
@@ -120,4 +113,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
