@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, format_fraction, pattern_distribution
 from .plackett_luce import RatePair, pl_transition, pl_word_prob
 from .words import (
+    _packed_dp,
+    _packed_masks,
     check_count,
     enumerate_balanced,
     enumerate_words,
@@ -47,22 +50,22 @@ FAMILIES = (
 
 # The families longest first, by traced busy time: the order a pool takes them
 # in, so that no long family starts last while the other workers sit idle.
+# Their busy seconds in this order, at reference CPU speed (perfbench/run.py
+# --workload verify --trace 1, medians of seeds 11-13): 0.172, 0.061, 0.048,
+# 0.048, 0.040, 0.030, 0.024, 0.014, 0.013, 0.006, 0.003.
 _LONGEST_FIRST = (
-    "recurrence_closure",
     "empirical_identity",
     "kernel_ratio_law",
     "bridge_conditionals",
     "convolution_identity",
     "plackett_luce",
     "chapman_kolmogorov",
+    "recurrence_closure",
     "matrix_exponential",
     "harmonicity",
     "backward_normalization",
     "pattern_normalization",
 )
-
-# check_recurrence_closure asks each count once, so it reads them past the LRU
-_subword_count_uncached = subword_count.__wrapped__
 
 PL_RATE_FIXTURES = (
     RatePair(Fraction(2), Fraction(1)),
@@ -171,34 +174,31 @@ def check_recurrence_closure() -> CheckResult:
     """The three defining properties of the subword coefficient, on words of length <= 8.
 
     The words of length <= 8 are laid out as in _word_index.  The
-    recurrence walks w depth-first and carries its row, the list of counts
-    binom(w, u) over the index for |u| <= |w| + 1.  Each row is
-    checked as it is built: binom(w, "") = 1, and binom(w, v) = 0 for
-    |v| = |w| + 1, read off the row, and for |v| = |w| + 2, the only counts
-    asked outside a row.  So each count is asked once, of the counter
-    behind subword_count's LRU (a cache would only fill and never hit), and
-    only the rows of one root-to-leaf path are alive.  The recurrence at w
-    compares whole slices of the rows of w, w + a and w + b; only a w with
-    a mismatch is replayed identity by identity, to name each failure.
+    recurrence walks w depth-first and carries its row, the counts
+    binom(w, u) over the index for |u| <= |w| + 2, read in one packed DP of
+    w (_count_rows).  Each row is checked as it is built: binom(w, "") = 1,
+    and binom(w, v) = 0 for |v| = |w| + 1 and |w| + 2.  So each count is
+    read once, in no cache, and only the rows of one root-to-leaf path are
+    alive.  The recurrence at w compares whole slices of the rows of w,
+    w + a and w + b; only a w with a mismatch is replayed identity by
+    identity, to name each failure.
     """
     res = CheckResult("subword recurrence closure")
     max_len = 8
     index = _word_index(max_len)
-    count = _subword_count_uncached
+    # read_rows[k] reads the words of length <= k: a w of n letters reads k = min(n + 2, max_len)
+    read_rows = {k: _count_rows(index[: 2 ** (k + 1) - 1]) for k in range(2, max_len + 1)}
 
-    def row(w: str) -> list[int]:
+    def row(w: str) -> tuple[int, ...]:
         n = len(w)
-        known = 2 ** (min(n + 1, max_len) + 1) - 1  # the words of length <= n + 1
-        counts = list(map(count, itertools.repeat(w), index[:known]))
+        counts = read_rows[min(n + 2, max_len)](w)
         res.checked += 1
         if counts[0] != 1:
             res.fail(f"binom({w!r}, empty) != 1")
-        longer = index[2 ** (n + 1) - 1 : 2 ** (n + 3) - 1]  # lengths n + 1, n + 2
-        zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1, if any
-        zeros += map(count, itertools.repeat(w), longer[len(zeros) :])
+        zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1 and n + 2
         res.checked += len(zeros)
         if any(zeros):
-            for v, c in zip(longer, zeros):
+            for v, c in zip(index[2 ** (n + 1) - 1 :], zeros):
                 if c != 0:
                     res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
         return counts
@@ -213,20 +213,50 @@ def check_recurrence_closure() -> CheckResult:
         res.checked += 4 * size
         if any(
             rows[y][1 + (x == "b") : 2 * size + 1 : 2]
-            != (list(map(operator.add, exts[x], bases)) if x == y else exts[x])
+            != (tuple(map(operator.add, exts[x], bases)) if x == y else exts[x])
             for x in "ab" for y in "ab"
         ):
-            for i, v in enumerate(index[:size]):
-                for x in "ab":
-                    ext = row_w[2 * i + 1 + (x == "b")]
-                    for y in "ab":
-                        lhs = rows[y][2 * i + 1 + (x == "b")]
-                        rhs = ext + (row_w[i] if x == y else 0)
-                        if lhs != rhs:
-                            res.fail(f"recurrence broken at w={w!r} v={v!r} x={x} y={y}")
+            for line in _recurrence_failures(w, index[:size], row_w, rows):
+                res.fail(line)
         if len(w) + 1 < max_len:
             stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
     return res
+
+
+def _count_rows(words: list[str]) -> Callable[[str], tuple[int, ...]]:
+    """A row reader: w -> the counts subword_count(w, v) for v in `words`, in order.
+
+    A row is one _packed_dp of w over a NUL-led field per word, one
+    to_bytes and one itemgetter of each field's last byte.  The fields, their
+    masks, their leading 1s and their last bytes depend only on `words`, so
+    they are built here once.  w has at most _PACKED_LETTERS letters;
+    `words` holds at least two words, so the itemgetter returns a tuple.
+    """
+    fields = b"".join(b"\0" + v.encode() for v in words)
+    on_a, on_b = _packed_masks(fields)
+    heads = int.from_bytes(b"".join(b"\1" + bytes(len(v)) for v in words), "little")
+    last_bytes = operator.itemgetter(*(end - 1 for end in itertools.accumulate(
+        len(v) + 1 for v in words)))
+    size = len(fields)
+    return lambda w: last_bytes(_packed_dp(w, on_a, on_b, heads).to_bytes(size, "little"))
+
+
+def _recurrence_failures(
+    w: str, words: list[str], row_w: tuple[int, ...], rows: dict[str, tuple[int, ...]]
+) -> Iterator[str]:
+    """The failure lines of the recurrence at w, one identity at a time, in report order.
+
+    binom(w + y, v + x) = binom(w, v + x) + [x == y] binom(w, v) for each v
+    in `words`, the index's words of length <= |w|, read off the row of w
+    and the rows of w + y.  check_recurrence_closure replays a w here only
+    when its bulk comparison found a mismatch.
+    """
+    for i, v in enumerate(words):
+        for x in "ab":
+            ext = row_w[2 * i + 1 + (x == "b")]
+            for y in "ab":
+                if rows[y][2 * i + 1 + (x == "b")] != ext + (row_w[i] if x == y else 0):
+                    yield f"recurrence broken at w={w!r} v={v!r} x={x} y={y}"
 
 
 def check_convolution_identity() -> CheckResult:

@@ -28,7 +28,8 @@ BALANCED_ENUM_CAP = 12
 _WALK_LETTERS = 1024
 
 # Words of at most this many letters get subword_count from one packed
-# integer: every count is at most C(10, 5) = 252, so it fits in one byte.
+# integer (_packed_dp): every count is at most C(10, 5) = 252, so it fits in
+# one byte.
 _PACKED_LETTERS = 10
 
 # bytes.translate tables: a letter's code to 255, every other byte to 0
@@ -90,12 +91,11 @@ def subword_count(w: str, v: str) -> int:
     w first, on a cache miss only.
 
     dp[j] counts the embeddings of v[:j] in the letters of w read so far.
-    For w of at most _PACKED_LETTERS letters, dp[j] is byte j of one
-    integer, and a letter ch of w adds dp[j - 1] to every dp[j] with
-    v[j - 1] == ch in one shift, one AND with ch's byte mask and one add.
-    Otherwise, with d = |w| - |v|, once i letters of w are read only the
-    prefixes v[:j] with i - d <= j <= i can still complete.  When d < |v|
-    a dynamic program visits that band of d + 1 entries per letter,
+    For w of at most _PACKED_LETTERS letters, the count is _packed_dp's
+    one-field case: dp[j] is byte j of one integer.  Otherwise, with
+    d = |w| - |v|, once i letters of w are read only the prefixes v[:j]
+    with i - d <= j <= i can still complete.  When d < |v| a dynamic
+    program visits that band of d + 1 entries per letter,
     O(|w| * (d + 1)) steps: O(|w|) for a one-step successor.  Otherwise,
     for w shorter than _WALK_LETTERS, the DP visits per letter of w only
     the positions of v that hold that letter: O(|w| * |v|) Python steps,
@@ -109,12 +109,11 @@ def subword_count(w: str, v: str) -> int:
     if d <= 0:
         return int(w == v)
     if len(w) <= _PACKED_LETTERS:
+        # the masks _packed_masks(b"\0" + v.encode()) gives, from one translate
+        # (on_b is on_a's complement on the bytes 1..k): calling it would add
+        # 30-50% to this branch's time for a v of at most two letters
         on_a = int.from_bytes(v.encode().translate(_LETTER_MASKS["a"]), "little") << 8
-        on_b = on_a ^ (((1 << 8 * k) - 1) << 8)  # the other bytes 1..k
-        packed = 1
-        for ch in w:
-            packed += (packed << 8) & (on_a if ch == "a" else on_b)
-        return packed >> 8 * k
+        return _packed_dp(w, on_a, on_a ^ (((1 << 8 * k) - 1) << 8)) >> 8 * k
     dp = [1] + [0] * k
     if d < k:
         for i, ch in enumerate(w):
@@ -131,6 +130,34 @@ def subword_count(w: str, v: str) -> int:
         for j in holding[ch]:
             dp[j] += dp[j - 1]
     return dp[k]
+
+
+def _packed_masks(fields: bytes) -> tuple[int, int]:
+    """_packed_dp's a and b masks of `fields`: byte 255 where the field text holds that letter.
+
+    `fields` is one NUL-led field b"\\0" + v.encode() per word v.  Each
+    field's byte 0 is 0 in both masks.
+    """
+    return (int.from_bytes(fields.translate(_LETTER_MASKS["a"]), "little"),
+            int.from_bytes(fields.translate(_LETTER_MASKS["b"]), "little"))
+
+
+def _packed_dp(w: str, on_a: int, on_b: int, packed: int = 1) -> int:
+    """The packed DP of w over the fields whose masks are on_a, on_b (_packed_masks).
+
+    Byte j of v's field counts the embeddings of v[:j] in the letters of w
+    read so far, so once all of w is read the field's last byte is
+    subword_count(w, v).  A letter ch of w adds byte j - 1 to every byte j
+    that holds ch, in one shift, one AND with ch's mask and one add.  Byte 0
+    of each field holds the constant 1 of the empty prefix, given in
+    `packed` (a lone field's is the default, 1).  It is 0 in both masks, so
+    the shift never carries a field's last byte into the next field.  With
+    w of at most _PACKED_LETTERS letters every count is at most
+    C(10, 5) = 252, so no byte overflows into the next.
+    """
+    for ch in w:
+        packed += (packed << 8) & (on_a if ch == "a" else on_b)
+    return packed
 
 
 def subword_counts(y: str, words) -> dict[str, int]:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,33 @@ def test_atomic_counts_match_selection_oracle():
             w: oracle.get(w, 0) for w in enumerate_balanced(m)}, (y, m)
 
 
+def plant_rows(monkeypatch, planted=frozenset(), reads=None):
+    """Make check_recurrence_closure's row readers add 1 at each planted (w, v) key.
+
+    Each row read appends (w, words, row) to `reads`, when given.
+    """
+    exact = verify._count_rows
+
+    def count_rows(words):
+        read = exact(words)
+
+        def planted_read(w):
+            row = tuple(c + ((w, v) in planted) for v, c in zip(words, read(w)))
+            if reads is not None:
+                reads.append((w, words, row))
+            return row
+
+        return planted_read
+
+    monkeypatch.setattr(verify, "_count_rows", count_rows)
+
+
+def planted_count(planted):
+    """subword_count with 1 added at each planted (w, v) key."""
+    exact = subword_count.__wrapped__
+    return lambda w, v: exact(w, v) + ((w, v) in planted)
+
+
 @pytest.mark.parametrize("key, w", [
     # in the recurrence, served only as a base, binom(w, v)
     (("abab", ""), "abab"),
@@ -62,9 +90,7 @@ def test_atomic_counts_match_selection_oracle():
     (("abababab", "abba"), "abababa"),
 ], ids=["base", "ext", "lhs"])
 def test_recurrence_closure_reads_every_count(monkeypatch, key, w):
-    exact = verify._subword_count_uncached
-    monkeypatch.setattr(verify, "_subword_count_uncached",
-                        lambda *args: exact(*args) + (args == key))
+    plant_rows(monkeypatch, {key})
     res = verify.check_recurrence_closure()
     assert not res.ok
     assert any(line.startswith(f"recurrence broken at w={w!r}") for line in res.failures)
@@ -77,34 +103,58 @@ MANY_FAULTS = tuple((w, "ab") for w in enumerate_words(5))
 
 @pytest.mark.parametrize("keys", [
     (("", ""),),  # binom(w, "") = 1 at the root
-    (("ab", "abb"), ("ab", "abab")),  # binom(w, v) = 0 read off the row, and asked outside it
+    (("ab", "abb"), ("ab", "abab")),  # binom(w, v) = 0 for |v| = |w| + 1 and |w| + 2
     (("aba", "ab"), ("aba", "ba")),  # two faults in one w
     (("abababab", "abba"), ("bbb", "a"), ("aabbab", "bbaa"), ("a", "b")),
     MANY_FAULTS,
 ], ids=["empty", "zeros", "two-in-one-w", "scattered", "many"])
 def test_recurrence_closure_matches_oracle(monkeypatch, keys):
-    exact = verify._subword_count_uncached
-    planted = set(keys)
-
-    def count(w, v):
-        return exact(w, v) + ((w, v) in planted)
-
-    monkeypatch.setattr(verify, "_subword_count_uncached", count)
+    plant_rows(monkeypatch, set(keys))
     res = verify.check_recurrence_closure()
-    checked, failures = recurrence_closure_oracle(count)
+    checked, failures = recurrence_closure_oracle(planted_count(set(keys)))
     assert failures
     assert res.failures == failures
     assert res.checked == checked == 239_785
 
 
+@pytest.mark.parametrize("keys", [
+    (),
+    (("aba", "ab"), ("aba", "ba")),
+    (("abababab", "abba"), ("bbb", "a"), ("aabbab", "bbaa"), ("a", "b")),
+], ids=["clean", "two-in-one-w", "scattered"])
+def test_recurrence_closure_replays_only_the_failing_words(monkeypatch, keys):
+    # the bulk row comparison sends a w to the one-identity replay exactly when it fails
+    replayed = []
+    exact = verify._recurrence_failures
+    monkeypatch.setattr(verify, "_recurrence_failures",
+                        lambda w, *rest: replayed.append(w) or exact(w, *rest))
+    plant_rows(monkeypatch, set(keys))
+    verify.check_recurrence_closure()
+    _, failures = recurrence_closure_oracle(planted_count(set(keys)))
+    failing = [ast.literal_eval(line.split()[3].removeprefix("w=")) for line in failures
+               if line.startswith("recurrence broken at ")]
+    assert len(failures) < 20  # none suppressed, so `failing` names every failing w
+    assert replayed == list(dict.fromkeys(failing))
+
+
 def test_recurrence_closure_asks_each_count_once(monkeypatch):
-    asked = []
-    exact = verify._subword_count_uncached
-    monkeypatch.setattr(verify, "_subword_count_uncached",
-                        lambda w, v: asked.append((w, v)) or exact(w, v))
+    reads = []
+    plant_rows(monkeypatch, reads=reads)
     assert verify.check_recurrence_closure().checked == 239_785
-    # one call per distinct (w, u) pair: no count is asked twice
-    assert len(asked) == len(set(asked)) == 239_785
+    # one read per row: each word of at most 8 letters once
+    assert sorted(w for w, _, _ in reads) == sorted(verify._word_index(8))
+    # no (w, u) pair in two rows
+    pairs = [(w, u) for w, words, _ in reads for u in words]
+    assert len(pairs) == len(set(pairs)) == 239_785
+
+
+def test_count_rows_equal_subword_count(monkeypatch):
+    # every (w, u) pair that the recurrence family reads
+    reads = []
+    plant_rows(monkeypatch, reads=reads)
+    assert verify.check_recurrence_closure().ok
+    for w, words, row in reads:
+        assert row == tuple(map(subword_count.__wrapped__, itertools.repeat(w), words)), w
 
 
 def test_recurrence_closure_leaves_the_lru_alone():

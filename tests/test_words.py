@@ -17,6 +17,8 @@ from wordchain.verify import _count_matrices, _matrix_exp_nilpotent
 from wordchain.words import (
     _PACKED_LETTERS,
     _WALK_LETTERS,
+    _packed_dp,
+    _packed_masks,
     check_balanced,
     check_word,
     delete_pair,
@@ -99,6 +101,22 @@ class TestSubwordCount:
         for k in range(12):
             assert subword_count.__wrapped__("a" * 10, "a" * k) == math.comb(10, k), k
             assert subword_count.__wrapped__("b" * 10, "b" * k) == math.comb(10, k), k
+
+    def test_packed_kernel_one_field_matches_uncached(self):
+        # every pair of words of at most 8 letters, and 64 seeded w of 9 and 10 letters
+        # against every v of at most 10: v longer than w included, where subword_count
+        # returns before the kernel (every pair up to 10 letters would take about 20 s)
+        def one_field(w, v):
+            return _packed_dp(w, *_packed_masks(b"\0" + v.encode())) >> 8 * len(v)
+
+        seed_rng = random.Random(66)
+        short = [v for q in range(9) for v in enumerate_words(q)]
+        tests = [v for q in range(11) for v in enumerate_words(q)]
+        cases = [(w, short) for w in short] + [
+            (w, tests) for p in (9, 10) for w in seed_rng.sample(enumerate_words(p), 32)]
+        for w, vs in cases:
+            assert (list(map(one_field, itertools.repeat(w), vs))
+                    == list(map(subword_count.__wrapped__, itertools.repeat(w), vs))), w
 
     def test_long_successors_match_insertion_counts(self):
         # M(v, w) = binom(w, v): counting insertion pairs is a second oracle

@@ -50,7 +50,11 @@ MUTANTS = (
     Mutant("walk-pick-table", "src/wordchain/words.py",
            "letter_positions(y, d), count()))", "letter_positions(y, d), count(1)))", SCALE),
     Mutant("packed-letter-mask", "src/wordchain/words.py",
-           "on_b = on_a ^ (((1 << 8 * k) - 1) << 8)", "on_b = on_a ^ ((1 << 8 * k) - 1)",
+           "on_a ^ (((1 << 8 * k) - 1) << 8)", "on_a ^ ((1 << 8 * k) - 1)",
+           ("tests/test_words.py",)),
+    Mutant("packed-fields-mask", "src/wordchain/words.py",
+           'fields.translate(_LETTER_MASKS["b"]), "little"))',
+           'fields.translate(_LETTER_MASKS["b"]), "little") >> 8)',
            ("tests/test_words.py",)),
     Mutant("walk-same-letter-child", "src/wordchain/words.py",
            "(child, cum[:-1] if child[-1] == x[-1]", "(child, cum[1:] if child[-1] == x[-1]",
@@ -73,6 +77,18 @@ MUTANTS = (
            ("tests/test_measures.py",)),
     Mutant("word-sequence-nondecreasing", "src/wordchain/boundary.py",
            "if any(s2 < s1 for", "if any(s2 <= s1 for", ("tests/test_boundary.py",)),
+    Mutant("row-reader-field-ends", "src/wordchain/verify.py",
+           "(end - 1 for end in", "(end - 2 for end in", ("tests/test_verify.py",)),
+    Mutant("recurrence-bulk-exts", "src/wordchain/verify.py",
+           'exts = {x: row_w[1 + (x == "b")', 'exts = {x: row_w[1 + (x == "a")',
+           ("tests/test_verify.py",)),
+    Mutant("redraw-repeats-seen", "src/wordchain/measures.py",
+           "seen.add(v)\n                kept.append(v)", "kept.append(v)",
+           ("tests/test_block_draws.py",)),
+    Mutant("insertion-pairs-first-lo", "src/wordchain/orders.py",
+           "for lo in range(lcp + 1)", "for lo in range(lcp)", ("tests/test_orders.py",)),
+    Mutant("densities-on-support", "src/wordchain/measures.py",
+           "if lo <= b < hi else zero", "if lo < b < hi else zero", ("tests/test_measures.py",)),
 )
 
 
