@@ -198,15 +198,19 @@ class StepMeasure:
         left end is at most u, and maps linearly into that cell.  The search
         skips the first cell's start, so u = 0 lands in the first cell, and
         a u past the float total mass stays in the last one.  The cell is
-        found by a comparison tree (see `_step_map_factory`).
+        found by a comparison tree up to _TREE_LEAVES cells (see
+        `_step_map_factory`) and by one bisection past that.
         """
         den, cum, dens = self._cdf_table
         cells = [k for k, d in enumerate(dens) if d]
-        return _step_map_factory(len(cells))(
-            [float(self.breakpoints[k]) for k in cells],
-            [cum[k] / den for k in cells],
-            [dens[k] / den for k in cells],
-        )
+        L = [float(self.breakpoints[k]) for k in cells]
+        C = [cum[k] / den for k in cells]
+        D = [dens[k] / den for k in cells]
+        size = len(cells)
+        if size <= _TREE_LEAVES:
+            return _step_map_factory(size)(*itertools.chain.from_iterable(zip(L, C, D)))
+        bisect_right = bisect.bisect_right
+        return lambda us: [L[(k := bisect_right(C, u, 1, size) - 1)] + (u - C[k]) / D[k] for u in us]
 
     def drawer(self, rng: random.Random) -> Callable[[int], list[float]]:
         """draw(k): k draws, one rng.random() each, in one call."""
@@ -264,47 +268,30 @@ class Exponential:
         return _drawer(self.quantiles, rng.random)
 
 
-_TREE_LEAVES = 64  # an unbounded tree takes seconds to compile at 10,000 cells
+_TREE_LEAVES = 64  # past this many cells one bisection maps u, so at most 64 trees are compiled
 
 
 @cache
-def _step_map_factory(size: int) -> Callable[[list, list, list], Callable]:
-    """make(L, C, D): the step quantile map of ``size`` cells with lefts L, starts C, densities D.
+def _step_map_factory(size: int) -> Callable[..., Callable]:
+    """make(L0, C0, D0, L1, ...): the step quantile map of ``size`` cells, each with
+    its left end Lk, start Ck and density Dk.
 
-    A u maps to L[k] + (u - C[k]) / D[k] for the last cell k whose start
-    C[k] is at most u, with k = 0 whatever C[0] is.  The map is compiled
-    once per cell count: a tree of comparisons ``u < C[mid]`` (true exactly
-    when ``bisect_right`` would step left at C[mid]) picks the cell, so it
-    finds the cell ``bisect_right(C, u, 1, size) - 1`` finds, for u = 0, a
-    u past the float total mass and equal starts alike.  Up to _TREE_LEAVES
-    cells every leaf is one cell and reads its three values as arguments;
-    past that, a leaf bisects its own slice of C.  The source names only
+    A u maps to Lk + (u - Ck) / Dk for the last cell k whose start Ck is at
+    most u, with k = 0 whatever C0 is.  The map is compiled once per cell
+    count: a tree of comparisons ``u < C{mid}`` (true exactly when
+    ``bisect_right`` would step left at C[mid]) picks the cell, so it finds
+    the cell ``bisect_right(C, u, 1, size) - 1`` finds, for u = 0, a u past
+    the float total mass and equal starts alike.  The source names only
     indices, and the values come in as arguments.
     """
-    scalars: dict[tuple[str, int], None] = {}  # (list, cell) of each scalar argument, in order
-
-    def arg(name: str, k: int) -> str:
-        scalars[name, k] = None
-        return f"{name}{k}"
-
-    def tree(lo: int, hi: int, leaves: int) -> str:
+    def tree(lo: int, hi: int) -> str:
         if hi - lo == 1:
-            return f"{arg('L', lo)} + (u - {arg('C', lo)}) / {arg('D', lo)}"
-        if leaves == 1:
-            return f"L[(k := bisect_right(C, u, {lo + 1}, {hi}) - 1)] + (u - C[k]) / D[k]"
+            return f"L{lo} + (u - C{lo}) / D{lo}"
         mid = (lo + hi) // 2
-        return (f"({tree(lo, mid, leaves // 2)}) if u < {arg('C', mid)} "
-                f"else ({tree(mid, hi, leaves // 2)})")
+        return f"({tree(lo, mid)}) if u < C{mid} else ({tree(mid, hi)})"
 
-    body = tree(0, size, _TREE_LEAVES)
-    names = ", ".join(f"{name}{k}" for name, k in scalars)
-    outer = eval(f"lambda L, C, D, bisect_right, {names}: lambda us: [{body} for u in us]", {})
-
-    def make(L: list, C: list, D: list) -> Callable:
-        lists = {"L": L, "C": C, "D": D}
-        return outer(L, C, D, bisect.bisect_right, *[lists[name][k] for name, k in scalars])
-
-    return make
+    names = ", ".join(f"L{k}, C{k}, D{k}" for k in range(size))
+    return eval(f"lambda {names}: lambda us: [{tree(0, size)} for u in us]", {})
 
 
 def _uniforms(random_, k: int) -> Iterable:

@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,8 +21,7 @@ from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
 from .measures import empirical_pair, fixture_pairs, format_fraction, pattern_distribution
 from .plackett_luce import RatePair, pl_transition, pl_word_prob
 from .words import (
-    _packed_dp,
-    _packed_masks,
+    _count_rows,
     check_count,
     enumerate_balanced,
     enumerate_words,
@@ -221,24 +220,6 @@ def check_recurrence_closure() -> CheckResult:
         if len(w) + 1 < max_len:
             stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
     return res
-
-
-def _count_rows(words: list[str]) -> Callable[[str], tuple[int, ...]]:
-    """A row reader: w -> the counts subword_count(w, v) for v in `words`, in order.
-
-    A row is one _packed_dp of w over a NUL-led field per word, one
-    to_bytes and one itemgetter of each field's last byte.  The fields, their
-    masks, their leading 1s and their last bytes depend only on `words`, so
-    they are built here once.  w has at most _PACKED_LETTERS letters;
-    `words` holds at least two words, so the itemgetter returns a tuple.
-    """
-    fields = b"".join(b"\0" + v.encode() for v in words)
-    on_a, on_b = _packed_masks(fields)
-    heads = int.from_bytes(b"".join(b"\1" + bytes(len(v)) for v in words), "little")
-    last_bytes = operator.itemgetter(*(end - 1 for end in itertools.accumulate(
-        len(v) + 1 for v in words)))
-    size = len(fields)
-    return lambda w: last_bytes(_packed_dp(w, on_a, on_b, heads).to_bytes(size, "little"))
 
 
 def _recurrence_failures(

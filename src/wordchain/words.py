@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import random
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count, product
 from operator import index, itemgetter, sub
@@ -158,6 +159,23 @@ def _packed_dp(w: str, on_a: int, on_b: int, packed: int = 1) -> int:
     for ch in w:
         packed += (packed << 8) & (on_a if ch == "a" else on_b)
     return packed
+
+
+def _count_rows(words: list[str]) -> Callable[[str], tuple[int, ...]]:
+    """A row reader: w -> the counts subword_count(w, v) for v in `words`, in order.
+
+    A row is one _packed_dp of w over a NUL-led field per word, one
+    to_bytes and one itemgetter of each field's last byte.  The fields, their
+    masks, their leading 1s and their last bytes depend only on `words`, so
+    they are built here once.  w has at most _PACKED_LETTERS letters;
+    `words` holds at least two words, so the itemgetter returns a tuple.
+    """
+    fields = b"".join(b"\0" + v.encode() for v in words)
+    on_a, on_b = _packed_masks(fields)
+    heads = int.from_bytes(b"".join(b"\1" + bytes(len(v)) for v in words), "little")
+    last_bytes = itemgetter(*(end - 1 for end in accumulate(len(v) + 1 for v in words)))
+    size = len(fields)
+    return lambda w: last_bytes(_packed_dp(w, on_a, on_b, heads).to_bytes(size, "little"))
 
 
 def subword_counts(y: str, words) -> dict[str, int]:

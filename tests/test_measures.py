@@ -34,6 +34,7 @@ from wordchain.measures import (
     MCEstimate,
     RatePair,
     StepMeasure,
+    _step_map_factory,
     canonicalize,
     empirical_distance,
     empirical_pair,
@@ -180,13 +181,19 @@ class TestCanonicalPair:
     def test_parse_reads_fraction_literals(self, text):
         assert parse_fraction(text) == Fraction(text)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "1__0", "1 /2", "x", "", "1/-2", "1e"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1__0", "x", "", "1/-2", "1e"])
     def test_parse_rejects_what_fraction_rejects(self, text):
         with pytest.raises(ValueError) as expected:
             Fraction(text)
         with pytest.raises(WordchainError) as err:
             parse_fraction(text)
         assert str(err.value) == str(expected.value)
+
+    def test_parse_rejects_space_before_slash(self):
+        # Fraction accepts "1 /2" from Python 3.12 on; the CLI grammar rejects it on every version
+        with pytest.raises(WordchainError) as err:
+            parse_fraction("1 /2")
+        assert str(err.value) == "Invalid literal for Fraction: '1 /2'"
 
     @pytest.mark.parametrize("text, value", [
         ("1e100000", F(10**100000)), ("-1e-100000", F(-1, 10**100000)),
@@ -652,7 +659,7 @@ class TestSampling:
         fixture_pairs()["separated"].nu,  # zero density on [0, 1/2]
         fixture_pairs()["three-cell"].mu,
         StepMeasure.uniform_on(F(1, 3), F(2, 3)),
-        # one-cell leaves of every tree depth up to 64 cells, bisecting leaves past it
+        # one-cell leaves of every tree depth up to 64 cells, one bisection past it
         *[random_step_measure(random.Random(positive), positive) for positive in range(1, 71)],
         random_step_measure(random.Random(10_000), 10_000),
     ], ids=["skewed-nu", "separated-mu", "separated-nu", "three-cell-mu", "one-cell",
@@ -667,6 +674,15 @@ class TestSampling:
         assert source.quantiles(us) == expected
         assert source.quantiles(iter(us)) == expected  # any iterable of uniforms
         assert expected == [single_draw(source, ScriptedRandom(0, [u])) for u in us]
+
+    def test_step_maps_past_the_tree_compile_nothing(self):
+        # past 64 cells one bisection maps u, so the compile cache gains no entry
+        sources = [random_step_measure(random.Random(n), n) for n in (65, 70, 10_000)]
+        _step_map_factory.cache_clear()
+        for source in sources:
+            source.quantiles([0.5])
+        info = _step_map_factory.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
 
     def test_exponential_quantiles_equal_expovariate(self):
         seeded = random.Random(42)
@@ -693,7 +709,7 @@ class TestSampling:
         rng = random.Random(44)
         step_pair, rate_pair = fixture_pairs()["three-cell"], RatePair(1, 2)
         atomic = empirical_pair("abab")
-        many = random_step_measure(random.Random(45), 100)  # a tree with bisecting leaves
+        many = random_step_measure(random.Random(45), 100)  # the bisection map
         sources = (step_pair.mu, step_pair.nu, rate_pair.mu, Exponential(F(3, 2)), many)
         for source in sources:
             source.drawer(rng)(3)

@@ -63,8 +63,24 @@ MUTANTS = (
            "acc = (acc + c * prefix[k]) * mass[letter]", "acc = acc + c * prefix[k] * mass[letter]",
            ("tests/test_measures.py",)),
     Mutant("step-map-compare", "src/wordchain/measures.py",
-           "if u < {arg('C', mid)} ", "if u <= {arg('C', mid)} ",
+           "if u < C{mid} else", "if u <= C{mid} else",
            ("tests/test_measures.py", "tests/test_block_draws.py")),
+    Mutant("step-map-bisect", "src/wordchain/measures.py",
+           "bisect_right = bisect.bisect_right\n        return lambda us: [L[",
+           "bisect_right = bisect.bisect_left\n        return lambda us: [L[",
+           ("tests/test_measures.py",)),
+    Mutant("step-map-bisect-from-0", "src/wordchain/measures.py",
+           "bisect_right(C, u, 1, size) - 1)]", "bisect_right(C, u, 0, size) - 1)]",
+           ("tests/test_measures.py",),
+           equivalent="C[0] is 0.0, so bisect_right never stops at index 0 for a uniform u >= 0"),
+    Mutant("exponential-map", "src/wordchain/measures.py",
+           "[-log(1.0 - u) / rate for u in us]", "[-log(u) / rate for u in us]",
+           ("tests/test_measures.py",)),
+    Mutant("empirical-dist-left-limit", "src/wordchain/measures.py",
+           "range(0, n * one, one)", "range(one, (n + 1) * one, one)",
+           ("tests/test_measures.py",)),
+    Mutant("canonicalize-slope", "src/wordchain/measures.py",
+           "slope = (dz + de) / 2", "slope = max(dz, de)", ("tests/test_measures.py",)),
     Mutant("value-rows-replay-start", "src/wordchain/measures.py",
            "itertools.chain(us[t * width:],", "itertools.chain(us[(t + 1) * width:],",
            ("tests/test_block_draws.py", "tests/test_streams.py")),
@@ -77,7 +93,7 @@ MUTANTS = (
            ("tests/test_measures.py",)),
     Mutant("word-sequence-nondecreasing", "src/wordchain/boundary.py",
            "if any(s2 < s1 for", "if any(s2 <= s1 for", ("tests/test_boundary.py",)),
-    Mutant("row-reader-field-ends", "src/wordchain/verify.py",
+    Mutant("row-reader-field-ends", "src/wordchain/words.py",
            "(end - 1 for end in", "(end - 2 for end in", ("tests/test_verify.py",)),
     Mutant("recurrence-bulk-exts", "src/wordchain/verify.py",
            'exts = {x: row_w[1 + (x == "b")', 'exts = {x: row_w[1 + (x == "a")',
@@ -85,6 +101,16 @@ MUTANTS = (
     Mutant("redraw-repeats-seen", "src/wordchain/measures.py",
            "seen.add(v)\n                kept.append(v)", "kept.append(v)",
            ("tests/test_block_draws.py",)),
+    Mutant("share-between-open", "src/wordchain/orders.py",
+           "self.values_a if lo < v < hi]", "self.values_a if lo <= v <= hi]",
+           ("tests/test_orders.py",)),
+    Mutant("h-table-central-binomial", "src/wordchain/bridges.py",
+           "math.comb(len(w), len(w) // 2)", "math.comb(len(w) + 1, len(w) // 2)",
+           ("tests/test_bridges.py",)),
+    Mutant("pool-map-workers", "src/wordchain/cli.py",
+           "workers = min(jobs, len(items))", "workers = jobs", ("tests/test_cli.py",)),
+    Mutant("check-count-minimum", "src/wordchain/words.py",
+           "if n < minimum:", "if n < minimum - 1:", ("tests/test_library_contract.py",)),
     Mutant("insertion-pairs-first-lo", "src/wordchain/orders.py",
            "for lo in range(lcp + 1)", "for lo in range(lcp)", ("tests/test_orders.py",)),
     Mutant("densities-on-support", "src/wordchain/measures.py",
