@@ -24,8 +24,8 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import DiffusePair, _check_kind, pattern_probs
-from .words import check_balanced, check_count, delete_pair, successors
+from .measures import CanonicalPair, DiffusePair, _check_kind, _check_step_cap, pattern_probs
+from .words import check_balanced, check_count, delete_pair, successors, word_size
 
 
 def simulate_forward(n: int, rng: random.Random) -> list[str]:
@@ -83,9 +83,9 @@ class InfiniteBridge:
     Stores the latent points, so the word at every step is a deterministic
     function of the draws and deleting the newest pair of points recovers
     the previous word exactly.  The points are kept sorted, each with its
-    letter and the step that drew it; a step inserts its two points by
-    bisection, which also finds a repeat (the point just below is equal),
-    and a word is built only when it is read.
+    letter; a step inserts its two points by bisection, which also finds a
+    repeat (the point just below is equal), and a word is built only when
+    it is read.
     """
 
     def __init__(self, pair: DiffusePair, rng: random.Random):
@@ -98,7 +98,6 @@ class InfiniteBridge:
         self.y_samples: list[float] = []
         self._values: list[float] = []  # every latent point, ascending
         self._letters: list[str] = []  # letter of each sorted point
-        self._births: list[int] = []  # step that drew each sorted point
 
     @property
     def step(self) -> int:
@@ -111,7 +110,10 @@ class InfiniteBridge:
             raise IndexError(f"step {n} is outside 0..{self.step}")
         if n == self.step:
             return "".join(self._letters)
-        return "".join(compress(self._letters, map(n.__ge__, self._births)))
+        # the points are distinct, so the word at step n keeps the sorted points
+        # that are among the first n draws from mu or from nu
+        drawn = {*self.x_samples[:n], *self.y_samples[:n]}
+        return "".join(compress(self._letters, map(drawn.__contains__, self._values)))
 
     @property
     def words(self) -> list[str]:
@@ -127,7 +129,7 @@ class InfiniteBridge:
             path.append(word)
         return path
 
-    def _add(self, draw, letter: str, birth: int) -> float:
+    def _add(self, draw, letter: str) -> float:
         """Draw a point, drawing again while it repeats one kept; insert and return it."""
         values = self._values
         (v,) = draw(1)
@@ -137,7 +139,6 @@ class InfiniteBridge:
             i = bisect.bisect(values, v)
         values.insert(i, v)
         self._letters.insert(i, letter)
-        self._births.insert(i, birth)
         return v
 
     def extend(self) -> str:
@@ -153,9 +154,8 @@ class InfiniteBridge:
         add, draw_x, draw_y = self._add, self._draw_x, self._draw_y
         while self.step < n:
             # x is kept before y is drawn, so y also redraws on x's value
-            birth = self.step + 1
-            self.x_samples.append(add(draw_x, "a", birth))
-            self.y_samples.append(add(draw_y, "b", birth))
+            self.x_samples.append(add(draw_x, "a"))
+            self.y_samples.append(add(draw_y, "b"))
         return self.word(n)
 
 
@@ -199,6 +199,8 @@ def htransform_row(pair: DiffusePair, u: str) -> dict[str, Fraction]:
     (2m+2)(2m+1).  h is harmonic and nonnegative, so h(v) > 0 for a
     successor implies h(u) > 0; a state of zero mass gets an empty row.
     """
+    if isinstance(pair, CanonicalPair):
+        _check_step_cap(word_size(u) + 1)  # before the successors, cubic in |u|, are built
     counts = successors(u)
     h = _h_table(pair, [u, *counts])
     den = (len(u) + 2) * (len(u) + 1) * h[u]

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
 from .words import check_balanced, check_count, enumerate_balanced, subword_count, word_size
+from .words import letter_positions
 
 STEP_PATTERN_CAP = 6
 EXPONENT_CAP = 100_000  # 1e100000 reads in ms; the cost grows faster than the exponent
@@ -468,9 +469,11 @@ class AtomicPair:
         bisection stops at the last atom, so a u past the float total mass
         picks it.
         """
+        if letter not in ("a", "b"):
+            raise WordchainError(f"letter must be 'a' or 'b', got {letter!r}")
         n = self.size
         ends = [k / n for k in range(1, n + 1)]
-        pos = [l for l, ch in enumerate(self.word, 1) if ch == letter]
+        pos = [i + 1 for i in letter_positions(self.word, letter)]
         bisect_right = bisect.bisect_right
         return lambda us: [pos[bisect_right(ends, u, 0, n - 1)] for u in us]
 
@@ -499,23 +502,6 @@ class RatePair:
             raise WordchainError("rates must be positive")
 
 
-def suffix_counts(u: str) -> list[tuple[int, int]]:
-    """(A_i, B_i) = letters a and b in the suffix u[i-1:], for i = 1..|u|.
-
-    A_1 = B_1 = size(u) for balanced u, and the final entry has A + B = 1.
-    """
-    check_balanced(u)
-    counts = []
-    n_a = n_b = 0
-    for ch in reversed(u):
-        if ch == "a":
-            n_a += 1
-        else:
-            n_b += 1
-        counts.append((n_a, n_b))
-    return counts[::-1]
-
-
 def _scaled_rates(rates: RatePair) -> tuple[int, int]:
     """(alpha * qs, beta * qs) = (ps, rq) for alpha = p/q and beta = r/s."""
     _check_kind(rates, RatePair, "a rate pair")
@@ -527,12 +513,14 @@ def _scaled_rates(rates: RatePair) -> tuple[int, int]:
 def _suffix_product(ps: int, rq: int, u: str) -> int:
     """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq.
 
-    The factors are multiplied pairwise in a balanced tree: a left fold
-    multiplies an ever longer product by one short factor at each step,
-    quadratic in the product's size, while the tree's rounds multiply
-    operands of equal sizes.
+    A_i and B_i count the a's and b's of the suffix u[i-1:], so the factors
+    are the running sums over u read backward of ps for an a and rq for a
+    b; the caller has checked u.  They are multiplied pairwise in a
+    balanced tree: a left fold multiplies an ever longer product by one
+    short factor at each step, quadratic in the product's size, while the
+    tree's rounds multiply operands of equal sizes.
     """
-    factors = [a * ps + b * rq for a, b in suffix_counts(u)]
+    factors = list(itertools.accumulate(map({"a": ps, "b": rq}.__getitem__, reversed(u))))
     while len(factors) > 1:
         if len(factors) % 2:
             factors.append(1)
@@ -646,6 +634,14 @@ def _check_atom_count(pair: MeasurePair, m: int) -> None:
         raise SizeMismatchError(f"cannot select {m} atoms from measures of {pair.size} atoms each")
 
 
+def _check_pattern_size(pair: MeasurePair, m: int) -> None:
+    """Refuse a pair that is no measure pair, or patterns of size m that it cannot serve."""
+    _check_kind(pair, MeasurePair, "a measure pair")
+    _check_atom_count(pair, m)
+    if isinstance(pair, CanonicalPair):
+        _check_step_cap(m)
+
+
 def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:
     """P{m draws from mu and m draws from nu interleave as w}, exactly, for each w.
 
@@ -661,10 +657,8 @@ def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:
     """
     words = dict.fromkeys(words)  # each word once, in input order
     m = max(map(word_size, words), default=0)
-    _check_kind(pair, MeasurePair, "a measure pair")
-    _check_atom_count(pair, m)
+    _check_pattern_size(pair, m)
     if isinstance(pair, CanonicalPair):
-        _check_step_cap(m)
         probs = _StepTrie(pair, 2 * m).probs(words)
         return {w: probs[w] for w in words}
     if isinstance(pair, RatePair):
@@ -679,7 +673,9 @@ def pattern_prob_exact(pair: MeasurePair, w: str) -> Fraction:
 
 
 def pattern_distribution(pair: MeasurePair, m: int) -> dict[str, Fraction]:
-    """pattern_probs over all of W_m, in lexicographic order."""
+    """pattern_probs over all of W_m, in lexicographic order; a size the pair
+    cannot serve is refused before W_m is built."""
+    _check_pattern_size(pair, check_count(m, "size"))
     return pattern_probs(pair, enumerate_balanced(m))
 
 
@@ -814,7 +810,7 @@ def empirical_distance(y: str, letter: str, q: StepMeasure) -> float:
     grid = math.lcm(2 * n, *(b.denominator for b in knots))
     step, knots, one = grid // (2 * n), _scaled(knots, grid), grid * den
     # the 1-based positions l of the atoms l / (2N) = l * step / L
-    pos = [l for l, ch in enumerate(y, 1) if ch == letter]
+    pos = [i + 1 for i in letter_positions(y, letter)]
     # the atoms ahead of each knot X: l * step < X, that is l < ceil(X / step)
     cuts = [bisect.bisect_left(pos, -(-x // step)) for x in knots]
     # N * E * L * F_q at each atom; on cell k, E * L * F_q(x / L) = L * cum[k] + dens[k] * (x - X_k)

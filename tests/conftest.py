@@ -5,13 +5,18 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wordchain
 from wordchain.errors import SizeMismatchError, WordchainError
 from wordchain.measures import (
     AtomicPair,
@@ -260,6 +265,16 @@ def exp_canonical_moment(alpha, beta, n: int) -> Fraction:
         for i in range(n + 1)
         for j in range(i + 1)
     )
+
+
+def suffix_counts(u: str) -> list[tuple[int, int]]:
+    """(A_i, B_i) = letters a and b in the suffix u[i-1:], for i = 1..|u|.
+
+    A_1 = B_1 = size(u) for balanced u, and the final entry has A + B = 1.
+    The Plackett-Luce law is (n!)^2 alpha^n beta^n / prod_i (A_i alpha + B_i beta).
+    """
+    word_size(u)
+    return [(u.count("a", i), u.count("b", i)) for i in range(len(u))]
 
 
 def step_pattern_oracle(pair: CanonicalPair, w: str) -> Fraction:
@@ -543,6 +558,33 @@ def moment_samples_oracle(sampler, n: int, trials: int) -> list[tuple[float, flo
             nu_prod *= (va[k] < vb[n]) + (vb[k] < vb[n])
         out.append((0.5**n * mu_prod, 0.5**n * nu_prod))
     return out
+
+
+def main_apart(argv, start_method=None, stubs=None) -> subprocess.CompletedProcess:
+    """cli.main(argv) run in a fresh interpreter, for a test that runs a real process pool.
+
+    A pool's manager thread outlives the pool's shutdown for a moment, and on
+    Python 3.12 a pool forked after it in the same process warns that the
+    process is multi-threaded, so each multi-worker run gets an interpreter
+    of its own.  ``start_method`` is forced first; ``stubs`` (a dict from a
+    family name to the name of a ``verify_stubs`` function, or {}) replaces
+    every verify family by a one-identity stub or its override.
+    """
+    code = textwrap.dedent(f"""\
+        import multiprocessing, sys
+        from functools import partial
+        import verify_stubs
+        from wordchain import cli, verify
+        if {start_method!r} is not None:
+            multiprocessing.set_start_method({start_method!r})
+        if {stubs!r} is not None:
+            overrides = {{name: getattr(verify_stubs, stub) for name, stub in {stubs!r}.items()}}
+            verify.run_family = partial(verify_stubs.run_family, overrides=overrides)
+        sys.exit(cli.main({list(argv)!r}))
+    """)
+    path = os.pathsep.join([str(Path(wordchain.__file__).parents[1]), str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
 
 
 class ScriptedRandom(random.Random):

@@ -16,6 +16,7 @@ from conftest import (
     random_canonical_pair,
     single_draw,
 )
+from wordchain import bridges
 from wordchain.bridges import (
     InfiniteBridge,
     harmonic_h,
@@ -24,7 +25,7 @@ from wordchain.bridges import (
     sample_finite_bridge,
     simulate_forward,
 )
-from wordchain.errors import ZeroMassStateError
+from wordchain.errors import CapExceededError, ZeroMassStateError
 from wordchain.kernels import multi_step_prob, one_step_prob
 from wordchain.measures import (
     CanonicalPair,
@@ -349,3 +350,11 @@ class TestHTransform:
         row = htransform_row(pair, "ab")
         assert row == {"aabb": F(1)}
         assert htransform_row(pair, "ba") == {}  # zero mass: no reachable successor
+
+    def test_row_refuses_the_step_cap_before_building_successors(self, monkeypatch):
+        def successors(v):
+            raise AssertionError(f"the successors of a size-{len(v) // 2} word were built")
+
+        monkeypatch.setattr(bridges, "successors", successors)
+        with pytest.raises(CapExceededError, match="^pattern size 301 exceeds step cap 6$"):
+            htransform_row(CanonicalPair.lebesgue(), "ab" * 300)

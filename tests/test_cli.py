@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import verify_stubs
-from conftest import int_str_digit_limit
+from conftest import int_str_digit_limit, main_apart
 from test_golden import MC_CASES
 from wordchain import cli, verify
 from wordchain.cli import main
@@ -237,15 +237,15 @@ class TestDeterminism:
         base = ["moments", "--order", "2", "--trials", "800", "--pair", pair_file,
                 "--seed", "13"]
         _, serial = run(capsys, base)
-        _, parallel = run(capsys, base + ["--jobs", "3"])
-        assert serial == parallel
+        parallel = main_apart(base + ["--jobs", "3"])
+        assert (parallel.returncode, parallel.stdout) == (0, serial)
 
     def test_pattern_prob_independent_of_jobs(self, capsys, pair_file):
         base = ["pattern-prob", "--pair", pair_file, "--word", "aabb",
                 "--trials", "2000", "--seed", "17"]
         _, serial = run(capsys, base)
-        _, parallel = run(capsys, base + ["--jobs", "2"])
-        assert serial == parallel
+        parallel = main_apart(base + ["--jobs", "2"])
+        assert (parallel.returncode, parallel.stdout) == (0, serial)
 
     def test_pool_no_larger_than_replica_count(self, pools, pair_file):
         base = ["pattern-prob", "--pair", pair_file, "--word", "ab", "--seed", "3"]
@@ -366,12 +366,11 @@ class TestErrorHandling:
         assert captured.out == "" and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_oversize_word_pair_with_trials(self, capsys, jobs):
+    def test_oversize_word_pair_with_trials(self, jobs):
         argv = ["pattern-prob", "--word-pair", "ab", "--word", "aabb", "--trials", "10",
                 "--jobs", jobs]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
+        done = main_apart(argv)  # at --jobs 2 the pool's workers refuse the word
+        assert done.returncode == 2 and done.stdout == "" and done.stderr.count("\n") == 1
 
     def test_y_belongs_to_stat_d(self, capsys):
         argv = ["orders", "--stat", "f", "--x", "a1", "--y", "b1", "--depth", "3", "--trials", "3",
@@ -574,16 +573,17 @@ harmonicity of fixture boundary functions: 87 identities: OK
 """
 
 
-def test_verify_command(capsys):
-    code, out = run(capsys, ["verify"])
-    assert code == 0
-    assert out == VERIFY_STDOUT
+def test_verify_command():
+    # the default --jobs runs a pool wherever more than one CPU is usable
+    done = main_apart(["verify"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY_STDOUT, "")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3", "20"])
-def test_verify_independent_of_jobs(capsys, jobs):
+def test_verify_independent_of_jobs(jobs):
     # the families run on min(jobs, 11) workers and report in FAMILIES order
-    assert run(capsys, ["verify", "--jobs", jobs]) == (0, VERIFY_STDOUT)
+    done = main_apart(["verify", "--jobs", jobs])
+    assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY_STDOUT, "")
 
 
 def test_verify_jobs_default(capsys, monkeypatch, pools):
@@ -626,11 +626,12 @@ def each_start_method():
     multiprocessing.set_start_method(saved, force=True)
 
 
-def test_verify_failure_independent_of_jobs(capsys, monkeypatch, each_start_method):
+def test_verify_failure_independent_of_jobs(capsys, monkeypatch):
     _stub_families(monkeypatch, plackett_luce=verify_stubs.failing)
     serial = run(capsys, ["verify", "--jobs", "1"])
-    for method in each_start_method:
-        assert run(capsys, ["verify", "--jobs", "2"]) == serial, method
+    for method in multiprocessing.get_all_start_methods():
+        done = main_apart(["verify", "--jobs", "2"], method, {"plackett_luce": "failing"})
+        assert (done.returncode, done.stdout) == serial, method
     code, out = serial
     assert code == 1
     assert out.splitlines()[9:] == [
@@ -643,13 +644,12 @@ def test_verify_failure_independent_of_jobs(capsys, monkeypatch, each_start_meth
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_reports_in_family_order(capsys, monkeypatch, jobs):
+def test_verify_reports_in_family_order(jobs):
     # the pool takes the families longest first, and the first one here finishes
     # last; the report still lists them in FAMILIES order
-    _stub_families(monkeypatch, recurrence_closure=verify_stubs.slow)
-    code, out = run(capsys, ["verify", "--jobs", jobs])
-    assert code == 0
-    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == list(verify.FAMILIES)
+    done = main_apart(["verify", "--jobs", jobs], stubs={"recurrence_closure": "slow"})
+    assert done.returncode == 0
+    assert [line.split(":")[0] for line in done.stdout.splitlines()[:-1]] == list(verify.FAMILIES)
 
 
 def test_verify_and_mc_bytes_under_each_start_method(capsys, tmp_path):
@@ -673,12 +673,12 @@ def test_verify_and_mc_bytes_under_each_start_method(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_family_exception_propagates(monkeypatch, jobs, each_start_method):
+def test_verify_family_exception_propagates(jobs):
     # a bug in a family is not a WordchainError: it leaves main, from a worker too
-    _stub_families(monkeypatch, harmonicity=verify_stubs.raising)
-    for method in each_start_method:
-        with pytest.raises(ZeroDivisionError):
-            main(["verify", "--jobs", jobs])
+    for method in multiprocessing.get_all_start_methods():
+        done = main_apart(["verify", "--jobs", jobs], method, {"harmonicity": "raising"})
+        assert done.returncode == 1, method
+        assert done.stderr.splitlines()[-1].startswith("ZeroDivisionError"), method
 
 
 def test_serial_verify_leaves_pool_unloaded(tmp_path):

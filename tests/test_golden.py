@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in-process and compares the SHA-256 of its
 stdout with a recorded digest, so any change to a seeded stream, the
 replica split or the number formatting shows up here.  A digest may change
 only together with a CHANGES.md entry that declares the new stream.  Monte
-Carlo commands run at ``--jobs 1`` and ``--jobs 2`` against the same digest.
+Carlo commands run at ``--jobs 1`` and ``--jobs 2`` against the same digest,
+the pool of ``--jobs 2`` in a fresh interpreter (``conftest.main_apart``).
 Every case also runs with ``--out``, whose file must hold the stdout bytes.
 """
 
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+from conftest import main_apart
 from wordchain.bridges import sample_finite_bridge
 from wordchain.cli import main
 from wordchain.measures import fixture_pairs
@@ -215,7 +217,12 @@ def test_golden_serial(name, capsys, files):
 @pytest.mark.parametrize("name", sorted(MC_CASES))
 def test_golden_monte_carlo(name, jobs, capsys, files):
     argv, expected = MC_CASES[name]
-    assert _digest(capsys, argv + ["--jobs", jobs], files) == expected
+    if jobs == "1":
+        assert _digest(capsys, argv + ["--jobs", jobs], files) == expected
+    else:  # a real pool, in an interpreter of its own
+        done = main_apart([token.format(**files) for token in argv] + ["--jobs", jobs])
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == expected
 
 
 @pytest.mark.parametrize("name", sorted(SERIAL_CASES.keys() | MC_CASES.keys()))

@@ -25,6 +25,7 @@ from conftest import (
     step_pattern_oracle,
     weak_distance_oracle,
 )
+from wordchain import measures
 from wordchain.errors import CapExceededError, SizeMismatchError, WordchainError
 from wordchain.measures import (
     EXPONENT_CAP,
@@ -310,6 +311,19 @@ class TestPatternExact:
     def test_step_cap(self):
         with pytest.raises(CapExceededError):
             pattern_prob_exact(CanonicalPair.lebesgue(), "ab" * 7)
+
+    @pytest.mark.parametrize("pair, error, message", [
+        (CanonicalPair.lebesgue(), CapExceededError, "^pattern size 11 exceeds step cap 6$"),
+        (empirical_pair("ab"), SizeMismatchError,
+         "^cannot select 11 atoms from measures of 1 atoms each$"),
+    ], ids=["step-cap", "atom-count"])
+    def test_distribution_refuses_before_enumerating(self, monkeypatch, pair, error, message):
+        def enumerate_balanced(n):
+            raise AssertionError(f"W_{n} was built before the size was refused")
+
+        monkeypatch.setattr(measures, "enumerate_balanced", enumerate_balanced)
+        with pytest.raises(error, match=message):
+            pattern_distribution(pair, 11)
 
     def test_atomic_closed_form_beyond_enumeration(self):
         # C(200, 5)^2 selections: far past any enumeration, served in O(|y| |w|)
@@ -704,6 +718,11 @@ class TestSampling:
             single = [int(single_draw(atoms, ScriptedRandom(0, [u])) * scale) for u in us]
             assert empirical_pair(y).quantiles(letter)(us) == single
             assert len(set(single)) == n  # every atom is drawn, with ties
+
+    @pytest.mark.parametrize("letter", ["c", "", "ab", None])
+    def test_atomic_quantiles_reject_a_letter_other_than_a_or_b(self, letter):
+        with pytest.raises(WordchainError, match=f"^letter must be 'a' or 'b', got {letter!r}$"):
+            AtomicPair("abab").quantiles(letter)
 
     def test_sources_pickle_after_drawing(self):
         rng = random.Random(44)

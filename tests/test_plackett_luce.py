@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ScriptedRandom, chi2_critical, chi2_statistic, two_sample_chi2
+from conftest import ScriptedRandom, chi2_critical, chi2_statistic, suffix_counts, two_sample_chi2
 from wordchain.bridges import InfiniteBridge, harmonic_h, htransform_row, htransform_step_prob
 from wordchain.errors import SizeMismatchError
 from wordchain.kernels import one_step_prob
@@ -19,7 +19,6 @@ from wordchain.measures import (
     interleave_pattern,
     pattern_prob_exact,
     pl_word_prob,
-    suffix_counts,
 )
 from wordchain.orders import OrderSampler
 from wordchain.plackett_luce import pl_sample, pl_transition
@@ -52,6 +51,13 @@ class TestSuffixProduct:
             u = "".join(letters)
             fold = math.prod(a * ps + b * rq for a, b in suffix_counts(u))
             assert _suffix_product(ps, rq, u) == fold, n
+
+    def test_every_small_word_matches_the_suffix_counts(self):
+        for ps, rq in ((2, 1), (3, 5), (1, 1)):
+            for n in range(7):
+                for u in enumerate_balanced(n):
+                    fold = math.prod(a * ps + b * rq for a, b in suffix_counts(u))
+                    assert _suffix_product(ps, rq, u) == fold, (ps, rq, u)
 
 
 class TestWordProb:

@@ -115,6 +115,29 @@ MUTANTS = (
            "for lo in range(lcp + 1)", "for lo in range(lcp)", ("tests/test_orders.py",)),
     Mutant("densities-on-support", "src/wordchain/measures.py",
            "if lo <= b < hi else zero", "if lo < b < hi else zero", ("tests/test_measures.py",)),
+    Mutant("htransform-step-ratio", "src/wordchain/bridges.py",
+           "return p * h[v] / h[u]", "return p * h[u] / h[v]", ("tests/test_bridges.py",)),
+    Mutant("check-rational-finite", "src/wordchain/measures.py",
+           "and not decimal.Decimal(x).is_finite():", "and decimal.Decimal(x).is_nan():",
+           ("tests/test_library_contract.py",)),
+    Mutant("pool-map-result-order", "src/wordchain/cli.py",
+           "return list(pool.map(fn, items))", "return list(pool.map(fn, items))[::-1]",
+           ("tests/test_cli.py",)),
+    Mutant("suffix-factor-letters", "src/wordchain/measures.py",
+           '{"a": ps, "b": rq}.__getitem__', '{"a": rq, "b": ps}.__getitem__',
+           ("tests/test_plackett_luce.py",)),
+    Mutant("bridge-word-first-n", "src/wordchain/bridges.py",
+           "drawn = {*self.x_samples[:n],", "drawn = {*self.x_samples[:n + 1],",
+           ("tests/test_bridges.py",)),
+    Mutant("atomic-quantiles-letter", "src/wordchain/measures.py",
+           'if letter not in ("a", "b"):\n            raise WordchainError('
+           'f"letter must be \'a\' or \'b\', got {letter!r}")\n        n = self.size',
+           "n = self.size", ("tests/test_measures.py",)),
+    Mutant("distribution-early-refusal", "src/wordchain/measures.py",
+           '    _check_pattern_size(pair, check_count(m, "size"))\n', "",
+           ("tests/test_measures.py",)),
+    Mutant("htransform-row-early-refusal", "src/wordchain/bridges.py",
+           "        _check_step_cap(word_size(u) + 1)", "        pass", ("tests/test_bridges.py",)),
 )
 
 
