@@ -20,7 +20,7 @@ from .errors import SizeMismatchError, WordchainError
 from .measures import (
     CanonicalPair,
     _check_kind,
-    _check_step_cap,
+    _check_pattern_size,
     empirical_distance,
     format_fraction,
     pattern_probs,
@@ -96,7 +96,7 @@ def convergence_report(
     if m_max > sizes[0]:
         raise SizeMismatchError(f"m_max must be between 1 and the smallest word size {sizes[0]}")
 
-    _check_step_cap(m_max)  # before W_1, ..., W_m_max are enumerated
+    _check_pattern_size(pair, m_max)  # before W_1, ..., W_m_max are enumerated
     targets = pattern_probs(pair, [w for m in range(1, m_max + 1) for w in enumerate_balanced(m)])
     test_words = list(targets)
     ratios = {w: [] for w in test_words}

@@ -24,7 +24,7 @@ from itertools import compress
 
 from .errors import ZeroMassStateError
 from .kernels import one_step_prob
-from .measures import CanonicalPair, DiffusePair, _check_kind, _check_step_cap, pattern_probs
+from .measures import DiffusePair, _check_kind, _check_pattern_size, pattern_probs
 from .words import check_balanced, check_count, delete_pair, successors, word_size
 
 
@@ -199,8 +199,9 @@ def htransform_row(pair: DiffusePair, u: str) -> dict[str, Fraction]:
     (2m+2)(2m+1).  h is harmonic and nonnegative, so h(v) > 0 for a
     successor implies h(u) > 0; a state of zero mass gets an empty row.
     """
-    if isinstance(pair, CanonicalPair):
-        _check_step_cap(word_size(u) + 1)  # before the successors, cubic in |u|, are built
+    m = word_size(u) + 1  # u is checked before the pair, as successors(u) did
+    _check_kind(pair, DiffusePair, "a diffuse pair")
+    _check_pattern_size(pair, m)  # before the successors, cubic in |u|, are built
     counts = successors(u)
     h = _h_table(pair, [u, *counts])
     den = (len(u) + 2) * (len(u) + 1) * h[u]

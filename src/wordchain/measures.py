@@ -623,11 +623,6 @@ class _StepTrie:
         return out
 
 
-def _check_step_cap(m: int) -> None:
-    if m > STEP_PATTERN_CAP:
-        raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
-
-
 def _check_atom_count(pair: MeasurePair, m: int) -> None:
     """An atomic pair of a word of size N has N atoms a side, too few for m > N distinct draws."""
     if isinstance(pair, AtomicPair) and m > pair.size:
@@ -638,8 +633,8 @@ def _check_pattern_size(pair: MeasurePair, m: int) -> None:
     """Refuse a pair that is no measure pair, or patterns of size m that it cannot serve."""
     _check_kind(pair, MeasurePair, "a measure pair")
     _check_atom_count(pair, m)
-    if isinstance(pair, CanonicalPair):
-        _check_step_cap(m)
+    if isinstance(pair, CanonicalPair) and m > STEP_PATTERN_CAP:
+        raise CapExceededError(f"pattern size {m} exceeds step cap {STEP_PATTERN_CAP}")
 
 
 def pattern_probs(pair: MeasurePair, words) -> dict[str, Fraction]:

@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -179,8 +178,9 @@ def check_recurrence_closure() -> CheckResult:
     and binom(w, v) = 0 for |v| = |w| + 1 and |w| + 2.  So each count is
     read once, in no cache, and only the rows of one root-to-leaf path are
     alive.  The recurrence at w compares whole slices of the rows of w,
-    w + a and w + b; only a w with a mismatch is replayed identity by
-    identity, to name each failure.
+    w + a and w + b, one slice per (x, y); a slice that differs gives the
+    index of each v it breaks at, and the failures are reported sorted by
+    v, then x, then y.
     """
     res = CheckResult("subword recurrence closure")
     max_len = 8
@@ -196,10 +196,8 @@ def check_recurrence_closure() -> CheckResult:
             res.fail(f"binom({w!r}, empty) != 1")
         zeros = counts[2 ** (n + 1) - 1 :]  # the words of length n + 1 and n + 2
         res.checked += len(zeros)
-        if any(zeros):
-            for v, c in zip(index[2 ** (n + 1) - 1 :], zeros):
-                if c != 0:
-                    res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
+        for v in itertools.compress(index[2 ** (n + 1) - 1 :], zeros):
+            res.fail(f"binom({w!r}, {v!r}) != 0 despite |w| < |v|")
         return counts
 
     stack = [("", row(""))]
@@ -208,36 +206,21 @@ def check_recurrence_closure() -> CheckResult:
         rows = {y: row(w + y) for y in "ab"}
         size = 2 ** (len(w) + 1) - 1  # the words v of length <= |w|
         bases = row_w[:size]
-        exts = {x: row_w[1 + (x == "b") : 2 * size + 1 : 2] for x in "ab"}
         res.checked += 4 * size
-        if any(
-            rows[y][1 + (x == "b") : 2 * size + 1 : 2]
-            != (tuple(map(operator.add, exts[x], bases)) if x == y else exts[x])
-            for x in "ab" for y in "ab"
-        ):
-            for line in _recurrence_failures(w, index[:size], row_w, rows):
-                res.fail(line)
+        failing = []  # (index of v, x, y) of each broken identity
+        for x in "ab":
+            ext = row_w[1 + (x == "b") : 2 * size + 1 : 2]
+            for y in "ab":
+                lhs = rows[y][1 + (x == "b") : 2 * size + 1 : 2]
+                rhs = tuple(map(operator.add, ext, bases)) if x == y else ext
+                if lhs != rhs:
+                    failing += ((i, x, y) for i in itertools.compress(
+                        itertools.count(), map(operator.ne, lhs, rhs)))
+        for i, x, y in sorted(failing):
+            res.fail(f"recurrence broken at w={w!r} v={index[i]!r} x={x} y={y}")
         if len(w) + 1 < max_len:
             stack.extend((w + y, rows[y]) for y in "ba")  # a-child popped first
     return res
-
-
-def _recurrence_failures(
-    w: str, words: list[str], row_w: tuple[int, ...], rows: dict[str, tuple[int, ...]]
-) -> Iterator[str]:
-    """The failure lines of the recurrence at w, one identity at a time, in report order.
-
-    binom(w + y, v + x) = binom(w, v + x) + [x == y] binom(w, v) for each v
-    in `words`, the index's words of length <= |w|, read off the row of w
-    and the rows of w + y.  check_recurrence_closure replays a w here only
-    when its bulk comparison found a mismatch.
-    """
-    for i, v in enumerate(words):
-        for x in "ab":
-            ext = row_w[2 * i + 1 + (x == "b")]
-            for y in "ab":
-                if rows[y][2 * i + 1 + (x == "b")] != ext + (row_w[i] if x == y else 0):
-                    yield f"recurrence broken at w={w!r} v={v!r} x={x} y={y}"
 
 
 def check_convolution_identity() -> CheckResult:

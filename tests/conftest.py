@@ -587,6 +587,33 @@ def main_apart(argv, start_method=None, stubs=None) -> subprocess.CompletedProce
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
 
 
+def refuse_a_second_pool(cls) -> None:
+    """Make cls.__init__ raise when a second instance is built in this process.
+
+    A second real process pool in the test process is the case main_apart
+    exists for: on Python 3.12 it may fork while the first pool's manager
+    thread exits, which only warns.  Forked children build freely.
+    """
+    init, pid, built = cls.__init__, os.getpid(), []
+
+    @functools.wraps(init)
+    def guarded(self, *args, **kwargs):
+        if os.getpid() == pid:
+            if built:
+                raise RuntimeError(f"a second {cls.__name__} in the test process: "
+                                   "run the command through conftest.main_apart")
+            built.append(True)
+        init(self, *args, **kwargs)
+
+    cls.__init__ = guarded
+
+
+def pytest_configure(config):
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    refuse_a_second_pool(ProcessPoolExecutor)
+
+
 class ScriptedRandom(random.Random):
     """A generator whose random() returns ``script`` in order, then the seeded stream."""
 

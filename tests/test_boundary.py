@@ -10,7 +10,7 @@ from conftest import empirical_distance_oracle, kernel_ratio, random_canonical_p
 from wordchain import boundary
 from wordchain.boundary import check_word_sequence, convergence_report
 from wordchain.bridges import InfiniteBridge, simulate_forward
-from wordchain.errors import SizeMismatchError
+from wordchain.errors import CapExceededError, SizeMismatchError
 from wordchain.measures import (
     AtomicPair,
     CanonicalPair,
@@ -101,6 +101,14 @@ class TestSequenceValidation:
     def test_mmax_bounds(self):
         with pytest.raises(ValueError):
             convergence_report(["ab"], CanonicalPair.lebesgue(), 2)
+
+    def test_refuses_the_step_cap_before_enumerating(self, monkeypatch):
+        def enumerate_balanced(n):
+            raise AssertionError(f"W_{n} was built before the size was refused")
+
+        monkeypatch.setattr(boundary, "enumerate_balanced", enumerate_balanced)
+        with pytest.raises(CapExceededError, match="^pattern size 7 exceeds step cap 6$"):
+            convergence_report(["ab" * 7, "ab" * 8], CanonicalPair.lebesgue(), 7)
 
     @pytest.mark.parametrize("pair", [RatePair(1, 2), AtomicPair("abab")], ids=["rate", "atomic"])
     def test_rejects_other_pair_kinds(self, pair):

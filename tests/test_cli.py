@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import verify_stubs
-from conftest import int_str_digit_limit, main_apart
+from conftest import int_str_digit_limit, main_apart, refuse_a_second_pool
 from test_golden import MC_CASES
 from wordchain import cli, verify
 from wordchain.cli import main
@@ -294,6 +294,19 @@ class TestDeterminism:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout == "1 fork\n1 fork\n"
+
+    def test_second_pool_in_the_test_process_is_refused(self):
+        class Pool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+        refuse_a_second_pool(Pool)
+        assert Pool(2).max_workers == 2
+        with pytest.raises(RuntimeError, match=r"^a second Pool in the test process: .*"
+                                               r"conftest\.main_apart$"):
+            Pool(3)
+        # the suite's own pools carry the same guard
+        assert hasattr(concurrent.futures.ProcessPoolExecutor.__init__, "__wrapped__")
 
     def test_import_leaves_pool_unloaded(self):
         # only --jobs > 1 imports the process pool

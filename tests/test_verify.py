@@ -117,26 +117,6 @@ def test_recurrence_closure_matches_oracle(monkeypatch, keys):
     assert res.checked == checked == 239_785
 
 
-@pytest.mark.parametrize("keys", [
-    (),
-    (("aba", "ab"), ("aba", "ba")),
-    (("abababab", "abba"), ("bbb", "a"), ("aabbab", "bbaa"), ("a", "b")),
-], ids=["clean", "two-in-one-w", "scattered"])
-def test_recurrence_closure_replays_only_the_failing_words(monkeypatch, keys):
-    # the bulk row comparison sends a w to the one-identity replay exactly when it fails
-    replayed = []
-    exact = verify._recurrence_failures
-    monkeypatch.setattr(verify, "_recurrence_failures",
-                        lambda w, *rest: replayed.append(w) or exact(w, *rest))
-    plant_rows(monkeypatch, set(keys))
-    verify.check_recurrence_closure()
-    _, failures = recurrence_closure_oracle(planted_count(set(keys)))
-    failing = [ast.literal_eval(line.split()[3].removeprefix("w=")) for line in failures
-               if line.startswith("recurrence broken at ")]
-    assert len(failures) < 20  # none suppressed, so `failing` names every failing w
-    assert replayed == list(dict.fromkeys(failing))
-
-
 def test_recurrence_closure_asks_each_count_once(monkeypatch):
     reads = []
     plant_rows(monkeypatch, reads=reads)

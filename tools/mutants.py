@@ -96,8 +96,9 @@ MUTANTS = (
     Mutant("row-reader-field-ends", "src/wordchain/words.py",
            "(end - 1 for end in", "(end - 2 for end in", ("tests/test_verify.py",)),
     Mutant("recurrence-bulk-exts", "src/wordchain/verify.py",
-           'exts = {x: row_w[1 + (x == "b")', 'exts = {x: row_w[1 + (x == "a")',
-           ("tests/test_verify.py",)),
+           'ext = row_w[1 + (x == "b")', 'ext = row_w[1 + (x == "a")', ("tests/test_verify.py",)),
+    Mutant("recurrence-failure-order", "src/wordchain/verify.py",
+           "for i, x, y in sorted(failing):", "for i, x, y in failing:", ("tests/test_verify.py",)),
     Mutant("redraw-repeats-seen", "src/wordchain/measures.py",
            "seen.add(v)\n                kept.append(v)", "kept.append(v)",
            ("tests/test_block_draws.py",)),
@@ -137,7 +138,11 @@ MUTANTS = (
            '    _check_pattern_size(pair, check_count(m, "size"))\n', "",
            ("tests/test_measures.py",)),
     Mutant("htransform-row-early-refusal", "src/wordchain/bridges.py",
-           "        _check_step_cap(word_size(u) + 1)", "        pass", ("tests/test_bridges.py",)),
+           "    _check_pattern_size(pair, m)  # before the successors", "    pass  #",
+           ("tests/test_bridges.py",)),
+    Mutant("boundary-early-refusal", "src/wordchain/boundary.py",
+           "    _check_pattern_size(pair, m_max)  # before", "    pass  #",
+           ("tests/test_boundary.py",)),
 )
 
 
