@@ -510,22 +510,32 @@ def _scaled_rates(rates: RatePair) -> tuple[int, int]:
     return p * s, r * q
 
 
-def _suffix_product(ps: int, rq: int, u: str) -> int:
-    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, a product of integers A_i ps + B_i rq.
+def _suffix_factors(ps: int, rq: int, u: str) -> list[int]:
+    """The integers A_i ps + B_i rq, i = 1..|u|, for A_i a's and B_i b's in u's last i letters.
 
-    A_i and B_i count the a's and b's of the suffix u[i-1:], so the factors
-    are the running sums over u read backward of ps for an a and rq for a
-    b; the caller has checked u.  They are multiplied pairwise in a
-    balanced tree: a left fold multiplies an ever longer product by one
-    short factor at each step, quadratic in the product's size, while the
-    tree's rounds multiply operands of equal sizes.
+    They are the running sums over u read backward of ps for an a and rq
+    for a b; the caller has checked u.
     """
-    factors = list(itertools.accumulate(map({"a": ps, "b": rq}.__getitem__, reversed(u))))
+    return list(itertools.accumulate(map({"a": ps, "b": rq}.__getitem__, reversed(u))))
+
+
+def _product(factors: list[int]) -> int:
+    """The product of a list of integers (which it may extend), pairwise in a balanced tree.
+
+    A left fold multiplies an ever longer product by one short factor at
+    each step, quadratic in the product's size, while the tree's rounds
+    multiply operands of equal sizes.
+    """
     while len(factors) > 1:
         if len(factors) % 2:
             factors.append(1)
         factors = list(map(operator.mul, factors[::2], factors[1::2]))
     return math.prod(factors)
+
+
+def _suffix_product(ps: int, rq: int, u: str) -> int:
+    """prod_i (A_i alpha + B_i beta) * (qs)^|u|, the product of u's _suffix_factors."""
+    return _product(_suffix_factors(ps, rq, u))
 
 
 def pl_word_prob(rates: RatePair, u: str) -> Fraction:

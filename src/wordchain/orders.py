@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import SizeMismatchError, WordchainError
 from .measures import DiffusePair, Exponential, MCEstimate, StepMeasure, format_fraction
 from .measures import _check_kind, _distinct_run, _value_rows
-from .words import check_count, word_size
+from .words import _deletion_ranges, check_count, word_size
 
 MOMENT_ORDER_CAP = 4
 
@@ -80,33 +80,6 @@ class OrderPrefix:
         return cls(tuple(LabeledLetter.parse(tok) for tok in text.split()))
 
 
-def _insertion_pairs(prev: str, cur: str) -> list[tuple[int, int]]:
-    """Every (a_pos, b_pos) of cur whose deletion leaves prev, in sorted order.
-
-    Deleting positions lo < hi leaves prev exactly when cur and prev agree
-    on [0, lo), cur[t + 1] == prev[t] for t in [lo, hi - 1), and they agree
-    on the last |cur| - 1 - hi letters.  The first condition bounds lo by
-    the longest common prefix, the last bounds hi below by the longest
-    common suffix, and a run table of the shifted agreement bounds hi above.
-    """
-    size = len(prev)
-    lcp = next((t for t in range(size) if cur[t] != prev[t]), size)
-    lcs = next((t for t in range(size) if cur[-1 - t] != prev[-1 - t]), size)
-    run = [0] * (size + 1)  # run[t]: how many t' >= t in a row have cur[t' + 1] == prev[t']
-    for t in range(size - 1, -1, -1):
-        if cur[t + 1] == prev[t]:
-            run[t] = run[t + 1] + 1
-    last = size + 1
-    pairs = [
-        (lo, hi) if cur[lo] == "a" else (hi, lo)
-        for lo in range(lcp + 1)
-        for hi in range(max(lo + 1, last - lcs), min(last, lo + run[lo] + 1) + 1)
-        if cur[lo] != cur[hi]
-    ]
-    pairs.sort()
-    return pairs
-
-
 def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     """Subscript the letters of a bridge path by insertion step.
 
@@ -124,7 +97,10 @@ def label_uniformly(path: list[str], rng: random.Random) -> list[OrderPrefix]:
     prefixes = [OrderPrefix(())]
     tokens: list[LabeledLetter] = []
     for k, (prev, cur) in enumerate(zip(path, path[1:]), start=1):
-        pairs = _insertion_pairs(prev, cur)
+        # the (a_pos, b_pos) of cur whose deletion leaves prev, sorted
+        los, firsts, ends = _deletion_ranges(cur, prev)
+        pairs = sorted((lo, hi) if cur[lo] == "a" else (hi, lo)
+                       for lo, first, end in zip(los, firsts, ends) for hi in range(first, end))
         if not pairs:
             raise WordchainError(f"{prev!r} is not a subword of its successor {cur!r}")
         a_pos, b_pos = pairs[rng.randrange(len(pairs))]

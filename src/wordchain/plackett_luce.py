@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 from .errors import SizeMismatchError, WordchainError
-from .measures import RatePair, _check_kind, _distinct_run, _scaled_rates, _suffix_product
+from .measures import RatePair, _check_kind, _distinct_run, _product, _scaled_rates, _suffix_factors
 from .measures import interleave_pattern
 from .measures import pl_word_prob  # noqa: F401  (re-exported beside RatePair)
 from .words import check_count, subword_count, word_size
@@ -26,14 +28,21 @@ def pl_transition(rates: RatePair, u: str, v: str) -> Fraction:
     """One-step law of the exponential-pair bridge from u to v.
 
     subword_count(v, u) * alpha * beta * prod(u suffixes) / prod(v suffixes);
-    identical to h(u)^{-1} P(u, v) h(v) and rows sum to 1.
+    identical to h(u)^{-1} P(u, v) h(v) and rows sum to 1.  Factor i of u
+    and factor i of v (measures._suffix_factors) are equal over the suffix
+    the words share, and wherever the insertions shift the lattice path of
+    suffix letter counts onto a point it visits anyway; each equal pair
+    cancels before the two products.  v's last two factors have no
+    partner and stay in the denominator.
     """
     n = word_size(u)
     if word_size(v) != n + 1:
         raise SizeMismatchError(f"transition needs sizes (n, n+1), got ({n}, {word_size(v)})")
     ps, rq = _scaled_rates(rates)
-    num = subword_count(v, u) * ps * rq * _suffix_product(ps, rq, u)
-    return Fraction(num, _suffix_product(ps, rq, v))
+    fu, fv = _suffix_factors(ps, rq, u), _suffix_factors(ps, rq, v)
+    differ = list(map(ne, fu, fv))
+    num = subword_count(v, u) * ps * rq * _product(list(compress(fu, differ)))
+    return Fraction(num, _product([*compress(fv, differ), *fv[len(u):]]))
 
 
 def pl_sample(rates: RatePair, n: int, rng: random.Random, method: str = "sequential") -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import decimal
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, count, product
-from operator import index, itemgetter, sub
+from itertools import accumulate, chain, combinations, compress, count, product, repeat
+from operator import index, itemgetter, ne, sub
 
 from .errors import CapExceededError, SizeMismatchError, WordchainError
 
@@ -88,20 +88,24 @@ def subword_count(w: str, v: str) -> int:
     Satisfies the defining recurrence
         count(w + y, v + x) = count(w, v + x) + [x == y] * count(w, v)
     with count(w, "") = 1 and count(w, v) = 0 for |w| < |v|, in exact
-    integers, in one of four regimes.  Both words go through check_word,
+    integers, in one of five regimes.  Both words go through check_word,
     w first, on a cache miss only.
 
     dp[j] counts the embeddings of v[:j] in the letters of w read so far.
     For w of at most _PACKED_LETTERS letters, the count is _packed_dp's
-    one-field case: dp[j] is byte j of one integer.  Otherwise, with
-    d = |w| - |v|, once i letters of w are read only the prefixes v[:j]
-    with i - d <= j <= i can still complete.  When d < |v| a dynamic
-    program visits that band of d + 1 entries per letter,
-    O(|w| * (d + 1)) steps: O(|w|) for a one-step successor.  Otherwise,
-    for w shorter than _WALK_LETTERS, the DP visits per letter of w only
-    the positions of v that hold that letter: O(|w| * |v|) Python steps,
-    about half of them for a word with as many a's as b's.  For longer w
-    the count is one subword_counts walk, |v| passes over w at C speed.
+    one-field case: dp[j] is byte j of one integer.  A longer w with
+    |w| - |v| = 2, a word against its one-step predecessor, gets the
+    one-step regime: the count of 2-subsets of w's positions whose
+    deletion leaves v, the summed lengths of _deletion_ranges's hi ranges,
+    O(|w|) at C speed with no Python step per letter.
+    Otherwise, with d = |w| - |v|, once i letters of w are read only the
+    prefixes v[:j] with i - d <= j <= i can still complete.  When d < |v|
+    a dynamic program visits that band of d + 1 entries per letter,
+    O(|w| * (d + 1)) steps.  Otherwise, for w shorter than _WALK_LETTERS,
+    the DP visits per letter of w only the positions of v that hold that
+    letter: O(|w| * |v|) Python steps, about half of them for a word with
+    as many a's as b's.  For longer w the count is one subword_counts
+    walk, |v| passes over w at C speed.
     """
     check_word(w)
     check_word(v)
@@ -115,6 +119,9 @@ def subword_count(w: str, v: str) -> int:
         # 30-50% to this branch's time for a v of at most two letters
         on_a = int.from_bytes(v.encode().translate(_LETTER_MASKS["a"]), "little") << 8
         return _packed_dp(w, on_a, on_a ^ (((1 << 8 * k) - 1) << 8)) >> 8 * k
+    if d == 2:
+        _, firsts, ends = _deletion_ranges(w, v)
+        return sum(ends) - sum(firsts)
     dp = [1] + [0] * k
     if d < k:
         for i, ch in enumerate(w):
@@ -131,6 +138,53 @@ def subword_count(w: str, v: str) -> int:
         for j in holding[ch]:
             dp[j] += dp[j - 1]
     return dp[k]
+
+
+def _agreement(x: str, y: str, byteorder: str) -> int:
+    """How many leading ("big") or trailing ("little") letters the equal-length words x, y share.
+
+    Read in that byte order, the XOR of their ASCII codes is an integer
+    whose highest nonzero byte is the difference nearest that end, so its
+    bit length gives the count at C speed.
+    """
+    diff = int.from_bytes(x.encode(), byteorder) ^ int.from_bytes(y.encode(), byteorder)
+    return len(x) - (diff.bit_length() + 7) // 8
+
+
+def _deletion_ranges(w: str, v: str) -> tuple[range, Iterator[int], Iterator[int]]:
+    """Each lo < hi such that deleting w[lo] and w[hi] leaves v, as one range of hi per lo.
+
+    For |w| = |v| + 2 = k + 2.  Returns (los, firsts, ends): the lo's,
+    ascending, and per lo the first hi and one past the last, so its hi's
+    are range(first, end), a nonempty range.  The iterators are read once.
+
+    Deleting lo < hi leaves v exactly when w[:lo] == v[:lo],
+    w[hi + 1:] == v[hi - 1:] and w[t + 1] == v[t] for lo <= t <= hi - 2.
+    So lo is at most `last`, the common prefix of w and v, hi is at least
+    first_hi = k + 1 - (their common suffix), and no mismatch t (one with
+    w[t + 1] != v[t]) lies in [lo, hi - 2].  Every hi is at least
+    first_hi, so a mismatch below first_hi - 1 bars each lo up to it: lo
+    starts one past the last such mismatch.  From there each lo's hi's run
+    from max(lo + 1, first_hi) to the first mismatch at or after lo, plus
+    one (k + 1 if none follows), so the lo's up to and including one
+    mismatch share their end.  The common prefix and suffix, the start and
+    the first mismatch at or after `last` take one XOR each, the
+    mismatches before `last` one C-speed scan, and the ends repeat each
+    mismatch over its run of lo's: no part takes a Python step per lo.
+    """
+    k = len(v)
+    first_hi = k + 1 - _agreement(w[2:], v, "little")
+    start = first_hi - 1 - _agreement(w[1:first_hi], v[:first_hi - 1], "little")
+    # at least start - 1: with no lo at all, the one run below is empty
+    last = max(_agreement(w[:k], v, "big"), start - 1)
+    # each mismatch in [start, last) plus 2, then the first at or after last plus 2
+    stops = list(compress(count(start + 2), map(ne, w[start + 1:last + 1], v[start:last])))
+    stops.append(last + 2 + _agreement(w[last + 1:k + 1], v[last:], "big"))
+    # how many lo's share each end: those up to its mismatch, and up to last for the final one
+    runs = map(sub, [*stops[:-1], last + 2], [start + 1, *stops[:-1]])
+    firsts = chain(repeat(first_hi, min(first_hi - 1, last + 1) - start),
+                   range(max(start, first_hi - 1) + 1, last + 2))
+    return range(start, last + 1), firsts, chain.from_iterable(map(repeat, stops, runs))
 
 
 def _packed_masks(fields: bytes) -> tuple[int, int]:

@@ -52,6 +52,19 @@ def subword_count_oracle(w: str, v: str) -> int:
     return dp[-1]
 
 
+def two_deletions_oracle(w: str) -> dict[str, int]:
+    """{v: how many 2-subsets of w's positions leave v when deleted}, by deleting each one.
+
+    An embedding of v with |v| = |w| - 2 keeps all but two positions of w,
+    so the value at v is subword_count(w, v), and every v missing has 0.
+    """
+    counts: dict[str, int] = {}
+    for lo, hi in itertools.combinations(range(len(w)), 2):
+        v = w[:lo] + w[lo + 1:hi] + w[hi + 1:]
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
 def chi2_survival(x: float, df: int) -> float:
     """P{chi-square with integer df > x}, in closed form: with h = x/2,
     e^-h * sum_{j < df/2} h^j / j! for an even df, and

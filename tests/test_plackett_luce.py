@@ -26,6 +26,13 @@ from wordchain.words import enumerate_balanced, subword_count, successors
 
 F = Fraction
 TWO_ONE = RatePair(F(2), F(1))
+RATE_PAIRS = [TWO_ONE, RatePair(F(3, 7), F(5, 2)), RatePair(F(4), F(4))]
+
+
+def uncancelled_transition(rates: RatePair, u: str, v: str) -> Fraction:
+    """pl_transition's product formula with every suffix factor multiplied out."""
+    ps, rq = _scaled_rates(rates)
+    return F(subword_count(v, u) * ps * rq * _suffix_product(ps, rq, u), _suffix_product(ps, rq, v))
 
 
 class TestSuffixCounts:
@@ -155,6 +162,46 @@ class TestTransition:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             pl_transition(TWO_ONE, "ab", "ab")
+
+    def test_small_words_match_the_uncancelled_product(self):
+        for rates in RATE_PAIRS:
+            for n in range(5):
+                for u in enumerate_balanced(n):
+                    for v in successors(u):
+                        assert pl_transition(rates, u, v) == uncancelled_transition(rates, u, v), (
+                            rates, u, v)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_rows_sum_to_one_exactly(self, n):
+        rates = RATE_PAIRS[1]
+        for u in enumerate_balanced(n):
+            assert sum(pl_transition(rates, u, v) for v in successors(u)) == 1, u
+
+    @pytest.mark.parametrize("where", ["front", "back", "adjacent", "inside-runs", "anywhere"])
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_long_words_match_the_uncancelled_product(self, n, where):
+        rng = random.Random(f"{where}-{n}")
+        if where == "inside-runs":  # blocks a^r b^r of 20 to 60 letters each
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(min(rng.randint(20, 60), n - sum(sizes)))
+            u = "".join("a" * r + "b" * r for r in sizes)
+        else:
+            u = "".join(rng.sample("ab" * n, 2 * n))
+        if where == "front":
+            v = "ba" + u
+        elif where == "back":
+            v = u + "ab"
+        elif where == "adjacent":
+            i = rng.randrange(2 * n + 1)
+            v = u[:i] + "ba" + u[i:]
+        else:
+            inside = ([i for i in range(1, 2 * n) if u[i - 1] == u[i]] if where == "inside-runs"
+                      else range(2 * n + 1))
+            i, j = sorted(rng.sample(inside, 2))
+            v = u[:i] + "a" + u[i:j] + "b" + u[j:]
+        for rates in RATE_PAIRS[:2]:
+            assert pl_transition(rates, u, v) == uncancelled_transition(rates, u, v), rates
 
 
 class TestSamplers:

@@ -44,6 +44,10 @@ MUTANTS = (
            "i - d if i > d else 0, -1):", "i - d + 1 if i > d else 0, -1):", SCALE),
     Mutant("band-dp-start", "src/wordchain/words.py",
            "range(i + 1 if i < k else k,", "range(i if i < k else k,", SCALE),
+    Mutant("one-step-suffix-bound", "src/wordchain/words.py",
+           "first_hi = k + 1 - _agreement(", "first_hi = k + 2 - _agreement(", SCALE),
+    Mutant("one-step-run-start", "src/wordchain/words.py",
+           "start = first_hi - 1 - _agreement(", "start = first_hi - _agreement(", SCALE),
     Mutant("position-dp-order", "src/wordchain/words.py",
            "for j in range(k, 0, -1):\n        holding",
            "for j in range(1, k + 1):\n        holding", SCALE),
@@ -112,8 +116,9 @@ MUTANTS = (
            "workers = min(jobs, len(items))", "workers = jobs", ("tests/test_cli.py",)),
     Mutant("check-count-minimum", "src/wordchain/words.py",
            "if n < minimum:", "if n < minimum - 1:", ("tests/test_library_contract.py",)),
-    Mutant("insertion-pairs-first-lo", "src/wordchain/orders.py",
-           "for lo in range(lcp + 1)", "for lo in range(lcp)", ("tests/test_orders.py",)),
+    Mutant("insertion-pairs-first-lo", "src/wordchain/words.py",
+           "return range(start, last + 1), firsts,", "return range(start + 1, last + 1), firsts,",
+           ("tests/test_orders.py",)),
     Mutant("densities-on-support", "src/wordchain/measures.py",
            "if lo <= b < hi else zero", "if lo < b < hi else zero", ("tests/test_measures.py",)),
     Mutant("htransform-step-ratio", "src/wordchain/bridges.py",
@@ -124,6 +129,14 @@ MUTANTS = (
     Mutant("pool-map-result-order", "src/wordchain/cli.py",
            "return list(pool.map(fn, items))", "return list(pool.map(fn, items))[::-1]",
            ("tests/test_cli.py",)),
+    Mutant("pl-cancel-trailing-factors", "src/wordchain/plackett_luce.py",
+           "*fv[len(u):]]", "*fv[len(u) + 1:]]", ("tests/test_plackett_luce.py",)),
+    Mutant("pool-map-start-method", "src/wordchain/cli.py",
+           "if (multiprocessing.get_start_method(allow_none=True) is None\n            and ",
+           "if (", ("tests/test_cli.py",)),
+    Mutant("parse-exponent-cap", "src/wordchain/measures.py",
+           "exponent) > EXPONENT_CAP):", "exponent) > EXPONENT_CAP + 1):",
+           ("tests/test_measures.py",)),
     Mutant("suffix-factor-letters", "src/wordchain/measures.py",
            '{"a": ps, "b": rq}.__getitem__', '{"a": rq, "b": ps}.__getitem__',
            ("tests/test_plackett_luce.py",)),
