@@ -246,6 +246,12 @@ PLANTED = [
     ("chapman_kolmogorov", "multi_step_prob",
      lambda real: _plus_one(real, lambda v, w: (v, w) == ("", "ba")),
      ("composition != closed form at v='' w='ba'",)),
+    ("backward_normalization", "backward_prob",
+     lambda real: _plus_one(real, lambda u, v: (u, v) == ("ab", "abab")),
+     ("backward row from 'abab' sums to 2",)),
+    ("bridge_conditionals", "backward_prob",
+     lambda real: _plus_one(real, lambda u, v: (u, v) == ("ab", "abab")),
+     ("target 'abab': m=1 u='ab' v='abab': bridge gives 3/4, deletion gives 7/4",)),
     ("kernel_ratio_law", "dm_kernel",
      lambda real: _plus_one(real, lambda v, w: (v, w) == ("ab", "abab")),
      ("kernel law broken at v='ab' w='abab'",)),
@@ -269,8 +275,9 @@ PLANTED = [
 
 # the identities each family checks, as `wordchain verify` reports them
 CHECKED = {"convolution_identity": 2230, "matrix_exponential": 3969, "chapman_kolmogorov": 2230,
-           "kernel_ratio_law": 7571, "pattern_normalization": 15, "empirical_identity": 10180,
-           "plackett_luce": 99, "harmonicity": 87}
+           "kernel_ratio_law": 7571, "backward_normalization": 98, "bridge_conditionals": 4516,
+           "pattern_normalization": 15, "empirical_identity": 10180, "plackett_luce": 99,
+           "harmonicity": 87}
 
 
 @pytest.mark.parametrize("family, name, fake, lines", PLANTED,
@@ -281,3 +288,54 @@ def test_planted_fault_is_reported(monkeypatch, family, name, fake, lines):
     assert not res.ok
     assert res.failures[: len(lines)] == list(lines)
     assert res.checked == CHECKED[family]
+
+
+def _served_off_the_patterns(real):
+    """pattern_distribution with mass 1 on each of the 21 words a, aa, ..., a^21 besides."""
+    return lambda pair, m: {**real(pair, m), **{"a" * k: 1 for k in range(1, 22)}}
+
+
+# (family, the name in verify it reads, a fault that the family's first failing target alone
+# breaks more than 20 identities at, the whole report, the identities checked with the fault)
+ONE_TARGET_PAST_THE_CAP = [
+    # every v reaches a target of size 4, and a hitting probability into size 4 is one more:
+    # the first such target, 'aaaabbbb', breaks at each (u, v) of m = 3 with u in v
+    ("bridge_conditionals", "multi_step_prob",
+     lambda real: _plus_one(real, lambda v, w: len(w) == 8),
+     ("target 'aaaabbbb': m=3 u='aaabbb' v='aaaabbbb': bridge gives 1/71, deletion gives 1",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aaababbb': bridge gives 7/1136, deletion gives 7/16",
+      "target 'aaaabbbb': m=3 u='aababb' v='aaababbb': bridge gives 9/1136, deletion gives 9/16",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aaabbabb': bridge gives 1/284, deletion gives 1/4",
+      "target 'aaaabbbb': m=3 u='aababb' v='aaabbabb': bridge gives 3/568, deletion gives 3/8",
+      "target 'aaaabbbb': m=3 u='aabbab' v='aaabbabb': bridge gives 3/568, deletion gives 3/8",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aaabbbab': bridge gives 1/284, deletion gives 1/4",
+      "target 'aaaabbbb': m=3 u='aabbab' v='aaabbbab': bridge gives 9/1136, deletion gives 9/16",
+      "target 'aaaabbbb': m=3 u='aabbba' v='aaabbbab': bridge gives 3/1136, deletion gives 3/16",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aaabbbba': bridge gives 1/284, deletion gives 1/4",
+      "target 'aaaabbbb': m=3 u='aabbba' v='aaabbbba': bridge gives 3/284, deletion gives 3/4",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aabaabbb': bridge gives 1/284, deletion gives 1/4",
+      "target 'aaaabbbb': m=3 u='aababb' v='aabaabbb': bridge gives 3/568, deletion gives 3/8",
+      "target 'aaaabbbb': m=3 u='abaabb' v='aabaabbb': bridge gives 3/568, deletion gives 3/8",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aabababb': bridge gives 1/1136, deletion gives 1/16",
+      "target 'aaaabbbb': m=3 u='aababb' v='aabababb': bridge gives 7/1136, deletion gives 7/16",
+      "target 'aaaabbbb': m=3 u='aabbab' v='aabababb': bridge gives 1/568, deletion gives 1/8",
+      "target 'aaaabbbb': m=3 u='abaabb' v='aabababb': bridge gives 1/568, deletion gives 1/8",
+      "target 'aaaabbbb': m=3 u='ababab' v='aabababb': bridge gives 1/284, deletion gives 1/4",
+      "target 'aaaabbbb': m=3 u='aaabbb' v='aababbab': bridge gives 1/1136, deletion gives 1/16",
+      "... further failures suppressed"),
+     107_682),
+    # the first target, y = 'ab' with m = 1, breaks at all 21 words
+    ("empirical_identity", "pattern_distribution", _served_off_the_patterns,
+     tuple(f"y='ab' m=1: w={'a' * k!r}: served 1 != enumerated 0" for k in range(1, 21))
+     + ("... further failures suppressed",),
+     63_646),
+]
+
+
+@pytest.mark.parametrize("family, name, fake, lines, checked", ONE_TARGET_PAST_THE_CAP,
+                         ids=[family for family, *_ in ONE_TARGET_PAST_THE_CAP])
+def test_one_target_past_the_cap(monkeypatch, family, name, fake, lines, checked):
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    res = getattr(verify, f"check_{family}")()
+    assert res.failures == list(lines)
+    assert res.checked == checked
