@@ -47,7 +47,6 @@ from .orders import (
 )
 from .plackett_luce import RatePair, pl_sample, pl_transition, pl_word_prob
 from .rng import derive_rng
-from .verify import bridge_conditional_check, empirical_identity_check
 from .words import enumerate_balanced, random_subword, subword_count, successors, word_size
 
 __version__ = "0.1.0"

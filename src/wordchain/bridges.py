@@ -141,10 +141,6 @@ class InfiniteBridge:
         self._letters.insert(i, letter)
         return v
 
-    def extend(self) -> str:
-        """Draw one new point from each measure; returns the new word."""
-        return self.extend_to(self.step + 1)
-
     def extend_to(self, n: int) -> str:
         """Grow the bridge to step n, a count, if it is not there yet; returns the word at step n.
 

@@ -7,7 +7,7 @@ two-letter Plackett-Luce / vase model).  Rational rates keep every value
 exact.  ``RatePair`` and its word law ``pl_word_prob`` live in ``measures``,
 which serves the pair to h, the h-transform and the bridges like any
 diffuse pair; ``pl_transition`` is the closed-form oracle that the verify
-family checks ``htransform_step_prob`` against.
+family ``check_plackett_luce`` checks each ``htransform_row`` against.
 """
 
 from __future__ import annotations

@@ -15,21 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bridges import _h_table, htransform_row
-from .errors import CapExceededError, SizeMismatchError
 from .kernels import backward_prob, dm_kernel, multi_step_prob, one_step_prob
-from .measures import empirical_pair, fixture_pairs, format_fraction, pattern_distribution
+from .measures import empirical_pair, fixture_pairs, pattern_distribution
 from .plackett_luce import RatePair, pl_transition, pl_word_prob
 from .words import (
     _count_rows,
-    check_count,
     enumerate_balanced,
     enumerate_words,
     subword_count,
     successors,
-    word_size,
 )
-
-BRIDGE_CHECK_CAP = 5
 
 # The identity families in report order: family `name` is check_<name>().
 FAMILIES = (
@@ -90,82 +85,6 @@ class CheckResult:
             self.failures.append(message)
         elif len(self.failures) == 20:
             self.failures.append("... further failures suppressed")
-
-
-def bridge_conditional_check(w: str) -> CheckResult:
-    """Verify P{U_m = u | U_{m+1} = v, endpoint w} = subword_count(v,u)/(m+1)^2.
-
-    The left side is assembled from first principles: conditioned on hitting
-    w, the probability of passing through u then v factorizes over
-    multi-step kernels, and the v -> w leg cancels.  Equality is asserted in
-    exact rationals for every m < size(w) and every (u, v) pair with the
-    conditioning event possible.
-    """
-    return _bridge_conditional_check(w, {})
-
-
-def _bridge_conditional_check(
-    w: str, sides: dict[tuple[str, str], tuple[Fraction, Fraction]]
-) -> CheckResult:
-    """bridge_conditional_check(w), reading and filling `sides`, (u, v) -> (lhs, rhs).
-
-    Neither side depends on w, so the targets of one sweep share `sides`.
-    """
-    size = word_size(w)
-    if size > BRIDGE_CHECK_CAP:
-        raise CapExceededError(f"word size {size} exceeds bridge check cap {BRIDGE_CHECK_CAP}")
-
-    res = CheckResult(f"bridge conditionals to {w!r}")
-    for m in range(size):
-        smaller = enumerate_balanced(m)
-        for v in enumerate_balanced(m + 1):
-            if multi_step_prob(v, w) == 0:
-                continue  # conditioning event has zero probability
-            for u in smaller:
-                if (u, v) not in sides:
-                    lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
-                    sides[u, v] = (lhs_num / multi_step_prob("", v), backward_prob(u, v))
-                lhs, rhs = sides[u, v]
-                res.checked += 1
-                if lhs != rhs:
-                    res.fail(f"m={m} u={u!r} v={v!r}: bridge gives {lhs}, deletion gives {rhs}")
-    return res
-
-
-def _atomic_pattern_counts(y: str, m: int) -> Counter[str]:
-    """Count distinct-atom selections of the empirical pair of y by pattern.
-
-    The atoms sit at the letter positions of y, so a selection of m a-atoms
-    and m b-atoms reads as y at its 2m sorted positions.  Every 2m-subset of
-    y's positions is enumerated and read in order; the balanced readings
-    are exactly the C(N, m)^2 selections, for y of size N.
-    """
-    return Counter(map("".join, itertools.combinations(y, 2 * m)))
-
-
-def empirical_identity_check(y: str, m: int) -> CheckResult:
-    """Check pattern_probs(empirical_pair(y), W_m) against atom enumeration.
-
-    The served value is the closed form (m!)^2 * binom(y, w) / N^(2m).  The
-    oracle enumerates the atom selections that read w, each of mass
-    (m!)^2 / N^(2m), without the subword-count recurrence.  Both are compared
-    exactly for every w of size m, a count no larger than the size of y.
-    """
-    n = word_size(y)
-    m = check_count(m, "m")
-    if m > n:
-        raise SizeMismatchError(f"pattern size {format_fraction(m)} exceeds word size {n}")
-
-    res = CheckResult(f"empirical identity y={y!r} m={m}")
-    counts = _atomic_pattern_counts(y, m)
-    weight, scale = math.factorial(m) ** 2, n ** (2 * m)  # an atom selection's mass, weight / scale
-    for w, served in pattern_distribution(empirical_pair(y), m).items():
-        res.checked += 1
-        # served == counts[w] * weight / scale, cross-multiplied
-        if served.numerator * scale != counts[w] * weight * served.denominator:
-            enumerated = counts[w] * Fraction(weight, scale)
-            res.fail(f"w={w!r}: served {served} != enumerated {enumerated}")
-    return res
 
 
 def check_recurrence_closure() -> CheckResult:
@@ -373,15 +292,34 @@ def check_backward_normalization() -> CheckResult:
 
 
 def check_bridge_conditionals() -> CheckResult:
-    """Bridge conditionals equal the universal deletion dynamics, targets of size 1 to 4."""
+    """Bridge conditionals equal the universal deletion dynamics, targets of size 1 to 4.
+
+    For a target w and m < size(w), P{U_m = u | U_{m+1} = v, endpoint w} is
+    assembled from first principles: conditioned on hitting w, the
+    probability of passing through u then v factorizes over multi-step
+    kernels, and the v -> w leg cancels.  It must equal the deletion
+    probability subword_count(v, u)/(m+1)^2, in exact rationals, for every
+    (u, v) pair with the conditioning event possible.
+    """
     res = CheckResult("bridge conditional = deletion dynamics")
-    sides: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}  # shared by this run's targets only
+    # (u, v) -> (bridge, deletion): neither side depends on the target, so the targets share it
+    sides: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
     for size in range(1, 5):
         for w in enumerate_balanced(size):
-            report = _bridge_conditional_check(w, sides)
-            res.checked += report.checked
-            for failure in report.failures:
-                res.fail(f"target {w!r}: {failure}")
+            for m in range(size):
+                smaller = enumerate_balanced(m)
+                for v in enumerate_balanced(m + 1):
+                    if multi_step_prob(v, w) == 0:
+                        continue  # conditioning event has zero probability
+                    for u in smaller:
+                        if (u, v) not in sides:
+                            lhs_num = multi_step_prob("", u) * one_step_prob(u, v)
+                            sides[u, v] = (lhs_num / multi_step_prob("", v), backward_prob(u, v))
+                        lhs, rhs = sides[u, v]
+                        res.checked += 1
+                        if lhs != rhs:
+                            res.fail(f"target {w!r}: m={m} u={u!r} v={v!r}: "
+                                     f"bridge gives {lhs}, deletion gives {rhs}")
     return res
 
 
@@ -397,19 +335,40 @@ def check_pattern_normalization() -> CheckResult:
     return res
 
 
-def check_empirical_identity() -> CheckResult:
-    """Empirical-pair pattern probabilities match subword counts exactly.
+def _atomic_pattern_counts(y: str, m: int) -> Counter[str]:
+    """Count distinct-atom selections of the empirical pair of y by pattern.
 
-    Swept over words y of size 1 to 6 and patterns of size 1 to 2.
+    The atoms sit at the letter positions of y, so a selection of m a-atoms
+    and m b-atoms reads as y at its 2m sorted positions.  Every 2m-subset of
+    y's positions is enumerated and read in order; the balanced readings
+    are exactly the C(N, m)^2 selections, for y of size N.
+    """
+    return Counter(map("".join, itertools.combinations(y, 2 * m)))
+
+
+def check_empirical_identity() -> CheckResult:
+    """Empirical-pair pattern probabilities match atom enumeration exactly.
+
+    Swept over words y of size 1 to 6 and patterns of size 1 to 2.  The
+    served value, pattern_distribution(empirical_pair(y), m), is the closed
+    form (m!)^2 * binom(y, w) / N^(2m) for y of size N.  The oracle counts
+    the atom selections that read w, each of mass (m!)^2 / N^(2m), without
+    the subword-count recurrence.  Both are compared for every w of size m.
     """
     res = CheckResult("empirical pattern identity")
     for size in range(1, 7):
         for y in enumerate_balanced(size):
             for m in range(1, min(2, size) + 1):
-                report = empirical_identity_check(y, m)
-                res.checked += report.checked
-                for failure in report.failures:
-                    res.fail(f"y={y!r} m={m}: {failure}")
+                counts = _atomic_pattern_counts(y, m)
+                # an atom selection's mass, weight / scale
+                weight, scale = math.factorial(m) ** 2, size ** (2 * m)
+                for w, served in pattern_distribution(empirical_pair(y), m).items():
+                    res.checked += 1
+                    # served == counts[w] * weight / scale, cross-multiplied
+                    if served.numerator * scale != counts[w] * weight * served.denominator:
+                        enumerated = counts[w] * Fraction(weight, scale)
+                        res.fail(f"y={y!r} m={m}: w={w!r}: "
+                                 f"served {served} != enumerated {enumerated}")
     return res
 
 

@@ -130,8 +130,8 @@ class TestInfiniteBridge:
         counts = Counter()
         for _ in range(runs):
             bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
-            bridge.extend()
-            counts[bridge.extend()] += 1
+            bridge.extend_to(bridge.step + 1)
+            counts[bridge.extend_to(bridge.step + 1)] += 1
         expected = {w: F(1, 6) for w in enumerate_balanced(2)}
         stat = chi2_statistic(counts, expected, runs)
         assert stat < chi2_critical(6)
@@ -139,7 +139,7 @@ class TestInfiniteBridge:
     def test_separated_bridge_is_sorted(self):
         bridge = InfiniteBridge(fixture_pairs()["separated"], random.Random(106))
         for n in range(1, 6):
-            assert bridge.extend() == "a" * n + "b" * n
+            assert bridge.extend_to(bridge.step + 1) == "a" * n + "b" * n
 
     def test_consistency_per_run(self):
         for k, pair in enumerate(fixture_pairs().values()):
@@ -175,8 +175,8 @@ class TestInfiniteBridge:
         # repeats an x, then hits a y; y then hits the x just drawn
         rng = ScriptedRandom(109, [0.5, 0.25, 0.5, 0.25, 0.75, 0.75, 0.125])
         bridge = InfiniteBridge(CanonicalPair.lebesgue(), rng)
-        assert bridge.extend() == "ba"
-        assert bridge.extend() == "bbaa"
+        assert bridge.extend_to(bridge.step + 1) == "ba"
+        assert bridge.extend_to(bridge.step + 1) == "bbaa"
         assert rng.script == []
         assert bridge.x_samples == [0.5, 0.75]
         assert bridge.y_samples == [0.25, 0.125]

@@ -1,22 +1,23 @@
-"""Exact kernel values, their identities, and the bridge conditional check."""
+"""Exact kernel values, their identities, and the bridge conditionals."""
 
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import subword_count_oracle
-from wordchain.errors import CapExceededError, SizeMismatchError
+from wordchain import verify
+from wordchain.errors import SizeMismatchError
 from wordchain.kernels import (
     backward_prob,
     dm_kernel,
     multi_step_prob,
     one_step_prob,
 )
-from wordchain.verify import bridge_conditional_check
-from wordchain.words import enumerate_balanced, random_subword, subword_count
+from wordchain.words import enumerate_balanced, random_subword, subword_count, word_size
 
 
 def insertion_oracle(v: str) -> dict[str, int]:
@@ -39,6 +40,25 @@ def deletion_oracle(v: str) -> dict[str, int]:
         u = "".join(c for k, c in enumerate(v) if k not in (i, j))
         out[u] = out.get(u, 0) + 1
     return out
+
+
+def bridge_oracle(v: str) -> dict[str, Fraction]:
+    """P{U_m = u | U_{m+1} = v} for each u, from counted insertion paths.
+
+    Every insertion of an a and a b into a word of size k is one of
+    (2k+1)(2k+2) equally likely choices, so the conditional is the number
+    of paths from "" through u to v over the number of paths to v.
+    """
+    paths = Counter({"": 1})
+    for _ in range(word_size(v) - 1):
+        nxt = Counter()
+        for u, c in paths.items():
+            for w, k in insertion_oracle(u).items():
+                nxt[w] += c * k
+        paths = nxt
+    into_v = {u: c * insertion_oracle(u).get(v, 0) for u, c in paths.items()}
+    total = sum(into_v.values())
+    return {u: Fraction(c, total) for u, c in into_v.items() if c}
 
 
 class TestOneStep:
@@ -164,19 +184,22 @@ class TestBackward:
 
 class TestBridgeConditionals:
     def test_single_step(self):
-        assert bridge_conditional_check("ab").ok
+        assert bridge_oracle("ab") == {"": 1} and backward_prob("", "ab") == 1
 
     def test_abab(self):
-        report = bridge_conditional_check("abab")
-        assert report.ok and report.checked > 0
+        oracle = bridge_oracle("abab")
+        assert oracle == {"ab": Fraction(3, 4), "ba": Fraction(1, 4)}
+        assert oracle == {u: backward_prob(u, "abab") for u in oracle}
 
     def test_all_size_four(self):
-        for w in enumerate_balanced(4):
-            assert bridge_conditional_check(w).ok
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            bridge_conditional_check("ab" * 6)
+        # the verify family's targets, sizes 1 to 4, and every v they condition on
+        report = verify.check_bridge_conditionals()
+        assert report.ok and report.checked == 4516
+        for size in range(1, 5):
+            for v in enumerate_balanced(size):
+                oracle = bridge_oracle(v)
+                for u in enumerate_balanced(size - 1):
+                    assert backward_prob(u, v) == oracle.get(u, 0), (u, v)
 
 
 class TestTables:

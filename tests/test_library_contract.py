@@ -163,10 +163,6 @@ TABLE = [
           {"rates": RATE_PAIRS, "u": WORDS}),
     # rng: the seed and the label only feed a hash, so any values serve
     Entry("derive_rng", wordchain.derive_rng, {"seed": 1, "label": "x"}, {}),
-    # verify
-    Entry("bridge_conditional_check", wordchain.bridge_conditional_check, {"w": "abab"}, {"w": WORDS}),
-    Entry("empirical_identity_check", wordchain.empirical_identity_check, {"y": "abab", "m": 2},
-          {"y": WORDS, "m": SIZES}),
     # words
     Entry("enumerate_balanced", wordchain.enumerate_balanced, {"n": 2}, {"n": SIZES}),
     Entry("random_subword", wordchain.random_subword, {"w": "abab", "m": 1, "rng": random.Random(11)},
@@ -255,7 +251,7 @@ class TestCheckers:
         (lambda: wordchain.moment_estimate(_sampler(), 0, 5), "moment order must be at least 1, got 0"),
         (lambda: StepMeasure.lebesgue().moment(-1), "moment order must be nonnegative, got -1"),
         (lambda: LabeledLetter("a", 0), "letter index must be at least 1, got 0"),
-        (lambda: wordchain.empirical_identity_check("ab", -1), "m must be nonnegative, got -1"),
+        (lambda: wordchain.random_subword("ab", -1, random.Random(0)), "m must be nonnegative, got -1"),
         (lambda: StepMeasure.uniform_on(1, 1), "uniform_on needs lo < hi, got [1, 1]"),
         (lambda: RatePair(math.nan, 1), "alpha must be finite, got nan"),
         (lambda: Exponential(Decimal("Infinity")), "rate must be finite, got Decimal('Infinity')"),
@@ -297,8 +293,7 @@ class TestCheckers:
     @pytest.mark.parametrize("call", [
         wordchain.enumerate_balanced,
         lambda m: wordchain.random_subword("ab", m, random.Random(0)),
-        lambda m: wordchain.empirical_identity_check("ab", m),
-    ], ids=["enumerate_balanced", "random_subword", "empirical_identity_check"])
+    ], ids=["enumerate_balanced", "random_subword"])
     def test_a_count_past_its_bound_prints_in_full(self, call):
         with int_str_digit_limit(640), pytest.raises(WordchainError) as info:
             call(10**5000)

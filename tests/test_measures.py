@@ -50,7 +50,7 @@ from wordchain.measures import (
     pattern_probs,
     pl_word_prob,
 )
-from wordchain.verify import _atomic_pattern_counts, empirical_identity_check
+from wordchain.verify import _atomic_pattern_counts, check_empirical_identity
 from wordchain.words import enumerate_balanced, subword_count, word_size
 
 F = Fraction
@@ -440,25 +440,18 @@ class TestEmpiricalIdentity:
         assert F(4) * pattern_prob_exact(pair, "ba") == subword_count("abab", "ba")
 
     def test_sweep(self):
-        for size in range(1, 5):
-            for y in enumerate_balanced(size):
-                for m in range(1, min(2, size) + 1):
-                    report = empirical_identity_check(y, m)
-                    assert report.ok, report.failures
+        assert check_empirical_identity().ok
         # beyond the verify sweep: sizes 7-8, every m up to 4
         for y in ["abbaabababbaab", "aaaaaaabbbbbbb", "aabbbaababbaabab"]:
             n = word_size(y)
             pair = empirical_pair(y)
             for m in range(1, 5):
-                assert empirical_identity_check(y, m).ok, (y, m)
                 dist = pattern_distribution(pair, m)
+                mass = F(math.factorial(m) ** 2, n ** (2 * m))  # of one atom selection
+                counts = _atomic_pattern_counts(y, m)
+                assert dist == {w: counts[w] * mass for w in enumerate_balanced(m)}, (y, m)
                 for w in enumerate_balanced(m):
-                    closed = F(math.factorial(m) ** 2 * subword_count(y, w), n ** (2 * m))
-                    assert dist[w] == closed == pattern_prob_exact(pair, w), (y, w)
-
-    def test_m_too_large(self):
-        with pytest.raises(SizeMismatchError):
-            empirical_identity_check("ab", 2)
+                    assert dist[w] == subword_count(y, w) * mass == pattern_prob_exact(pair, w), w
 
 
 class TestCanonicalize:

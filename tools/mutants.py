@@ -103,6 +103,13 @@ MUTANTS = (
            'ext = row_w[1 + (x == "b")', 'ext = row_w[1 + (x == "a")', ("tests/test_verify.py",)),
     Mutant("recurrence-failure-order", "src/wordchain/verify.py",
            "for i, x, y in sorted(failing):", "for i, x, y in failing:", ("tests/test_verify.py",)),
+    Mutant("bridge-reach-skip", "src/wordchain/verify.py",
+           "if multi_step_prob(v, w) == 0:", "if multi_step_prob(v, w) != 0:",
+           ("tests/test_kernels.py", "tests/test_verify.py")),
+    Mutant("empirical-cross-multiply", "src/wordchain/verify.py",
+           "served.numerator * scale != counts[w] * weight * served.denominator",
+           "served.numerator * weight != counts[w] * scale * served.denominator",
+           ("tests/test_measures.py",)),
     Mutant("redraw-repeats-seen", "src/wordchain/measures.py",
            "seen.add(v)\n                kept.append(v)", "kept.append(v)",
            ("tests/test_block_draws.py",)),
